@@ -415,20 +415,6 @@ class Algebra:
     def mult_basis(self, i: int, j: int) -> Tuple[Tuple[int, object], ...]:
         return self._mult.get((i, j), ())
 
-    def element_mul(self, a: Sequence, b: Sequence) -> list:
-        """Product of two elements given as coefficient vectors over basis."""
-        field = self.field
-        out = [field.zero()] * self.dim
-        for i, ca in enumerate(a):
-            if field.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                if field.is_zero(cb):
-                    continue
-                for k, c in self.mult_basis(i, j):
-                    out[k] = field.add(out[k], field.mul(field.mul(ca, cb), c))
-        return out
-
     def path_class(self, source: int, arrows: Tuple[int, ...]) -> Tuple[Tuple[int, object], ...]:
         """Normal form of an arbitrary path, zero if length >= N."""
         if len(arrows) >= self.nilpotency:

@@ -11,14 +11,10 @@ unimodular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
-
 from .errors import TaumutError
-from .linalg import QQ, Mat, det
 from .modules import simple_module, hom_dim
 from .smc import PairedColumn, paired_columns
 from .tautilt import SupportPair
@@ -113,11 +109,33 @@ def grothendieck_data(pair: SupportPair) -> GrothendieckData:
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    m = Mat(QQ, [[Fraction(x) for x in row] for row in rows])
-    value = det(m)
-    if value.denominator != 1:
-        raise TaumutError("integer matrix produced a fractional determinant")
-    return int(value)
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    After step k every entry below and right of the pivot is a (k+1)-minor
+    of the row-permuted matrix, so the division by the previous pivot is
+    exact and nothing leaves the integers.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        for i in range(k, n):
+            if a[i][k]:
+                break
+        else:
+            return 0
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1 :]:
+            x = row[k]
+            row[k + 1 :] = [
+                (pivot * y - x * t) // prev for y, t in zip(row[k + 1 :], top[k + 1 :])
+            ]
+        prev = pivot
+    return sign * prev
 
 
 def check_duality(data: GrothendieckData) -> dict:
@@ -160,13 +178,17 @@ def check_duality(data: GrothendieckData) -> dict:
 
 
 def smith_diagonal(diag: Sequence[int]) -> Tuple[int, ...]:
-    """Smith normal form diagonal of diag(values), nonnegative entries."""
-    n = len(diag)
-    m = sympy.zeros(n, n)
-    for i, x in enumerate(diag):
-        m[i, i] = int(x)
-    s = smith_normal_form(m.as_immutable(), domain=sympy.ZZ)
-    return tuple(abs(int(s[i, i])) for i in range(n))
+    """Smith normal form diagonal of diag(values), nonnegative entries.
+
+    Replacing (d_i, d_j) by (gcd, lcm) keeps every determinantal divisor
+    (the gcd of all products of k entries); doing it for every i < j in
+    order ends at a divisibility chain, zeros last.
+    """
+    d = [abs(int(x)) for x in diag]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
 
 
 def duality_report(pair: SupportPair) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 import sympy
@@ -23,8 +24,11 @@ ScalarInput = Union[int, str, Fraction]
 class Field:
     """Arithmetic context for matrix entries.
 
-    Concrete subclasses implement coercion and inversion; everything else
-    is ordinary ring arithmetic on the coerced representatives.
+    Concrete subclasses implement coercion and scalar arithmetic on the
+    canonical representatives, plus the private kernels (`_rref`,
+    `_matmul`, `_reduce_row`) that the matrix routines call once per
+    matrix instead of once per entry.  Representatives are canonical, so
+    an entry is zero exactly when it is falsy.
     """
 
     name: str
@@ -41,6 +45,9 @@ class Field:
     def add(self, a, b):
         raise NotImplementedError
 
+    def sub(self, a, b):
+        raise NotImplementedError
+
     def neg(self, a):
         raise NotImplementedError
 
@@ -50,20 +57,56 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return not a
 
     def characteristic(self) -> int:
         raise NotImplementedError
 
     def to_string(self, a) -> str:
         return str(a)
+
+    def _rref(self, rows: list):
+        """Gauss-Jordan on a list of equal-length row lists.
+
+        Returns (rank, rows, pivots): the reduced rows, as many and as wide
+        as the input with the zero rows at the bottom, and the pivot
+        columns.  The input list may be reused for the output.
+        """
+        raise NotImplementedError
+
+    def _matmul(self, arows, brows, ncols: int) -> list:
+        """Rows of the product of two row-major matrices; brows has ncols
+        columns."""
+        raise NotImplementedError
+
+    def _reduce_row(self, row, rref_rows, pivots) -> list:
+        """`row` minus the multiples of the rref rows that clear its pivot
+        coordinates."""
+        raise NotImplementedError
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _integer_row(row) -> list:
+    """A primitive integer row proportional to a row of rationals."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        ints = [x.numerator for x in row]
+    else:
+        ints = [x.numerator * (den // x.denominator) for x in row]
+    return _primitive(ints)
+
+
+def _primitive(ints: list) -> list:
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 class RationalField(Field):
@@ -79,13 +122,16 @@ class RationalField(Field):
         raise FieldMismatchError(f"cannot coerce {value!r} into Q")
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
+
+    def sub(self, a: Fraction, b: Fraction) -> Fraction:
+        return a - b
 
     def neg(self, a: Fraction) -> Fraction:
         return -a
@@ -100,6 +146,71 @@ class RationalField(Field):
 
     def characteristic(self) -> int:
         return 0
+
+    def _rref(self, rows: list):
+        # Fraction-free Gauss-Jordan: every row is a primitive integer row
+        # proportional to the current rational one.  Clearing column c
+        # replaces a row by pivot*row - entry*top, which keeps every other
+        # pivot column zero; dividing out the row's gcd keeps the numbers
+        # small.  The rational rref is read off once at the end: each pivot
+        # row divided by its pivot entry.
+        nrows = len(rows)
+        ncols = len(rows[0]) if rows else 0
+        ints = [_integer_row(row) for row in rows]
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            for i in range(r, nrows):
+                if ints[i][c]:
+                    break
+            else:
+                continue
+            ints[r], ints[i] = ints[i], ints[r]
+            top = ints[r]
+            p = top[c]
+            for i in range(nrows):
+                row = ints[i]
+                a = row[c]
+                if a and i != r:
+                    ints[i] = _primitive([p * x - a * y for x, y in zip(row, top)])
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        out = []
+        for row, c in zip(ints, pivots):
+            p = row[c]
+            out.append([Fraction(x, p) if x else _ZERO for x in row])
+        out.extend([_ZERO] * ncols for _ in range(r, nrows))
+        return r, out, tuple(pivots)
+
+    def _matmul(self, arows, brows, ncols: int) -> list:
+        # Over the common denominators of each row of a and of all of b the
+        # product is an integer product, divided once per output entry.
+        bden = lcm(*[x.denominator for row in brows for x in row])
+        bints = [[x.numerator * (bden // x.denominator) for x in row] for row in brows]
+        out = []
+        for ra in arows:
+            aden = lcm(*[x.denominator for x in ra])
+            acc = [0] * ncols
+            for a, rb in zip(ra, bints):
+                if a:
+                    a = a.numerator * (aden // a.denominator)
+                    acc = [x + a * y for x, y in zip(acc, rb)]
+            den = aden * bden
+            if den == 1:
+                out.append([Fraction(x) if x else _ZERO for x in acc])
+            else:
+                out.append([Fraction(x, den) if x else _ZERO for x in acc])
+        return out
+
+    def _reduce_row(self, row, rref_rows, pivots) -> list:
+        out = list(row)
+        for ref, c in zip(rref_rows, pivots):
+            coef = out[c]
+            if coef:
+                out = [x - coef * y if y else x for x, y in zip(out, ref)]
+        return out
 
     def __repr__(self) -> str:
         return "QQ"
@@ -145,6 +256,9 @@ class PrimeField(Field):
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
     def neg(self, a: int) -> int:
         return (-a) % self.p
 
@@ -158,6 +272,52 @@ class PrimeField(Field):
 
     def characteristic(self) -> int:
         return self.p
+
+    def _rref(self, rows: list):
+        p = self.p
+        nrows = len(rows)
+        ncols = len(rows[0]) if rows else 0
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            inv = pow(rows[r][c], -1, p)
+            top = rows[r] = [x * inv % p for x in rows[r]]
+            for i in range(nrows):
+                row = rows[i]
+                a = row[c]
+                if a and i != r:
+                    rows[i] = [(x - a * y) % p for x, y in zip(row, top)]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return r, rows, tuple(pivots)
+
+    def _matmul(self, arows, brows, ncols: int) -> list:
+        p = self.p
+        out = []
+        for ra in arows:
+            acc = [0] * ncols
+            for a, rb in zip(ra, brows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, rb)]
+            out.append([x % p for x in acc])
+        return out
+
+    def _reduce_row(self, row, rref_rows, pivots) -> list:
+        p = self.p
+        out = list(row)
+        for ref, c in zip(rref_rows, pivots):
+            coef = out[c]
+            if coef:
+                out = [(x - coef * y) % p for x, y in zip(out, ref)]
+        return out
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -187,7 +347,7 @@ class Mat:
     ):
         self.field = field
         if _raw:
-            self.rows = tuple(tuple(r) for r in rows)
+            self.rows = tuple(map(tuple, rows))
         else:
             self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
         self.nrows = len(self.rows)
@@ -246,42 +406,36 @@ class Mat:
                 f"mixed fields {self.field.name} and {other.field.name}"
             )
 
-    def add(self, other: "Mat") -> "Mat":
+    def _entrywise(self, rows) -> "Mat":
+        # Sums and multiples of canonical entries; only F_p needs reducing.
+        p = self.field.characteristic()
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        return Mat(self.field, rows, ncols=self.ncols, _raw=True)
+
+    def _check_same_shape(self, other: "Mat") -> None:
         self._check_same_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatchError("addition shape mismatch")
-        f = self.field
-        return Mat(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            ncols=self.ncols,
-            _raw=True,
+
+    def add(self, other: "Mat") -> "Mat":
+        self._check_same_shape(other)
+        return self._entrywise(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
     def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.neg())
+        self._check_same_shape(other)
+        return self._entrywise(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        )
 
     def neg(self) -> "Mat":
-        f = self.field
-        return Mat(
-            f,
-            [[f.neg(a) for a in row] for row in self.rows],
-            ncols=self.ncols,
-            _raw=True,
-        )
+        return self._entrywise([[-a for a in row] for row in self.rows])
 
     def scale(self, c) -> "Mat":
-        f = self.field
-        c = f.coerce(c)
-        return Mat(
-            f,
-            [[f.mul(c, a) for a in row] for row in self.rows],
-            ncols=self.ncols,
-            _raw=True,
-        )
+        c = self.field.coerce(c)
+        return self._entrywise([[c * a for a in row] for row in self.rows])
 
     def mul(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
@@ -290,18 +444,9 @@ class Mat:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        f = self.field
-        z = f.zero()
         cols = other.ncols
-        out = []
-        for ra in self.rows:
-            acc = [z] * cols
-            for a, rb in zip(ra, other.rows):
-                if f.is_zero(a):
-                    continue
-                acc = [f.add(x, f.mul(a, b)) for x, b in zip(acc, rb)]
-            out.append(acc)
-        return Mat(f, out, ncols=cols, _raw=True)
+        out = self.field._matmul(self.rows, other.rows, cols)
+        return Mat(self.field, out, ncols=cols, _raw=True)
 
     def transpose(self) -> "Mat":
         if self.nrows == 0 or self.ncols == 0:
@@ -314,8 +459,7 @@ class Mat:
         return Mat(self.field, list(zip(*self.rows)), _raw=True)
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def row(self, i: int) -> tuple:
         return self.rows[i]
@@ -382,34 +526,12 @@ class RrefResult:
 
 
 def _rref_rows(field: Field, rows):
-    """Row reduce a list of row lists in place; return (rank, rows, pivots)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, rows, tuple(pivots)
+    """Row reduce a list of row lists; return (rank, rows, pivots).
+
+    Every elimination goes through here.  The input list may be reused for
+    the output, so callers use the returned rows only.
+    """
+    return field._rref(rows)
 
 
 def rref(m: Mat) -> RrefResult:
@@ -496,14 +618,7 @@ def left_kernel_rows(m: Mat) -> Mat:
 
 def reduce_row(field: Field, row, rref_rows, pivots):
     """Subtract rref rows to clear the pivot coordinates of a row vector."""
-    out = list(row)
-    for r, c in enumerate(pivots):
-        coef = out[c]
-        if field.is_zero(coef):
-            continue
-        ref = rref_rows[r]
-        out = [field.sub(x, field.mul(coef, y)) for x, y in zip(out, ref)]
-    return out
+    return field._reduce_row(row, rref_rows, pivots)
 
 
 def det(m: Mat):

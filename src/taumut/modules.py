@@ -677,18 +677,18 @@ def ext1_basis(M: Module, N: Module, pres: Optional[Presentation] = None) -> Tup
     if width == 0:
         return [], pres
     if flats:
-        _, rows, piv = _rref_rows(field, flats)
-        rows = [r for r in rows if any(not field.is_zero(x) for x in r)]
+        rank_, rows, piv = _rref_rows(field, flats)
+        rows = rows[:rank_]
     else:
         rows, piv = [], ()
     reps = []
     for h in omega_basis:
         resid = reduce_row(field, list(h.flatten()), rows, piv)
-        if any(not field.is_zero(x) for x in resid):
+        if any(resid):
             reps.append(h)
             rows = rows + [resid]
-            _, rows, piv = _rref_rows(field, rows)
-            rows = [r for r in rows if any(not field.is_zero(x) for x in r)]
+            rank_, rows, piv = _rref_rows(field, rows)
+            rows = rows[:rank_]
     return reps, pres
 
 
@@ -857,11 +857,6 @@ def end_data(M: Module) -> EndData:
     return EndData(tuple(E), d, struct, identity_coeffs, rad_vectors, rad_homs)
 
 
-def end_radical(M: Module) -> List[ModuleHom]:
-    """A basis of the Jacobson radical of End(M)."""
-    return end_data(M).rad_homs
-
-
 def _hom_power_minpoly(h: ModuleHom) -> list:
     """Minimal polynomial coefficients (ascending, monic) of an endo."""
     field = h.source.algebra.field
@@ -968,11 +963,6 @@ def is_brick(M: Module) -> bool:
     )
 
 
-def _vector_in_span(field, vec, rows, piv) -> bool:
-    resid = reduce_row(field, vec, rows, piv)
-    return all(field.is_zero(x) for x in resid)
-
-
 def _struct_mul(field, struct, d, a: Sequence, b: Sequence) -> list:
     out = [field.zero()] * d
     for i, ca in enumerate(a):
@@ -995,8 +985,8 @@ def _certify_local_via_field_quotient(M: Module, data: EndData) -> bool:
     if not data.rad_vectors:
         rad_rows, rad_piv = [], ()
     else:
-        _, rows, rad_piv = _rref_rows(field, [list(v) for v in data.rad_vectors])
-        rad_rows = [r for r in rows if any(not field.is_zero(x) for x in r)]
+        rank_, rows, rad_piv = _rref_rows(field, [list(v) for v in data.rad_vectors])
+        rad_rows = rows[:rank_]
     q = d - len(rad_rows)
     if q == 1:
         return True
@@ -1012,7 +1002,7 @@ def _certify_local_via_field_quotient(M: Module, data: EndData) -> bool:
             )
     for probe in unit_probes + pair_probes:
         reduced_probe = reduce_row(field, list(probe), rad_rows, rad_piv)
-        if all(field.is_zero(x) for x in reduced_probe):
+        if not any(reduced_probe):
             continue
         flats = [reduce_row(field, list(data.identity_coeffs), rad_rows, rad_piv)]
         cur = flats[0]

@@ -266,19 +266,19 @@ def _division_closure_pick(
     rows = [list(r) for r in base_rows]
     piv: tuple = ()
     if rows:
-        _, rows, piv = _rref_rows(field, rows)
-        rows = [r for r in rows if any(not field.is_zero(x) for x in r)]
+        rank_, rows, piv = _rref_rows(field, rows)
+        rows = rows[:rank_]
     chosen: List[ModuleHom] = []
     for cand in candidates:
         flat = list(cand.flatten())
         resid = reduce_row(field, flat, rows, piv)
-        if all(field.is_zero(x) for x in resid):
+        if not any(resid):
             continue
         chosen.append(cand)
         for u in post:
             rows.append(list(cand.compose(u).flatten()))
-        _, rows, piv = _rref_rows(field, rows)
-        rows = [r for r in rows if any(not field.is_zero(x) for x in r)]
+        rank_, rows, piv = _rref_rows(field, rows)
+        rows = rows[:rank_]
     return chosen
 
 

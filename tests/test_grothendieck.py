@@ -3,10 +3,13 @@ g^T . diag(d) . c = diag(d') between them."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from taumut import IsoRegistry
 from taumut.grothendieck import (
+    _int_det,
     c_matrix,
     check_duality,
     duality_report,
@@ -15,7 +18,7 @@ from taumut.grothendieck import (
     simple_end_dims,
     smith_diagonal,
 )
-from taumut.linalg import PrimeField
+from taumut.linalg import QQ, Mat, PrimeField, det
 from taumut.presets import build_preset
 from taumut.tautilt import explore
 
@@ -102,6 +105,46 @@ def test_smith_diagonal_normalizes():
     assert smith_diagonal((1, 1, 1)) == (1, 1, 1)
     assert smith_diagonal((2, 3)) == (1, 6)
     assert smith_diagonal((4, 2)) == (2, 4)
+
+
+def test_smith_diagonal_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(0)
+    for _ in range(3000):
+        diag = [rng.choice([0, rng.randint(-12, 12)]) for _ in range(rng.randint(0, 6))]
+        m = sympy.zeros(len(diag), len(diag))
+        for i, x in enumerate(diag):
+            m[i, i] = x
+        s = smith_normal_form(m.as_immutable(), domain=sympy.ZZ)
+        expected = tuple(abs(int(s[i, i])) for i in range(len(diag)))
+        assert smith_diagonal(diag) == expected
+
+
+def test_int_det_agrees_with_rational_det():
+    rng = random.Random(1)
+    cases = [[], [[0]], [[-7]], [[0, 1], [1, 0]], [[0, 2, 1], [0, 1, 3], [4, 0, 0]]]
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        cases.append(rows)
+        # a repeated row makes it singular; a zero leading column entry
+        # forces a row swap
+        singular = [list(r) for r in rows]
+        singular[-1] = list(singular[0])
+        cases.append(singular)
+        swapped = [list(r) for r in rows]
+        swapped[0][0] = 0
+        cases.append(swapped)
+    swaps = 0
+    for rows in cases:
+        expected = det(Mat(QQ, rows, ncols=len(rows)))
+        assert expected.denominator == 1
+        assert _int_det(rows) == expected
+        swaps += bool(rows) and rows[0][0] == 0 and expected != 0
+    assert swaps > 50
+    assert _int_det([[0, 1], [1, 0]]) == -1
 
 
 def test_check_duality_report_keys(a3_quiver):

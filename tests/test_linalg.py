@@ -19,6 +19,7 @@ from taumut.linalg import (
     kernel_basis,
     left_kernel_rows,
     rank,
+    reduce_row,
     rref,
     solve,
     vstack,
@@ -141,3 +142,214 @@ def test_kernel_vectors_multiply_to_zero(field, rows):
 def test_rank_is_transpose_invariant(rows):
     m = Mat(QQ, rows)
     assert rank(m) == rank(m.transpose())
+
+
+# -- the field kernels against a textbook reference --------------------------
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), F5, PrimeField(32003)]
+FIELD_IDS = ["Q", "F2", "F3", "F5", "F32003"]
+
+
+def _entries(field):
+    """Entries with real denominators over Q; small values and arbitrary
+    residues over F_p, so that both singular and generic matrices occur."""
+    if field == QQ:
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.integers(-3, 3) | st.integers(0, field.p - 1)
+
+
+def _shaped(field, nrows, ncols):
+    return st.lists(
+        st.lists(_entries(field), min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    ).map(lambda rows: Mat(field, rows, ncols=ncols))
+
+
+def _field_mats(field, max_dim: int = 4):
+    """Matrices of every shape up to max_dim, 0xn and nx0 included."""
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(
+        lambda shape: _shaped(field, *shape)
+    )
+
+
+def _naive_rref(field, rows, ncols):
+    """Textbook Gauss-Jordan on plain Fraction or mod-p arithmetic."""
+    p = field.characteristic()
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][c]
+        if p:
+            rows[r] = [x * pow(lead, p - 2, p) % p for x in rows[r]]
+        else:
+            rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                if p:
+                    rows[i] = [x % p for x in rows[i]]
+        pivots.append(c)
+    return len(pivots), rows, tuple(pivots)
+
+
+def _naive_solution(field, m, rhs):
+    """The free-variables-zero solution of m x = rhs read off the naive rref."""
+    aug = [list(a) + list(b) for a, b in zip(m.rows, rhs.rows)]
+    _, rows, pivots = _naive_rref(field, aug, m.ncols + rhs.ncols)
+    if any(c >= m.ncols for c in pivots):
+        return None
+    out = [[field.zero()] * rhs.ncols for _ in range(m.ncols)]
+    for r, c in enumerate(pivots):
+        out[c] = rows[r][m.ncols :]
+    return out
+
+
+def _assert_canonical_entries(m):
+    for row in m.rows:
+        for x in row:
+            if m.field == QQ:
+                assert type(x) is Fraction and x.denominator > 0
+            else:
+                assert type(x) is int and 0 <= x < m.field.p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_matches_naive_gauss_jordan(field, data):
+    m = data.draw(_field_mats(field))
+    res = rref(m)
+    rank_, rows, pivots = _naive_rref(field, m.rows, m.ncols)
+    assert (res.rank, res.pivot_cols) == (rank_, pivots)
+    assert res.reduced.rows == tuple(map(tuple, rows))
+    assert (res.reduced.nrows, res.reduced.ncols) == (m.nrows, m.ncols)
+    assert all(any(row) for row in res.reduced.rows[:rank_])
+    assert not any(any(row) for row in res.reduced.rows[rank_:])
+    _assert_canonical_entries(res.reduced)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_matches_naive(field, data):
+    m = data.draw(_field_mats(field))
+    rhs = data.draw(_shaped(field, m.nrows, data.draw(st.integers(0, 2))))
+    x = solve(m, rhs)
+    expected = _naive_solution(field, m, rhs)
+    if expected is None:
+        assert x is None
+        return
+    assert x.rows == tuple(map(tuple, expected))
+    assert (x.nrows, x.ncols) == (m.ncols, rhs.ncols)
+    assert m.mul(x) == rhs
+    _assert_canonical_entries(x)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_basis_matches_naive(field, data):
+    m = data.draw(_field_mats(field))
+    _, rows, pivots = _naive_rref(field, m.rows, m.ncols)
+    expected = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        vec = [field.zero()] * m.ncols
+        vec[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(rows[r][fc])
+        expected.append(tuple((x,) for x in vec))
+    ker = kernel_basis(m)
+    assert [k.rows for k in ker] == expected
+    for k in ker:
+        _assert_canonical_entries(k)
+        assert m.mul(k).is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mul_matches_triple_sum(field, data):
+    a = data.draw(_field_mats(field))
+    b = data.draw(_shaped(field, a.ncols, data.draw(st.integers(0, 4))))
+    p = field.characteristic()
+    expected = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            total = sum(a[i, k] * b[k, j] for k in range(a.ncols))
+            row.append(total % p if p else Fraction(total))
+        expected.append(tuple(row))
+    prod = a.mul(b)
+    assert prod.rows == tuple(expected)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    _assert_canonical_entries(prod)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_entrywise_ops_and_reduce_row(field, data):
+    a = data.draw(_field_mats(field))
+    b = data.draw(_shaped(field, a.nrows, a.ncols))
+    c = data.draw(_entries(field))
+    p = field.characteristic()
+
+    def canon(rows):
+        return tuple(tuple(x % p if p else x for x in row) for row in rows)
+
+    pairs = [list(zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)]
+    assert a.add(b).rows == canon([[x + y for x, y in row] for row in pairs])
+    assert a.sub(b).rows == canon([[x - y for x, y in row] for row in pairs])
+    assert a.neg().rows == canon([[-x for x in row] for row in a.rows])
+    cc = field.coerce(c)
+    assert a.scale(c).rows == canon([[cc * x for x in row] for row in a.rows])
+    for out in (a.add(b), a.sub(b), a.neg(), a.scale(c)):
+        _assert_canonical_entries(out)
+    assert a.is_zero() == all(x == 0 for row in a.rows for x in row)
+    # reduce_row leaves a row's residue modulo the rref row space: zero in
+    # every pivot column, and the row minus the residue lies in the span.
+    res = rref(b)
+    basis = res.reduced.rows[: res.rank]
+    for row in a.rows:
+        resid = reduce_row(field, row, basis, res.pivot_cols)
+        assert all(resid[c] == 0 for c in res.pivot_cols)
+        diff = Mat(field, [row], ncols=a.ncols).sub(Mat(field, [resid], ncols=a.ncols))
+        assert rank(vstack(field, [Mat(field, basis, ncols=a.ncols), diff])) == res.rank
+        _assert_canonical_entries(Mat(field, [resid], ncols=a.ncols, _raw=True))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_kernel_edge_cases(field):
+    one = field.one()
+    for nrows, ncols in [(0, 3), (3, 0), (0, 0)]:
+        m = Mat.zeros(field, nrows, ncols)
+        res = rref(m)
+        assert (res.rank, res.pivot_cols) == (0, ())
+        assert (res.reduced.nrows, res.reduced.ncols) == (nrows, ncols)
+        assert len(kernel_basis(m)) == ncols
+        assert m.mul(Mat.zeros(field, ncols, 2)) == Mat.zeros(field, nrows, 2)
+        assert Mat.zeros(field, 2, nrows).mul(m) == Mat.zeros(field, 2, ncols)
+    zero = Mat.zeros(field, 3, 4)
+    res = rref(zero)
+    assert (res.rank, res.pivot_cols, res.reduced) == (0, (), zero)
+    _assert_canonical_entries(res.reduced)
+    assert [k.rows for k in kernel_basis(zero)] == [
+        tuple((one if i == j else field.zero(),) for i in range(4)) for j in range(4)
+    ]
+    assert solve(zero, Mat.zeros(field, 3, 1)) == Mat.zeros(field, 4, 1)
+    assert solve(zero, Mat(field, [[1], [0], [0]])) is None
+    for value, expected_rank in [(0, 0), (1, 1), (2, 1), (-1, 1)]:
+        m = Mat(field, [[value]])
+        res = rref(m)
+        if field.is_zero(m[0, 0]):
+            expected_rank = 0
+        assert res.rank == expected_rank
+        assert res.reduced.rows == (((one,),) if expected_rank else ((field.zero(),),))
+        _assert_canonical_entries(res.reduced)
