@@ -19,11 +19,11 @@ from .errors import (
     SpecError,
     TaumutError,
 )
-from .grothendieck import duality_report, grothendieck_data
+from .grothendieck import check_duality, duality_report, grothendieck_data
 from .linalg import QQ, Field, PrimeField
 from .modules import IsoRegistry, in_fac
 from .nakayama import count_value, format_count_table
-from .presets import PRESET_HELP, preset_spec
+from .presets import PRESET_HELP
 from .quotient import central_ideal, verify_ejr
 from .smc import check_label_coincidence, check_smc_axioms, smc_of_vertex
 from .tautilt import (
@@ -167,7 +167,7 @@ def cmd_gvectors(args) -> int:
     records = []
     for i, pair in enumerate(quiver.pairs):
         data = grothendieck_data(pair)
-        report = duality_report(pair)
+        report = check_duality(data)
         if not report["ok"]:
             failures += 1
         records.append(

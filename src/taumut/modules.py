@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import sympy
 
@@ -606,17 +606,22 @@ def nakayama_functor_map(pres: Presentation) -> Tuple[Module, Module, ModuleHom]
     return nu_p1, nu_p0, ModuleHom(nu_p1, nu_p0, mats)
 
 
-def ar_translate(M: Module) -> Module:
-    """The Auslander-Reiten translate: kernel of nu applied to a minimal
-    presentation.  Projective summands contribute nothing."""
-    if M.is_zero:
-        return zero_module(M.algebra)
-    pres = minimal_projective_presentation(M)
+def _translate(pres: Presentation) -> Module:
+    """The Auslander-Reiten translate of the presented module: kernel of nu
+    applied to its minimal presentation.  Projective summands contribute
+    nothing."""
     if pres.p1.is_zero:
-        return zero_module(M.algebra)
+        return zero_module(pres.module.algebra)
     _, _, nu_f = nakayama_functor_map(pres)
     ker, _ = kernel(nu_f)
     return ker
+
+
+def ar_translate(M: Module) -> Module:
+    """The Auslander-Reiten translate of M, from a fresh presentation."""
+    if M.is_zero:
+        return zero_module(M.algebra)
+    return _translate(minimal_projective_presentation(M))
 
 
 def ar_translate_inverse(M: Module) -> Module:
@@ -663,33 +668,44 @@ def ext1_dim(M: Module, N: Module, pres: Optional[Presentation] = None) -> int:
     return h_omega - h_p0 + h_m
 
 
-def ext1_basis(M: Module, N: Module, pres: Optional[Presentation] = None) -> Tuple[List[ModuleHom], Presentation]:
-    """Cocycle representatives Omega M -> N spanning Ext^1(M, N)."""
-    if pres is None:
-        pres = minimal_projective_presentation(M)
-    field = M.algebra.field
-    restricted = [
-        pres.omega_incl.compose(h) for h in _projective_hom_block(pres, N)
-    ]
-    flats = [list(h.flatten()) for h in restricted]
-    omega_basis = hom_basis(pres.omega, N).basis
-    width = len(omega_basis[0].flatten()) if omega_basis else 0
-    if width == 0:
-        return [], pres
-    if flats:
-        rank_, rows, piv = _rref_rows(field, flats)
+def greedy_span_pick(
+    field,
+    base_rows: Sequence[Sequence],
+    candidates: Sequence[ModuleHom],
+    rows_of: Callable[[ModuleHom], Sequence[Sequence]],
+) -> List[ModuleHom]:
+    """Keep each candidate whose flattening leaves the span of base_rows
+    plus rows_of(c) for every candidate c kept before it."""
+    rows: List[list] = [list(r) for r in base_rows]
+    piv: tuple = ()
+    if rows:
+        rank_, rows, piv = _rref_rows(field, rows)
         rows = rows[:rank_]
-    else:
-        rows, piv = [], ()
-    reps = []
-    for h in omega_basis:
-        resid = reduce_row(field, list(h.flatten()), rows, piv)
-        if any(resid):
-            reps.append(h)
-            rows = rows + [resid]
-            rank_, rows, piv = _rref_rows(field, rows)
-            rows = rows[:rank_]
-    return reps, pres
+    picked: List[ModuleHom] = []
+    for cand in candidates:
+        if not any(reduce_row(field, list(cand.flatten()), rows, piv)):
+            continue
+        picked.append(cand)
+        rank_, rows, piv = _rref_rows(field, rows + [list(r) for r in rows_of(cand)])
+        rows = rows[:rank_]
+    return picked
+
+
+def ext1_basis(M: Module, N: Module, pres: Presentation) -> Tuple[List[ModuleHom], List[list]]:
+    """Cocycle representatives Omega M -> N spanning Ext^1(M, N), and the
+    flattened coboundaries (restrictions of Hom(P0, N) to Omega M) that
+    they are independent modulo."""
+    coboundaries = [
+        list(pres.omega_incl.compose(h).flatten())
+        for h in _projective_hom_block(pres, N)
+    ]
+    omega_basis = hom_basis(pres.omega, N).basis
+    if not omega_basis:
+        return [], coboundaries
+    reps = greedy_span_pick(
+        M.algebra.field, coboundaries, omega_basis, lambda h: [h.flatten()]
+    )
+    return reps, coboundaries
 
 
 # -- rigidity and torsion membership -----------------------------------------
@@ -919,17 +935,18 @@ def _poly_of_hom(coeffs: Sequence, h: ModuleHom) -> ModuleHom:
     return acc
 
 
-def _probe_elements(E: Sequence[ModuleHom]) -> List[ModuleHom]:
-    probes = list(E)
+def _probe_elements(E: Sequence[ModuleHom]) -> Iterator[ModuleHom]:
+    """The basis, then pairwise sums, then pairwise composites, built only
+    as far as the caller reads."""
+    yield from E
     d = len(E)
     for i in range(d):
         for j in range(i + 1, d):
-            probes.append(E[i].add(E[j]))
+            yield E[i].add(E[j])
     for i in range(d):
         for j in range(d):
             if i != j:
-                probes.append(E[i].compose(E[j]))
-    return probes
+                yield E[i].compose(E[j])
 
 
 def is_brick(M: Module) -> bool:
@@ -1106,8 +1123,7 @@ def _indec_iso(M: Module, N: Module, n_rad_homs: Optional[List[ModuleHom]] = Non
     if not bw:
         return False
     if n_rad_homs is None:
-        end_n = hom_basis(N, N).basis
-        n_rad_homs = [] if len(end_n) == 1 else end_data(N).rad_homs
+        n_rad_homs = _rad_homs(N, hom_basis(N, N).basis)
     width = sum(d * d for d in N.dims)
     rad_flat = [list(h.flatten()) for h in n_rad_homs]
     if rad_flat:
@@ -1150,6 +1166,12 @@ def is_isomorphic(M: Module, N: Module) -> bool:
 # -- semibrick layers of a summand list --------------------------------------
 
 
+def _rad_homs(M: Module, end_basis: Sequence[ModuleHom]) -> List[ModuleHom]:
+    """A basis of rad End(M), given a basis of End(M).  An End of dimension
+    at most one is zero or the ground field, so its radical is zero."""
+    return [] if len(end_basis) <= 1 else end_data(M).rad_homs
+
+
 def _grid_top_rows(
     summands: Sequence[Module],
     hom_fn: Callable[[int, int], Sequence[ModuleHom]],
@@ -1183,14 +1205,7 @@ def top_components(
     if hom_fn is None:
         hom_fn = lambda j, i: hom_basis(summands[j], summands[i]).basis
     if rad_fn is None:
-        cache: Dict[int, List[ModuleHom]] = {}
-
-        def rad_fn(i: int) -> List[ModuleHom]:
-            if i not in cache:
-                E = hom_basis(summands[i], summands[i]).basis
-                cache[i] = [] if len(E) <= 1 else end_data(summands[i]).rad_homs
-            return cache[i]
-
+        rad_fn = lambda i: _rad_homs(summands[i], hom_fn(i, i))
     out = []
     for i in range(len(summands)):
         rows = _grid_top_rows(summands, hom_fn, rad_fn, i)
@@ -1207,14 +1222,7 @@ def socle_components(
     if hom_fn is None:
         hom_fn = lambda i, j: hom_basis(summands[i], summands[j]).basis
     if rad_fn is None:
-        cache: Dict[int, List[ModuleHom]] = {}
-
-        def rad_fn(i: int) -> List[ModuleHom]:
-            if i not in cache:
-                E = hom_basis(summands[i], summands[i]).basis
-                cache[i] = [] if len(E) <= 1 else end_data(summands[i]).rad_homs
-            return cache[i]
-
+        rad_fn = lambda i: _rad_homs(summands[i], hom_fn(i, i))
     out = []
     for i, Mi in enumerate(summands):
         A = Mi.algebra
@@ -1293,11 +1301,7 @@ class IsoRegistry:
 
     def rad_end(self, i: int) -> List[ModuleHom]:
         if i not in self._rad:
-            homs = self.hom(i, i)
-            if len(homs) <= 1:
-                self._rad[i] = []
-            else:
-                self._rad[i] = end_data(self._mods[i]).rad_homs
+            self._rad[i] = _rad_homs(self._mods[i], self.hom(i, i))
         return self._rad[i]
 
     def register(self, M: Module) -> int:
@@ -1338,18 +1342,8 @@ class IsoRegistry:
     def tau_id(self, i: int) -> Optional[int]:
         """Registry id of the translate, or None when it vanishes."""
         if i not in self._tau:
-            pres = self.presentation(i)
-            if pres.p1.is_zero:
-                self._tau[i] = None
-            else:
-                _, _, nu_f = nakayama_functor_map(pres)
-                t, _ = kernel(nu_f)
-                parts = decompose(t)
-                if len(parts) != 1:
-                    raise IndeterminateDecompositionError(
-                        "translate of an indecomposable split unexpectedly"
-                    )
-                self._tau[i] = self.register(parts[0])
+            t = _translate(self.presentation(i))
+            self._tau[i] = None if t.is_zero else self.register_component(t)
         return self._tau[i]
 
     def is_brick_id(self, i: int) -> bool:
@@ -1367,37 +1361,31 @@ class IsoRegistry:
 
     def pair_top_ids(self, ids: Tuple[int, ...]) -> tuple:
         """Top components of a summand tuple; None marks a vanishing one."""
-        if ids not in self._pair_top:
-            mods = [self._mods[i] for i in ids]
-            comps = top_components(
-                mods,
-                hom_fn=lambda j, i: self.hom(ids[j], ids[i]),
-                rad_fn=lambda i: self.rad_end(ids[i]),
-            )
-            out = []
-            for comp in comps:
-                out.append(None if comp.is_zero else self.register_component(comp))
-            self._pair_top[ids] = tuple(out)
-        return self._pair_top[ids]
+        return self._layer_ids(self._pair_top, top_components, ids)
 
     def pair_socle_ids(self, ids: Tuple[int, ...]) -> tuple:
-        if ids not in self._pair_socle:
-            mods = [self._mods[i] for i in ids]
-            comps = socle_components(
-                mods,
+        """Socle components of a summand tuple; None marks a vanishing one."""
+        return self._layer_ids(self._pair_socle, socle_components, ids)
+
+    def _layer_ids(self, cache: Dict[tuple, tuple], components, ids: Tuple[int, ...]) -> tuple:
+        if ids not in cache:
+            comps = components(
+                [self._mods[i] for i in ids],
                 hom_fn=lambda i, j: self.hom(ids[i], ids[j]),
                 rad_fn=lambda i: self.rad_end(ids[i]),
             )
-            out = []
-            for comp in comps:
-                out.append(None if comp.is_zero else self.register_component(comp))
-            self._pair_socle[ids] = tuple(out)
-        return self._pair_socle[ids]
+            cache[ids] = tuple(
+                None if comp.is_zero else self.register_component(comp)
+                for comp in comps
+            )
+        return cache[ids]
 
-    def register_component(self, comp: Module) -> int:
-        parts = decompose(comp)
+    def register_component(self, M: Module) -> int:
+        """Register a module that must be indecomposable."""
+        parts = decompose(M)
         if len(parts) != 1:
             raise IndeterminateDecompositionError(
-                "semibrick layer component was not indecomposable"
+                f"expected an indecomposable module, but the one with dims "
+                f"{M.dims} has {len(parts)} summands"
             )
         return self.register(parts[0])

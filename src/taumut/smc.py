@@ -15,11 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import (
     ApproximationDichotomyError,
     MutationError,
-    NotTauRigidError,
     SelfExtensionError,
     TaumutError,
 )
-from .linalg import Mat, _rref_rows, hstack, reduce_row, rref
+from .linalg import Mat, hstack, rref
 from .modules import (
     IsoRegistry,
     Module,
@@ -30,10 +29,11 @@ from .modules import (
     direct_sum,
     ext1_basis,
     ext1_dim,
+    greedy_span_pick,
     kernel,
     quotient_by_rows,
 )
-from .tautilt import ExchangeQuiver, SupportPair
+from .tautilt import ExchangeQuiver, SupportPair, dual_pair
 
 
 @dataclass(frozen=True)
@@ -133,27 +133,8 @@ def paired_columns(pair: SupportPair) -> List[PairedColumn]:
     reg = pair.registry
     ids = pair.summand_ids
     tops = reg.pair_top_ids(ids)
-
-    dual_ids: List[int] = []
-    dual_source: Dict[int, tuple] = {}
-    for pos, sid in enumerate(ids):
-        pv = reg.projective_vertex(sid)
-        if pv is not None:
-            continue
-        tid = reg.tau_id(sid)
-        if tid is None:
-            raise NotTauRigidError("translate vanished on a non-projective summand")
-        dual_ids.append(tid)
-        dual_source[tid] = ("summand", pos)
-    for v in pair.support_complement:
-        iid = reg.injective_id(v)
-        dual_ids.append(iid)
-        dual_source[iid] = ("support", v)
-    if len(set(dual_ids)) != len(dual_ids):
-        raise NotTauRigidError("dual pair is not basic")
-    sorted_dual = tuple(sorted(dual_ids))
-    socles = reg.pair_socle_ids(sorted_dual)
-    socle_of = {did: socles[k] for k, did in enumerate(sorted_dual)}
+    dual_ids = dual_pair(pair).summand_ids
+    socle_of = dict(zip(dual_ids, reg.pair_socle_ids(dual_ids)))
 
     columns: List[PairedColumn] = []
     used: set = set()
@@ -258,30 +239,6 @@ def check_smc_axioms(x: TwoTermSMC) -> SmcReport:
 # -- mutation ------------------------------------------------------------------
 
 
-def _division_closure_pick(
-    field, candidates: Sequence[ModuleHom], post: Sequence[ModuleHom], base_rows: List[list]
-) -> List[ModuleHom]:
-    """Greedy basis of a Hom space over the division ring acting by
-    post-composition; base_rows spans the coset to quotient away."""
-    rows = [list(r) for r in base_rows]
-    piv: tuple = ()
-    if rows:
-        rank_, rows, piv = _rref_rows(field, rows)
-        rows = rows[:rank_]
-    chosen: List[ModuleHom] = []
-    for cand in candidates:
-        flat = list(cand.flatten())
-        resid = reduce_row(field, flat, rows, piv)
-        if not any(resid):
-            continue
-        chosen.append(cand)
-        for u in post:
-            rows.append(list(cand.compose(u).flatten()))
-        rank_, rows, piv = _rref_rows(field, rows)
-        rows = rows[:rank_]
-    return chosen
-
-
 def _universal_extension(pres, chosen: Sequence[ModuleHom], S0: Module) -> Module:
     """Pushout of Omega -> P0 along the stacked cocycles Omega -> S0^e."""
     A = S0.algebra
@@ -328,6 +285,11 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
         )
     end_s0 = list(reg.hom(s0, s0))
 
+    def end_orbit(h: ModuleHom) -> List[tuple]:
+        # h composed with End(S0): picking modulo these rows gives a basis
+        # over the division ring End(S0)
+        return [h.compose(u).flatten() for u in end_s0]
+
     new0: List[int] = []
     new1: List[int] = [s0]
     for sid in x.degree0:
@@ -335,32 +297,24 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
             continue
         S = reg.module(sid)
         pres = reg.presentation(sid)
-        reps, _ = ext1_basis(S, S0, pres)
+        reps, coboundaries = ext1_basis(S, S0, pres)
         if not reps:
             new0.append(sid)
             continue
-        base_rows = [
-            list(pres.omega_incl.compose(h).flatten())
-            for h in _projective_hom_block(pres, S0)
-        ]
-        chosen = _division_closure_pick(field, reps, end_s0, base_rows)
+        chosen = greedy_span_pick(field, coboundaries, reps, end_orbit)
         if len(chosen) * len(end_s0) != len(reps):
             raise TaumutError(
                 "extension space dimension is not divisible by the brick's "
                 "endomorphism ring"
             )
-        Y = _universal_extension(pres, chosen, S0)
-        parts = decompose(Y)
-        if len(parts) != 1:
-            raise TaumutError("universal extension split unexpectedly")
-        new0.append(reg.register(parts[0]))
+        new0.append(reg.register_component(_universal_extension(pres, chosen, S0)))
     for tid in x.degree_minus1:
         T = reg.module(tid)
         homs = list(reg.hom(tid, s0))
         if not homs:
             new1.append(tid)
             continue
-        chosen = _division_closure_pick(field, homs, end_s0, [])
+        chosen = greedy_span_pick(field, [], homs, end_orbit)
         if len(chosen) * len(end_s0) != len(homs):
             raise TaumutError(
                 "hom space dimension is not divisible by the brick's "
@@ -380,16 +334,9 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
             for v in range(reg.algebra.n_vertices)
         )
         if injective and not surjective:
-            coker, _ = cokernel(f)
-            parts = decompose(coker)
-            if len(parts) != 1:
-                raise TaumutError("cokernel of a universal map split")
-            new0.append(reg.register(parts[0]))
+            new0.append(reg.register_component(cokernel(f)[0]))
         elif surjective and not injective:
-            parts = decompose(ker)
-            if len(parts) != 1:
-                raise TaumutError("kernel of a universal map split")
-            new1.append(reg.register(parts[0]))
+            new1.append(reg.register_component(ker))
         else:
             raise ApproximationDichotomyError(
                 "universal map is neither injective nor surjective"

@@ -31,6 +31,22 @@ from .modules import (
 )
 
 
+def _check_basic(summand_ids: Tuple[int, ...], missing: Tuple[int, ...], n: int, kind: str) -> None:
+    """Distinct summands, distinct missing vertices of the quiver, and
+    |summands| + |missing vertices| = n."""
+    if len(set(summand_ids)) != len(summand_ids):
+        raise NotTauRigidError(f"repeated summand in a basic {kind}")
+    if len(set(missing)) != len(missing):
+        raise NotTauRigidError(f"repeated missing vertex in a basic {kind}")
+    for v in missing:
+        if not 0 <= v < n:
+            raise NotTauRigidError(f"missing vertex {v} is not one of 0..{n - 1}")
+    if len(summand_ids) + len(missing) != n:
+        raise NotTauRigidError(
+            f"|summands| + |missing vertices| must equal {n}"
+        )
+
+
 class SupportPair:
     """A basic tau-rigid module (by registry ids) plus its missing vertices."""
 
@@ -45,13 +61,10 @@ class SupportPair:
         self.registry = registry
         self.summand_ids = tuple(sorted(summand_ids))
         self.support_complement = tuple(sorted(support_complement))
-        if len(set(self.summand_ids)) != len(self.summand_ids):
-            raise NotTauRigidError("repeated summand in a basic pair")
-        n = registry.algebra.n_vertices
-        if len(self.summand_ids) + len(self.support_complement) != n:
-            raise NotTauRigidError(
-                f"|summands| + |missing vertices| must equal {n}"
-            )
+        _check_basic(
+            self.summand_ids, self.support_complement,
+            registry.algebra.n_vertices, "pair",
+        )
 
     @property
     def key(self) -> tuple:
@@ -81,7 +94,10 @@ class SupportPair:
 
 
 class CoPair:
-    """The dual picture: a tau-inverse-rigid module plus missing vertices."""
+    """The dual picture: a tau-inverse-rigid module plus missing vertices.
+
+    Kept apart from SupportPair so that a tau-inverse-rigid pair can never
+    be passed where a tau-rigid one is required."""
 
     __slots__ = ("registry", "summand_ids", "cosupport_complement")
 
@@ -94,13 +110,10 @@ class CoPair:
         self.registry = registry
         self.summand_ids = tuple(sorted(summand_ids))
         self.cosupport_complement = tuple(sorted(cosupport_complement))
-        if len(set(self.summand_ids)) != len(self.summand_ids):
-            raise NotTauRigidError("repeated summand in a basic co-pair")
-        n = registry.algebra.n_vertices
-        if len(self.summand_ids) + len(self.cosupport_complement) != n:
-            raise NotTauRigidError(
-                f"|summands| + |missing vertices| must equal {n}"
-            )
+        _check_basic(
+            self.summand_ids, self.cosupport_complement,
+            registry.algebra.n_vertices, "co-pair",
+        )
 
     @property
     def key(self) -> tuple:
@@ -138,16 +151,14 @@ def mutable_positions(pair: SupportPair) -> List[int]:
     return [k for k, t in enumerate(tops) if t is not None]
 
 
-def semibrick_of(pair: SupportPair) -> List[Module]:
-    """The labels of all arrows out of this pair, as modules."""
-    reg = pair.registry
-    tops = reg.pair_top_ids(pair.summand_ids)
-    return [reg.module(t) for t in tops if t is not None]
-
-
 def semibrick_ids_of(pair: SupportPair) -> List[int]:
+    """The labels of all arrows out of this pair, as registry ids."""
     tops = pair.registry.pair_top_ids(pair.summand_ids)
     return [t for t in tops if t is not None]
+
+
+def semibrick_of(pair: SupportPair) -> List[Module]:
+    return [pair.registry.module(t) for t in semibrick_ids_of(pair)]
 
 
 def dual_pair(pair: SupportPair) -> CoPair:

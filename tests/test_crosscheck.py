@@ -1,0 +1,63 @@
+"""Each merged derivation against a second route to it.
+
+The registry's translate is checked against the uncached translate, the
+Ext^1 representatives against the Ext^1 dimension formula, and the
+shifted columns of the SMC against the co-semibrick of the dual pair.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from taumut import IsoRegistry
+from taumut.linalg import QQ, PrimeField
+from taumut.modules import _indec_iso, ar_translate, ext1_basis, ext1_dim
+from taumut.presets import build_preset
+from taumut.smc import paired_columns
+from taumut.tautilt import cosemibrick_of, dual_pair, explore
+
+CASES = [
+    (preset, field)
+    for preset in ("nakayama:cyclic:3:3", "preproj-a:3")
+    for field in (QQ, PrimeField(5))
+]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def quiver(request):
+    preset, field = request.param
+    return explore(IsoRegistry(build_preset(preset, field)))
+
+
+def test_tau_id_matches_ar_translate(quiver):
+    reg = quiver.registry
+    for i in range(reg.count()):
+        t = ar_translate(reg.module(i))
+        tid = reg.tau_id(i)
+        assert (tid is None) == t.is_zero
+        if tid is not None:
+            assert _indec_iso(t, reg.module(tid))
+
+
+def test_ext1_basis_size_matches_ext1_dim(quiver):
+    reg = quiver.registry
+    n = reg.count()
+    dims = []
+    for i in range(n):
+        pres = reg.presentation(i)
+        for j in range(n):
+            M, N = reg.module(i), reg.module(j)
+            reps, _ = ext1_basis(M, N, pres)
+            assert len(reps) == ext1_dim(M, N, pres)
+            dims.append(len(reps))
+    assert max(dims) > 0
+
+
+def test_negative_columns_are_the_dual_cosemibrick(quiver):
+    reg = quiver.registry
+    for pair in quiver.pairs:
+        negative = Counter(c.brick_id for c in paired_columns(pair) if c.sign < 0)
+        dual = Counter(reg.register(m) for m in cosemibrick_of(dual_pair(pair)))
+        assert negative == dual

@@ -58,6 +58,18 @@ def test_pair_constructor_guards(a3_quiver):
         SupportPair(reg, [0, 0, 1], ())  # repeated summand
 
 
+@pytest.mark.parametrize("cls", [SupportPair, CoPair])
+def test_pair_rejects_bad_missing_vertices(a3_quiver, cls):
+    reg = a3_quiver.registry
+    p1, p2, _ = reg.projective_ids
+    with pytest.raises(NotTauRigidError, match="repeated missing vertex"):
+        cls(reg, [p1], [1, 1])
+    with pytest.raises(NotTauRigidError, match="missing vertex 5"):
+        cls(reg, [p1, p2], [5])
+    with pytest.raises(NotTauRigidError, match="missing vertex -1"):
+        cls(reg, [p1, p2], [-1])
+
+
 def test_a2_exploration(a2_quiver):
     assert a2_quiver.complete
     assert a2_quiver.n_vertices == 5
