@@ -475,26 +475,9 @@ class Algebra:
         )
 
 
-def build_algebra(
-    spec: AlgebraSpec,
-    *,
-    label: str = "",
-    _extra_relations: Tuple[Relation, ...] = (),
-) -> Algebra:
-    """Build the bound quiver algebra a spec presents.
-
-    _extra_relations is an internal hook for central quotients; those
-    combos may contain paths of length 1 and bypass spec admissibility.
-    """
+def build_algebra(spec: AlgebraSpec, *, label: str = "") -> Algebra:
+    """Build the bound quiver algebra a spec presents."""
     spec.validate()
-    extras = tuple(
-        normalize_relation(spec.quiver, rel, min_length=1)
-        for rel in _extra_relations
-    )
     return Algebra(
-        spec.quiver,
-        spec.field,
-        spec.nilpotency,
-        spec.relations + extras,
-        label=label,
+        spec.quiver, spec.field, spec.nilpotency, spec.relations, label=label
     )

@@ -222,17 +222,13 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
     reg = quiver.registry
     n = quiver.algebra.n_vertices
     failures: List[str] = []
-    out_deg = [0] * quiver.n_vertices
-    in_deg = [0] * quiver.n_vertices
-    for s, t, _ in quiver.arrows:
-        out_deg[s] += 1
-        in_deg[t] += 1
     seen_semibricks = {}
     for i, pair in enumerate(quiver.pairs):
         sb = tuple(sorted(semibrick_ids_of(pair)))
-        if in_deg[i] + out_deg[i] != n:
+        out_deg = len(quiver.out_arrows(i))
+        if len(quiver.in_arrows(i)) + out_deg != n:
             failures.append(f"degree law fails at vertex {i}")
-        if out_deg[i] != len(sb):
+        if out_deg != len(sb):
             failures.append(f"out-degree != semibrick size at vertex {i}")
         if len(sb) > n:
             failures.append(f"semibrick larger than {n} at vertex {i}")

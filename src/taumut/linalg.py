@@ -528,8 +528,9 @@ class RrefResult:
 def _rref_rows(field: Field, rows):
     """Row reduce a list of row lists; return (rank, rows, pivots).
 
-    Every elimination goes through here.  The input list may be reused for
-    the output, so callers use the returned rows only.
+    Every full elimination goes through here; `extend_span` grows a span
+    one row at a time without one.  The input list may be reused for the
+    output, so callers use the returned rows only.
     """
     return field._rref(rows)
 
@@ -604,21 +605,34 @@ def kernel_basis(m: Mat) -> list:
     return basis
 
 
-def left_kernel_basis(m: Mat) -> list:
-    """Basis of {y : y @ m = 0} as a list of row matrices."""
-    return [k.transpose() for k in kernel_basis(m.transpose())]
-
-
 def left_kernel_rows(m: Mat) -> Mat:
-    """The left kernel as a single canonical matrix of stacked rows."""
-    ker = left_kernel_basis(m)
-    stacked = vstack(m.field, ker, ncols=m.nrows)
-    return row_space(stacked)
+    """A basis of {y : y @ m = 0} as stacked rows, read off the kernel of
+    the transpose.  The rows are not row-reduced."""
+    ker = kernel_basis(m.transpose())
+    return Mat(m.field, [k.flatten() for k in ker], ncols=m.nrows, _raw=True)
 
 
 def reduce_row(field: Field, row, rref_rows, pivots):
     """Subtract rref rows to clear the pivot coordinates of a row vector."""
     return field._reduce_row(row, rref_rows, pivots)
+
+
+def extend_span(field: Field, rows: list, pivots: list, row) -> bool:
+    """Grow a semi-echelon basis by one row; True if the span grew.
+
+    Each kept row has a 1 at its pivot and 0 at the pivots of the rows kept
+    before it, so `reduce_row` in insertion order clears every pivot.  The
+    reduced row, if nonzero, is scaled and appended to `rows` and its first
+    nonzero column to `pivots`.
+    """
+    out = field._reduce_row(row, rows, pivots)
+    for c, x in enumerate(out):
+        if x:
+            inv = field.inv(x)
+            rows.append([field.mul(inv, y) for y in out])
+            pivots.append(c)
+            return True
+    return False
 
 
 def det(m: Mat):

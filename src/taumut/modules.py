@@ -25,8 +25,8 @@ from .errors import (
 from .linalg import (
     Mat,
     PrimeField,
-    _rref_rows,
     block_diag,
+    extend_span,
     hstack,
     kernel_basis,
     left_kernel_rows,
@@ -130,21 +130,6 @@ def simple_module(algebra: Algebra, v: int) -> Module:
         dw = dims[vidx[a.target]]
         mats.append(Mat.zeros(algebra.field, du, dw))
     return Module(algebra, dims, mats, _validated=True)
-
-
-def module_from_dict(algebra: Algebra, dims: Sequence[int], named: Dict[str, Sequence[Sequence]]) -> Module:
-    """Build a module giving arrow matrices by arrow name (rows of rows)."""
-    vidx = algebra.quiver.vertex_index
-    field = algebra.field
-    mats = []
-    for a in algebra.quiver.arrows:
-        du = dims[vidx[a.source]]
-        dw = dims[vidx[a.target]]
-        if a.name in named:
-            mats.append(Mat(field, named[a.name], ncols=dw))
-        else:
-            mats.append(Mat.zeros(field, du, dw))
-    return Module(algebra, dims, mats)
 
 
 def direct_sum(algebra: Algebra, summands: Sequence[Module]) -> Tuple[Module, List[List[int]]]:
@@ -676,18 +661,16 @@ def greedy_span_pick(
 ) -> List[ModuleHom]:
     """Keep each candidate whose flattening leaves the span of base_rows
     plus rows_of(c) for every candidate c kept before it."""
-    rows: List[list] = [list(r) for r in base_rows]
-    piv: tuple = ()
-    if rows:
-        rank_, rows, piv = _rref_rows(field, rows)
-        rows = rows[:rank_]
+    rows: List[list] = []
+    piv: List[int] = []
+    for r in base_rows:
+        extend_span(field, rows, piv, r)
     picked: List[ModuleHom] = []
     for cand in candidates:
-        if not any(reduce_row(field, list(cand.flatten()), rows, piv)):
-            continue
-        picked.append(cand)
-        rank_, rows, piv = _rref_rows(field, rows + [list(r) for r in rows_of(cand)])
-        rows = rows[:rank_]
+        if any(reduce_row(field, cand.flatten(), rows, piv)):
+            picked.append(cand)
+            for r in rows_of(cand):
+                extend_span(field, rows, piv, r)
     return picked
 
 
@@ -807,13 +790,13 @@ def _hom_coords_matrix(field, homs: Sequence[ModuleHom]) -> Mat:
     )
 
 
-def end_data(M: Module) -> EndData:
-    """Structure constants and radical of End(M) via the trace form.
+def end_data(M: Module, E: Sequence[ModuleHom]) -> EndData:
+    """Structure constants and radical of End(M), given a basis E of it,
+    via the trace form.
 
     Requires characteristic 0 or p > dim End(M); smaller primes raise
     CharacteristicError rather than risk a wrong radical.
     """
-    E = hom_basis(M, M).basis
     d = len(E)
     field = M.algebra.field
     if d == 0:
@@ -873,24 +856,34 @@ def end_data(M: Module) -> EndData:
     return EndData(tuple(E), d, struct, identity_coeffs, rad_vectors, rad_homs)
 
 
-def _hom_power_minpoly(h: ModuleHom) -> list:
-    """Minimal polynomial coefficients (ascending, monic) of an endo."""
-    field = h.source.algebra.field
-    cur = identity_hom(h.source)
-    flats = [list(cur.flatten())]
-    width = len(flats[0])
+def _powers(one, times) -> Iterator:
+    """one, times(one), times(times(one)), ... built as far as the caller
+    reads."""
     while True:
-        cur = cur.compose(h)
-        vec = list(cur.flatten())
-        stacked = Mat(field, flats, ncols=width, _raw=True).transpose()
-        rhs = Mat(field, [vec], ncols=width, _raw=True).transpose()
-        sol = solve(stacked, rhs)
-        if sol is not None:
-            k = len(flats)
-            coeffs = [field.neg(sol[i, 0]) for i in range(k)]
-            coeffs.append(field.one())
-            return coeffs
-        flats.append(vec)
+        yield one
+        one = times(one)
+
+
+def _minpoly(field, powers: Iterator[Sequence]) -> list:
+    """Minimal polynomial coefficients (ascending, monic) of an algebra
+    element, given the coordinates of its powers 1, x, x^2, ...
+
+    The first power in the span of the earlier ones fixes the degree.  The
+    earlier ones are independent, so one solve gives the coefficients.
+    """
+    rows: List[list] = []
+    piv: List[int] = []
+    lower: List[Sequence] = []
+    for vec in powers:
+        if not extend_span(field, rows, piv, vec):
+            break
+        lower.append(vec)
+    width = len(vec)
+    sol = solve(
+        Mat(field, lower, ncols=width, _raw=True).transpose(),
+        Mat(field, [vec], ncols=width, _raw=True).transpose(),
+    )
+    return [field.neg(c) for c in sol.flatten()] + [field.one()]
 
 
 def _factor_poly(field, coeffs: Sequence) -> List[Tuple[list, int]]:
@@ -960,13 +953,14 @@ def is_brick(M: Module) -> bool:
         return False
     if len(E) == 1:
         return True
-    data = end_data(M)
+    data = end_data(M, E)
     if data.rad_vectors:
         return False
     field = M.algebra.field
+    one = identity_hom(M)
     saw_full_irreducible = False
     for probe in _probe_elements(E):
-        mp = _hom_power_minpoly(probe)
+        mp = _minpoly(field, map(ModuleHom.flatten, _powers(one, probe.compose)))
         factors = _factor_poly(field, mp)
         if len(factors) > 1 or factors[0][1] > 1:
             return False
@@ -999,11 +993,10 @@ def _certify_local_via_field_quotient(M: Module, data: EndData) -> bool:
     """True if End(M)/rad is certified to be a (commutative) field."""
     field = M.algebra.field
     d = data.dim
-    if not data.rad_vectors:
-        rad_rows, rad_piv = [], ()
-    else:
-        rank_, rows, rad_piv = _rref_rows(field, [list(v) for v in data.rad_vectors])
-        rad_rows = rows[:rank_]
+    rad_rows: List[list] = []
+    rad_piv: List[int] = []
+    for v in data.rad_vectors:
+        extend_span(field, rad_rows, rad_piv, v)
     q = d - len(rad_rows)
     if q == 1:
         return True
@@ -1017,30 +1010,18 @@ def _certify_local_via_field_quotient(M: Module, data: EndData) -> bool:
                     for a, b in zip(unit_probes[i], unit_probes[j])
                 )
             )
+    one = reduce_row(field, data.identity_coeffs, rad_rows, rad_piv)
     for probe in unit_probes + pair_probes:
-        reduced_probe = reduce_row(field, list(probe), rad_rows, rad_piv)
+        reduced_probe = reduce_row(field, probe, rad_rows, rad_piv)
         if not any(reduced_probe):
             continue
-        flats = [reduce_row(field, list(data.identity_coeffs), rad_rows, rad_piv)]
-        cur = flats[0]
-        deg = None
-        while True:
-            cur = reduce_row(
-                field,
-                _struct_mul(field, data.struct, d, cur, reduced_probe),
-                rad_rows,
-                rad_piv,
-            )
-            stacked = Mat(field, flats, ncols=d, _raw=True).transpose()
-            rhs = Mat(field, [cur], ncols=d, _raw=True).transpose()
-            sol = solve(stacked, rhs)
-            if sol is not None:
-                k = len(flats)
-                coeffs = [field.neg(sol[i, 0]) for i in range(k)] + [field.one()]
-                deg = k
-                break
-            flats.append(cur)
-        if deg == q:
+
+        def times(cur):
+            prod = _struct_mul(field, data.struct, d, cur, reduced_probe)
+            return reduce_row(field, prod, rad_rows, rad_piv)
+
+        coeffs = _minpoly(field, _powers(one, times))
+        if len(coeffs) - 1 == q:
             factors = _factor_poly(field, coeffs)
             if len(factors) == 1 and factors[0][1] == 1:
                 return True
@@ -1059,7 +1040,7 @@ def decompose(M: Module) -> List[Module]:
         if len(E) == 1:
             out.append(N)
             continue
-        data = end_data(N)
+        data = end_data(N, E)
         if data.dim - len(data.rad_vectors) == 1:
             out.append(N)
             continue
@@ -1078,8 +1059,9 @@ def decompose(M: Module) -> List[Module]:
 
 def _try_split(N: Module, E: Sequence[ModuleHom]) -> Optional[List[Module]]:
     field = N.algebra.field
+    one = identity_hom(N)
     for probe in _probe_elements(E):
-        mp = _hom_power_minpoly(probe)
+        mp = _minpoly(field, map(ModuleHom.flatten, _powers(one, probe.compose)))
         factors = _factor_poly(field, mp)
         if len(factors) < 2:
             continue
@@ -1124,18 +1106,16 @@ def _indec_iso(M: Module, N: Module, n_rad_homs: Optional[List[ModuleHom]] = Non
         return False
     if n_rad_homs is None:
         n_rad_homs = _rad_homs(N, hom_basis(N, N).basis)
-    width = sum(d * d for d in N.dims)
-    rad_flat = [list(h.flatten()) for h in n_rad_homs]
-    if rad_flat:
-        base_rank = rref(Mat(field, rad_flat, ncols=width, _raw=True)).rank
-    else:
-        base_rank = 0
-    rows = list(rad_flat)
-    for g in bw:
-        for f in fw:
-            rows.append(list(g.compose(f).flatten()))
-    total_rank = rref(Mat(field, rows, ncols=width, _raw=True)).rank
-    return total_rank > base_rank
+    # M and N are isomorphic exactly when some g f is a unit of the local
+    # ring End(N).  Its non-units form the ideal rad End(N), so it suffices
+    # to find one basis composite outside that span.
+    rows: List[list] = []
+    piv: List[int] = []
+    for h in n_rad_homs:
+        extend_span(field, rows, piv, h.flatten())
+    return any(
+        extend_span(field, rows, piv, g.compose(f).flatten()) for g in bw for f in fw
+    )
 
 
 def is_isomorphic(M: Module, N: Module) -> bool:
@@ -1169,7 +1149,7 @@ def is_isomorphic(M: Module, N: Module) -> bool:
 def _rad_homs(M: Module, end_basis: Sequence[ModuleHom]) -> List[ModuleHom]:
     """A basis of rad End(M), given a basis of End(M).  An End of dimension
     at most one is zero or the ground field, so its radical is zero."""
-    return [] if len(end_basis) <= 1 else end_data(M).rad_homs
+    return [] if len(end_basis) <= 1 else end_data(M, end_basis).rad_homs
 
 
 def _grid_top_rows(
@@ -1282,7 +1262,7 @@ class IsoRegistry:
         self._pres: Dict[int, Presentation] = {}
         self._rad: Dict[int, List[ModuleHom]] = {}
         self._brick: Dict[int, bool] = {}
-        self._end_dim: Dict[int, int] = {}
+        self._ext1: Dict[Tuple[int, int], int] = {}
         self._pair_top: Dict[tuple, tuple] = {}
         self._pair_socle: Dict[tuple, tuple] = {}
         self.projective_ids: List[int] = []
@@ -1330,9 +1310,13 @@ class IsoRegistry:
         return len(self.hom(i, j))
 
     def end_dim(self, i: int) -> int:
-        if i not in self._end_dim:
-            self._end_dim[i] = len(self.hom(i, i))
-        return self._end_dim[i]
+        return len(self.hom(i, i))
+
+    def ext1_dim(self, i: int, j: int) -> int:
+        key = (i, j)
+        if key not in self._ext1:
+            self._ext1[key] = ext1_dim(self._mods[i], self._mods[j], self.presentation(i))
+        return self._ext1[key]
 
     def presentation(self, i: int) -> Presentation:
         if i not in self._pres:

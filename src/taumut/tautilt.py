@@ -273,6 +273,11 @@ class ExchangeQuiver:
         self.max_depth = max_depth
         self.depths = depths
         self.index: Dict[tuple, int] = {p.key: i for i, p in enumerate(pairs)}
+        self._out: List[List[Tuple[int, int, int]]] = [[] for _ in pairs]
+        self._in: List[List[Tuple[int, int, int]]] = [[] for _ in pairs]
+        for a in arrows:
+            self._out[a[0]].append(a)
+            self._in[a[1]].append(a)
 
     @property
     def n_vertices(self) -> int:
@@ -283,10 +288,10 @@ class ExchangeQuiver:
         return len(self.arrows)
 
     def out_arrows(self, i: int) -> List[Tuple[int, int, int]]:
-        return [a for a in self.arrows if a[0] == i]
+        return self._out[i]
 
     def in_arrows(self, i: int) -> List[Tuple[int, int, int]]:
-        return [a for a in self.arrows if a[1] == i]
+        return self._in[i]
 
     def find(self, pair: SupportPair) -> Optional[int]:
         return self.index.get(pair.key)

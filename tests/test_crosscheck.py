@@ -1,8 +1,10 @@
 """Each merged derivation against a second route to it.
 
 The registry's translate is checked against the uncached translate, the
-Ext^1 representatives against the Ext^1 dimension formula, and the
-shifted columns of the SMC against the co-semibrick of the dual pair.
+Ext^1 representatives and the registry's cached Ext^1 dimension against
+the Ext^1 dimension formula, the shifted columns of the SMC against the
+co-semibrick of the dual pair, and the exchange quiver's adjacency lists
+against a scan of its arrows.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ def test_ext1_basis_size_matches_ext1_dim(quiver):
             assert len(reps) == ext1_dim(M, N, pres)
             dims.append(len(reps))
     assert max(dims) > 0
+
+
+def test_registry_ext1_dim_matches_a_fresh_presentation(quiver):
+    reg = quiver.registry
+    n = reg.count()
+    for i in range(n):
+        for j in range(n):
+            assert reg.ext1_dim(i, j) == ext1_dim(reg.module(i), reg.module(j))
+
+
+def test_adjacency_lists_match_a_scan_of_the_arrows(quiver):
+    for i in range(quiver.n_vertices):
+        assert quiver.out_arrows(i) == [a for a in quiver.arrows if a[0] == i]
+        assert quiver.in_arrows(i) == [a for a in quiver.arrows if a[1] == i]
 
 
 def test_negative_columns_are_the_dual_cosemibrick(quiver):

@@ -15,6 +15,7 @@ from taumut.linalg import (
     PrimeField,
     block_diag,
     det,
+    extend_span,
     hstack,
     kernel_basis,
     left_kernel_rows,
@@ -323,6 +324,28 @@ def test_entrywise_ops_and_reduce_row(field, data):
         diff = Mat(field, [row], ncols=a.ncols).sub(Mat(field, [resid], ncols=a.ncols))
         assert rank(vstack(field, [Mat(field, basis, ncols=a.ncols), diff])) == res.rank
         _assert_canonical_entries(Mat(field, [resid], ncols=a.ncols, _raw=True))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_extend_span_grows_exactly_when_rank_grows(field, data):
+    m = data.draw(_field_mats(field, max_dim=5))
+    rows, pivots = [], []
+    for k, row in enumerate(m.rows):
+        before = rank(Mat(field, m.rows[:k], ncols=m.ncols))
+        after = rank(Mat(field, m.rows[: k + 1], ncols=m.ncols))
+        assert extend_span(field, rows, pivots, row) == (after > before)
+        assert len(rows) == len(pivots) == after
+    # Each kept row has a 1 at its pivot and 0 at the earlier pivots, so
+    # reducing in insertion order clears every pivot: each row of m
+    # reduces to zero.
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        assert row[c] == field.one()
+        assert all(row[b] == 0 for b in pivots[:i])
+    for row in m.rows:
+        assert not any(reduce_row(field, row, rows, pivots))
+    _assert_canonical_entries(Mat(field, rows, ncols=m.ncols, _raw=True))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

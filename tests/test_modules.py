@@ -5,23 +5,34 @@ uniserial 1/2/3)."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taumut.errors import DimensionMismatchError, SpecError
-from taumut.linalg import QQ, Mat, PrimeField
+from taumut.linalg import QQ, Mat, PrimeField, rank, solve
 from taumut.modules import (
     Module,
+    ModuleHom,
     IsoRegistry,
+    _certify_local_via_field_quotient,
+    _indec_iso,
+    _minpoly,
+    _poly_of_hom,
+    _powers,
+    _try_split,
     ar_translate,
     ar_translate_inverse,
     cokernel,
     decompose,
     direct_sum,
+    end_data,
     ext1_dim,
     hom_basis,
     hom_dim,
+    identity_hom,
     image,
     in_fac,
     in_sub,
@@ -38,6 +49,7 @@ from taumut.modules import (
     semibrick_top,
     simple_module,
     top,
+    zero_hom,
     zero_module,
 )
 from taumut.presets import build_preset
@@ -256,3 +268,121 @@ def test_hom_spaces_respect_composition(i, j):
             coords = _hom_coords_matrix(a3.field, basis)
             target = _hom_coords_matrix(a3.field, [comp])
             assert solve(coords.transpose(), target.transpose()) is not None
+
+
+# -- a quadratic field as endomorphism ring ----------------------------------
+
+
+def _quadratic_module(field):
+    """dims (2, 2, 0) on msex with alpha = I and beta = [[0, 2], [1, 0]].
+
+    An endomorphism is a pair of equal matrices commuting with beta, so
+    End is k[beta] = k[x]/(x^2 - 2): a field where 2 is not a square, two
+    copies of k where it is."""
+    algebra = build_preset("msex", field)
+    mats = [
+        Mat.identity(field, 2),
+        Mat(field, [[0, 2], [1, 0]]),
+        Mat.zeros(field, 2, 0),
+    ]
+    return Module(algebra, (2, 2, 0), mats)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(3), PrimeField(5)], ids=["Q", "F3", "F5"]
+)
+def test_quadratic_field_endomorphism_ring_is_local(field):
+    M = _quadratic_module(field)
+    E = hom_basis(M, M).basis
+    assert len(E) == 2
+    data = end_data(M, E)
+    assert data.rad_vectors == []
+    # No probe splits M, so only the field-quotient certificate can show
+    # that it is indecomposable.
+    assert _try_split(M, E) is None
+    assert _certify_local_via_field_quotient(M, data)
+    parts = decompose(M)
+    assert [p.dims for p in parts] == [(2, 2, 0)]
+    assert is_brick(M)
+
+
+def test_quadratic_module_splits_where_two_is_a_square():
+    field = PrimeField(7)  # 3 * 3 = 2 mod 7
+    M = _quadratic_module(field)
+    parts = decompose(M)
+    assert sorted(p.dims for p in parts) == [(1, 1, 0), (1, 1, 0)]
+    # beta acts as 3 on one summand and as -3 on the other
+    assert not _indec_iso(parts[0], parts[1])
+    assert not is_brick(M)
+
+
+# -- the minimal polynomial against one solve per power ----------------------
+
+
+def _naive_minpoly(h):
+    """Solve for each new power over all earlier ones until one succeeds."""
+    field = h.source.algebra.field
+    cur = identity_hom(h.source)
+    flats = [cur.flatten()]
+    while True:
+        cur = cur.compose(h)
+        width = len(flats[0])
+        sol = solve(
+            Mat(field, flats, ncols=width).transpose(),
+            Mat(field, [cur.flatten()], ncols=width).transpose(),
+        )
+        if sol is not None:
+            return [field.neg(c) for c in sol.flatten()] + [field.one()], flats
+        flats.append(cur.flatten())
+
+
+def _cyclic_projective():
+    """P_0 over the cyclic Nakayama algebra B_{2,4}: End is k[t]/(t^2)."""
+    return projective_module(build_preset("nakayama:cyclic:2:4", PrimeField(5)), 0)
+
+
+def test_indec_iso_looks_past_radical_composites():
+    P = _cyclic_projective()
+    E = hom_basis(P, P).basis
+    # the canonical basis starts with t, so the first composite t t = 0
+    # lies in the radical and only a later one is a unit
+    assert E[0].compose(E[0]).is_zero()
+    assert _indec_iso(P, P)
+    other = projective_module(P.algebra, 1)
+    assert other.dims == P.dims and not _indec_iso(P, other)
+
+
+END_CASES = {
+    "quadratic-Q": lambda: _quadratic_module(QQ),
+    "quadratic-F7": lambda: _quadratic_module(PrimeField(7)),
+    "cyclic-P0": _cyclic_projective,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _end_basis(name, copies):
+    M = END_CASES[name]()
+    if copies > 1:
+        M = direct_sum(M.algebra, [M] * copies)[0]
+    return M, hom_basis(M, M).basis
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("name", sorted(END_CASES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_minpoly_matches_one_solve_per_power(name, copies, data):
+    M, E = _end_basis(name, copies)
+    field = M.algebra.field
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(E), max_size=len(E)))
+    h = zero_hom(M, M)
+    for c, b in zip(coeffs, E):
+        h = h.add(b.scale(c))
+    got = _minpoly(field, map(ModuleHom.flatten, _powers(identity_hom(M), h.compose)))
+    want, lower = _naive_minpoly(h)
+    assert got == want
+    assert got[-1] == field.one()
+    assert _poly_of_hom(got, h).is_zero()
+    # the powers below the degree are independent: no lower degree kills h
+    assert len(lower) == len(got) - 1
+    assert rank(Mat(field, lower, ncols=len(lower[0]))) == len(lower)
