@@ -9,7 +9,6 @@ this module or its callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
@@ -518,45 +517,29 @@ def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
     return Mat(field, out, ncols=total_c, _raw=True)
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    rank: int
-    reduced: Mat
-    pivot_cols: tuple
-
-
 def _rref_rows(field: Field, rows):
     """Row reduce a list of row lists; return (rank, rows, pivots).
 
-    Every full elimination goes through here; `extend_span` grows a span
-    one row at a time without one.  The input list may be reused for the
-    output, so callers use the returned rows only.
+    Every full elimination goes through here.  `row_space` hands the
+    result on as a basis with its pivots and `kernel_basis` as a basis with
+    its free columns, so callers read coordinates off them instead of
+    solving; `extend_span` grows a span one row at a time without an
+    elimination.  The input list may be reused for the output, so callers
+    use the returned rows only.
     """
     return field._rref(rows)
 
 
-def rref(m: Mat) -> RrefResult:
-    """Reduced row echelon form with the zero rows kept at the bottom."""
+def row_space(m: Mat):
+    """The canonical basis of the row space (the nonzero rref rows) and its
+    pivot columns.
+
+    Basis row k has a 1 at pivot k and 0 at the other pivots, so the
+    coordinates of any vector of the span are its entries at the pivots,
+    and len(pivots) is the rank.
+    """
     rank, rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
-    return RrefResult(rank, Mat(m.field, rows, ncols=m.ncols, _raw=True), pivots)
-
-
-def row_space(m: Mat) -> Mat:
-    """A canonical basis of the row space: the nonzero rref rows."""
-    res = rref(m)
-    return Mat(m.field, res.reduced.rows[: res.rank], ncols=m.ncols, _raw=True)
-
-
-def row_space_with_pivots(m: Mat):
-    res = rref(m)
-    return (
-        Mat(m.field, res.reduced.rows[: res.rank], ncols=m.ncols, _raw=True),
-        res.pivot_cols,
-    )
-
-
-def rank(m: Mat) -> int:
-    return rref(m).rank
+    return Mat(m.field, rows[:rank], ncols=m.ncols, _raw=True), pivots
 
 
 def solve(m: Mat, rhs: Mat) -> Optional[Mat]:
@@ -583,33 +566,35 @@ def solve(m: Mat, rhs: Mat) -> Optional[Mat]:
     return Mat(field, out, ncols=rhs.ncols, _raw=True)
 
 
-def kernel_basis(m: Mat) -> list:
-    """Basis of {x : m @ x = 0} as a list of column matrices.
+def kernel_basis(m: Mat):
+    """Basis of {x : m @ x = 0} as the rows of one matrix, and its free
+    columns.
 
-    The basis is the canonical one read off the rref: one vector per free
-    column, with a 1 in that column's slot.
+    The basis is the canonical one read off the rref: row k has a 1 at
+    free column k and 0 at the other free columns, so the coordinates of
+    any kernel vector are its entries at the free columns.
     """
     field = m.field
     if m.ncols == 0:
-        return []
-    res = rref(m)
-    pivot_set = set(res.pivot_cols)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
+        return Mat.zeros(field, 0, 0), ()
+    _, rows, pivots = _rref_rows(field, [list(r) for r in m.rows])
+    pivot_set = set(pivots)
+    free_cols = tuple(c for c in range(m.ncols) if c not in pivot_set)
+    zero, one = field.zero(), field.one()
     basis = []
     for fc in free_cols:
-        vec = [field.zero()] * m.ncols
-        vec[fc] = field.one()
-        for r, pc in enumerate(res.pivot_cols):
-            vec[pc] = field.neg(res.reduced[r, fc])
-        basis.append(Mat(field, [[x] for x in vec], _raw=True))
-    return basis
+        vec = [zero] * m.ncols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(rows[r][fc])
+        basis.append(vec)
+    return Mat(field, basis, ncols=m.ncols, _raw=True), free_cols
 
 
 def left_kernel_rows(m: Mat) -> Mat:
     """A basis of {y : y @ m = 0} as stacked rows, read off the kernel of
     the transpose.  The rows are not row-reduced."""
-    ker = kernel_basis(m.transpose())
-    return Mat(m.field, [k.flatten() for k in ker], ncols=m.nrows, _raw=True)
+    return kernel_basis(m.transpose())[0]
 
 
 def reduce_row(field: Field, row, rref_rows, pivots):

@@ -32,8 +32,6 @@ from .linalg import (
     left_kernel_rows,
     reduce_row,
     row_space,
-    row_space_with_pivots,
-    rref,
     solve,
     vstack,
 )
@@ -233,9 +231,15 @@ def zero_hom(M: Module, N: Module) -> ModuleHom:
 
 @dataclass(frozen=True)
 class HomSpace:
+    """A canonical basis of Hom(source, target) and the free columns of its
+    commutation system: basis map k has a 1 at free column k and 0 at the
+    others, so the coordinates of any map in the space are the entries of
+    its flattening at the free columns."""
+
     source: Module
     target: Module
     basis: Tuple[ModuleHom, ...]
+    free_cols: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -255,7 +259,7 @@ def hom_basis(M: Module, N: Module) -> HomSpace:
         offsets.append(total)
         total += M.dims[v] * N.dims[v]
     if total == 0:
-        return HomSpace(M, N, ())
+        return HomSpace(M, N, (), ())
     vidx = A.quiver.vertex_index
     rows = []
     for ai, a in enumerate(A.quiver.arrows):
@@ -273,9 +277,9 @@ def hom_basis(M: Module, N: Module) -> HomSpace:
                     )
                 rows.append(row)
     system = Mat(field, rows, ncols=total, _raw=True)
+    kernel_rows, free_cols = kernel_basis(system)
     basis = []
-    for vec in kernel_basis(system):
-        flat = vec.flatten()
+    for flat in kernel_rows.rows:
         mats = []
         for v in range(n):
             seg = flat[offsets[v] : offsets[v] + M.dims[v] * N.dims[v]]
@@ -291,7 +295,7 @@ def hom_basis(M: Module, N: Module) -> HomSpace:
                 )
             )
         basis.append(ModuleHom(M, N, mats, _validated=True))
-    return HomSpace(M, N, tuple(basis))
+    return HomSpace(M, N, tuple(basis), free_cols)
 
 
 def hom_dim(M: Module, N: Module) -> int:
@@ -301,63 +305,63 @@ def hom_dim(M: Module, N: Module) -> int:
 # -- submodules, quotients, kernels ----------------------------------------
 
 
-def coords_in_rows(rows: Mat, vectors: Mat) -> Mat:
-    """Express each row of `vectors` over the row basis `rows`."""
-    sol = solve(rows.transpose(), vectors.transpose())
-    if sol is None:
-        raise DimensionMismatchError("vectors outside the expected row space")
-    return sol.transpose()
-
-
 def submodule_from_rows(M: Module, rows_per_vertex: Sequence[Mat]) -> Tuple[Module, ModuleHom]:
-    """The submodule spanned by given rows (must be arrow-stable)."""
+    """The submodule spanned by given rows (must be arrow-stable).
+
+    Each span is reduced once; the rref basis gives the coordinates of a
+    pushed row at its pivot columns, and the row must equal that
+    combination of the basis."""
     A = M.algebra
+    field = A.field
     vidx = A.quiver.vertex_index
-    rows = [row_space(r) for r in rows_per_vertex]
-    dims = [r.nrows for r in rows]
+    spans = [row_space(r) for r in rows_per_vertex]
+    rows = [basis for basis, _ in spans]
     mats = []
     for ai, a in enumerate(A.quiver.arrows):
         u, w = vidx[a.source], vidx[a.target]
+        basis, pivots = spans[w]
         pushed = rows[u].mul(M.mats[ai])
-        mats.append(coords_in_rows(rows[w], pushed))
-    sub = Module(A, dims, mats, _validated=True)
+        at_pivots = [[row[c] for c in pivots] for row in pushed.rows]
+        coords = Mat(field, at_pivots, ncols=len(pivots), _raw=True)
+        if coords.mul(basis) != pushed:
+            raise DimensionMismatchError("vectors outside the expected row space")
+        mats.append(coords)
+    sub = Module(A, [r.nrows for r in rows], mats, _validated=True)
     incl = ModuleHom(sub, M, rows, _validated=True)
     return sub, incl
 
 
 def quotient_by_rows(M: Module, rows_per_vertex: Sequence[Mat]) -> Tuple[Module, ModuleHom]:
-    """The quotient of M by the arrow-stable row span."""
+    """The quotient of M by the arrow-stable row span.
+
+    Each span is reduced once, and the quotient has a basis indexed by the
+    free (non-pivot) columns.  The projection reads off the rref basis: a
+    free unit vector e_c maps to its own coordinate, and the pivot unit
+    vector of basis row B maps to -B at the free columns."""
     A = M.algebra
     field = A.field
     vidx = A.quiver.vertex_index
-    reduced = []
-    pivots = []
+    zero, one = field.zero(), field.one()
     free = []
-    for v in range(A.n_vertices):
-        rows, piv = row_space_with_pivots(rows_per_vertex[v])
-        reduced.append(rows)
-        pivots.append(piv)
-        free.append([c for c in range(M.dims[v]) if c not in set(piv)])
     proj_mats = []
-    for v in range(A.n_vertices):
-        cols = free[v]
-        mat = []
-        for i in range(M.dims[v]):
-            e = [field.zero()] * M.dims[v]
-            e[i] = field.one()
-            resid = reduce_row(field, e, reduced[v].rows, pivots[v])
-            mat.append([resid[c] for c in cols])
+    for v, d in enumerate(M.dims):
+        basis, pivots = row_space(rows_per_vertex[v])
+        row_at = dict(zip(pivots, basis.rows))
+        cols = [c for c in range(d) if c not in row_at]
+        mat = [
+            [field.neg(row_at[i][c]) for c in cols]
+            if i in row_at
+            else [one if c == i else zero for c in cols]
+            for i in range(d)
+        ]
+        free.append(cols)
         proj_mats.append(Mat(field, mat, ncols=len(cols), _raw=True))
-    dims = [len(f) for f in free]
     arrow_mats = []
     for ai, a in enumerate(A.quiver.arrows):
         u, w = vidx[a.source], vidx[a.target]
-        rows = []
-        for c in free[u]:
-            rows.append(M.mats[ai].row(c))
-        lifted = Mat(field, rows, ncols=M.dims[w], _raw=True)
+        lifted = Mat(field, [M.mats[ai].row(c) for c in free[u]], ncols=M.dims[w], _raw=True)
         arrow_mats.append(lifted.mul(proj_mats[w]))
-    quo = Module(A, dims, arrow_mats, _validated=True)
+    quo = Module(A, [len(cols) for cols in free], arrow_mats, _validated=True)
     proj = ModuleHom(M, quo, proj_mats)
     return quo, proj
 
@@ -368,17 +372,16 @@ def kernel(h: ModuleHom) -> Tuple[Module, ModuleHom]:
 
 
 def image(h: ModuleHom) -> Tuple[Module, ModuleHom]:
-    rows = [row_space(m) for m in h.mats]
-    return submodule_from_rows(h.target, rows)
+    return submodule_from_rows(h.target, h.mats)
 
 
 def cokernel(h: ModuleHom) -> Tuple[Module, ModuleHom]:
-    rows = [row_space(m) for m in h.mats]
-    return quotient_by_rows(h.target, rows)
+    return quotient_by_rows(h.target, h.mats)
 
 
 def radical_rows(M: Module) -> List[Mat]:
-    """Row bases of rad M = sum of all arrow images, per vertex."""
+    """Rows spanning rad M = sum of all arrow images, per vertex.  They are
+    stacked, not reduced: the caller reduces each span once."""
     A = M.algebra
     field = A.field
     vidx = A.quiver.vertex_index
@@ -386,8 +389,7 @@ def radical_rows(M: Module) -> List[Mat]:
     for ai, a in enumerate(A.quiver.arrows):
         per_vertex[vidx[a.target]].append(M.mats[ai])
     return [
-        row_space(vstack(field, chunk, ncols=M.dims[v]))
-        for v, chunk in enumerate(per_vertex)
+        vstack(field, chunk, ncols=M.dims[v]) for v, chunk in enumerate(per_vertex)
     ]
 
 
@@ -485,7 +487,7 @@ def _top_generators(M: Module) -> List[Tuple[int, int]]:
     """(vertex, coordinate) pairs lifting a basis of M / rad M."""
     gens = []
     for v, rows in enumerate(radical_rows(M)):
-        piv = set(rref(rows).pivot_cols)
+        piv = set(row_space(rows)[1])
         for c in range(M.dims[v]):
             if c not in piv:
                 gens.append((v, c))
@@ -510,7 +512,7 @@ def _projective_cover(M: Module) -> Tuple[Tuple[int, ...], Module, List[List[int
         mats.append(Mat(field, rows, ncols=M.dims[u], _raw=True))
     cover = ModuleHom(p0, M, mats)
     for v in range(n):
-        if rref(cover.mats[v]).rank != M.dims[v]:
+        if len(row_space(cover.mats[v])[1]) != M.dims[v]:
             raise DimensionMismatchError("projective cover failed to surject")
     return vertices, p0, offsets, cover
 
@@ -739,7 +741,7 @@ def trace_rows(X: Module, generators: Union[Module, Sequence[Module]]) -> List[M
             for v in range(A.n_vertices):
                 per_vertex[v].append(h.mats[v])
     return [
-        row_space(vstack(field, chunk, ncols=X.dims[v]))
+        row_space(vstack(field, chunk, ncols=X.dims[v]))[0]
         for v, chunk in enumerate(per_vertex)
     ]
 
@@ -781,22 +783,16 @@ class EndData:
     rad_homs: List[ModuleHom]
 
 
-def _hom_coords_matrix(field, homs: Sequence[ModuleHom]) -> Mat:
-    return Mat(
-        field,
-        [list(h.flatten()) for h in homs],
-        ncols=len(homs[0].flatten()) if homs else 0,
-        _raw=True,
-    )
+def end_data(M: Module, space: HomSpace) -> EndData:
+    """Structure constants and radical of End(M), given its canonical
+    basis, via the trace form.
 
-
-def end_data(M: Module, E: Sequence[ModuleHom]) -> EndData:
-    """Structure constants and radical of End(M), given a basis E of it,
-    via the trace form.
-
-    Requires characteristic 0 or p > dim End(M); smaller primes raise
+    The coordinates of a product and of the identity are their entries at
+    the free columns of the space, so nothing is solved for.  Requires
+    characteristic 0 or p > dim End(M); smaller primes raise
     CharacteristicError rather than risk a wrong radical.
     """
+    E = space.basis
     d = len(E)
     field = M.algebra.field
     if d == 0:
@@ -805,26 +801,17 @@ def end_data(M: Module, E: Sequence[ModuleHom]) -> EndData:
         raise CharacteristicError(
             f"endomorphism radical over F_{field.p} needs p > dim End = {d}"
         )
-    B = _hom_coords_matrix(field, E)
-    Bt = B.transpose()
-    prods = []
-    order = []
+    cols = space.free_cols
+
+    def coords(h: ModuleHom) -> tuple:
+        flat = h.flatten()
+        return tuple(flat[c] for c in cols)
+
+    struct: Dict[Tuple[int, int], tuple] = {}
     for i in range(d):
         for j in range(d):
-            order.append((i, j))
-            prods.append(list(E[i].compose(E[j]).flatten()))
-    W = Mat(field, prods, ncols=B.ncols, _raw=True).transpose()
-    sol = solve(Bt, W)
-    if sol is None:
-        raise DimensionMismatchError("endomorphism product escaped the basis")
-    struct: Dict[Tuple[int, int], tuple] = {}
-    for col, (i, j) in enumerate(order):
-        struct[(i, j)] = tuple(sol[r, col] for r in range(d))
-    ident = identity_hom(M)
-    id_sol = solve(Bt, Mat(field, [list(ident.flatten())], ncols=B.ncols, _raw=True).transpose())
-    if id_sol is None:
-        raise DimensionMismatchError("identity escaped the endomorphism basis")
-    identity_coeffs = tuple(id_sol[r, 0] for r in range(d))
+            struct[(i, j)] = coords(E[i].compose(E[j]))
+    identity_coeffs = coords(identity_hom(M))
     # trace of left multiplication by each basis element
     traces = []
     for l in range(d):
@@ -843,7 +830,7 @@ def end_data(M: Module, E: Sequence[ModuleHom]) -> EndData:
             row.append(s)
         gram_rows.append(row)
     gram = Mat(field, gram_rows, ncols=d, _raw=True)
-    rad_vectors = [tuple(v.flatten()) for v in kernel_basis(gram)]
+    rad_vectors = list(kernel_basis(gram)[0].rows)
     rad_homs = []
     for vec in rad_vectors:
         h = None
@@ -948,12 +935,13 @@ def is_brick(M: Module) -> bool:
     Raises IndeterminateDecompositionError if the probe strategy cannot
     certify either answer; it never guesses.
     """
-    E = hom_basis(M, M).basis
+    space = hom_basis(M, M)
+    E = space.basis
     if len(E) == 0:
         return False
     if len(E) == 1:
         return True
-    data = end_data(M, E)
+    data = end_data(M, space)
     if data.rad_vectors:
         return False
     field = M.algebra.field
@@ -1036,11 +1024,12 @@ def decompose(M: Module) -> List[Module]:
     work = [M]
     while work:
         N = work.pop()
-        E = hom_basis(N, N).basis
+        space = hom_basis(N, N)
+        E = space.basis
         if len(E) == 1:
             out.append(N)
             continue
-        data = end_data(N, E)
+        data = end_data(N, space)
         if data.dim - len(data.rad_vectors) == 1:
             out.append(N)
             continue
@@ -1105,7 +1094,7 @@ def _indec_iso(M: Module, N: Module, n_rad_homs: Optional[List[ModuleHom]] = Non
     if not bw:
         return False
     if n_rad_homs is None:
-        n_rad_homs = _rad_homs(N, hom_basis(N, N).basis)
+        n_rad_homs = _rad_homs(hom_basis(N, N))
     # M and N are isomorphic exactly when some g f is a unit of the local
     # ring End(N).  Its non-units form the ideal rad End(N), so it suffices
     # to find one basis composite outside that span.
@@ -1146,10 +1135,12 @@ def is_isomorphic(M: Module, N: Module) -> bool:
 # -- semibrick layers of a summand list --------------------------------------
 
 
-def _rad_homs(M: Module, end_basis: Sequence[ModuleHom]) -> List[ModuleHom]:
-    """A basis of rad End(M), given a basis of End(M).  An End of dimension
-    at most one is zero or the ground field, so its radical is zero."""
-    return [] if len(end_basis) <= 1 else end_data(M, end_basis).rad_homs
+def _rad_homs(end_space: HomSpace) -> List[ModuleHom]:
+    """A basis of rad End(M), given End(M).  An End of dimension at most
+    one is zero or the ground field, so its radical is zero."""
+    if end_space.dim <= 1:
+        return []
+    return end_data(end_space.source, end_space).rad_homs
 
 
 def _grid_top_rows(
@@ -1158,6 +1149,9 @@ def _grid_top_rows(
     rad_fn: Callable[[int], Sequence[ModuleHom]],
     i: int,
 ) -> List[Mat]:
+    """Rows spanning the images of the radical maps into summand i, per
+    vertex.  They are stacked, not reduced: the caller reduces each span
+    once."""
     A = summands[i].algebra
     field = A.field
     per_vertex: List[List[Mat]] = [[] for _ in range(A.n_vertices)]
@@ -1171,7 +1165,7 @@ def _grid_top_rows(
         for v in range(A.n_vertices):
             per_vertex[v].append(h.mats[v])
     return [
-        row_space(vstack(field, chunk, ncols=summands[i].dims[v]))
+        vstack(field, chunk, ncols=summands[i].dims[v])
         for v, chunk in enumerate(per_vertex)
     ]
 
@@ -1185,7 +1179,7 @@ def top_components(
     if hom_fn is None:
         hom_fn = lambda j, i: hom_basis(summands[j], summands[i]).basis
     if rad_fn is None:
-        rad_fn = lambda i: _rad_homs(summands[i], hom_fn(i, i))
+        rad_fn = lambda i: _rad_homs(hom_basis(summands[i], summands[i]))
     out = []
     for i in range(len(summands)):
         rows = _grid_top_rows(summands, hom_fn, rad_fn, i)
@@ -1202,7 +1196,7 @@ def socle_components(
     if hom_fn is None:
         hom_fn = lambda i, j: hom_basis(summands[i], summands[j]).basis
     if rad_fn is None:
-        rad_fn = lambda i: _rad_homs(summands[i], hom_fn(i, i))
+        rad_fn = lambda i: _rad_homs(hom_basis(summands[i], summands[i]))
     out = []
     for i, Mi in enumerate(summands):
         A = Mi.algebra
@@ -1257,7 +1251,7 @@ class IsoRegistry:
         self.algebra = algebra
         self._mods: List[Module] = []
         self._by_dims: Dict[tuple, List[int]] = {}
-        self._hom: Dict[Tuple[int, int], Tuple[ModuleHom, ...]] = {}
+        self._hom: Dict[Tuple[int, int], HomSpace] = {}
         self._tau: Dict[int, Optional[int]] = {}
         self._pres: Dict[int, Presentation] = {}
         self._rad: Dict[int, List[ModuleHom]] = {}
@@ -1281,7 +1275,7 @@ class IsoRegistry:
 
     def rad_end(self, i: int) -> List[ModuleHom]:
         if i not in self._rad:
-            self._rad[i] = _rad_homs(self._mods[i], self.hom(i, i))
+            self._rad[i] = _rad_homs(self.hom_space(i, i))
         return self._rad[i]
 
     def register(self, M: Module) -> int:
@@ -1300,11 +1294,14 @@ class IsoRegistry:
     def register_all(self, M: Module) -> List[int]:
         return sorted(self.register(part) for part in decompose(M))
 
-    def hom(self, i: int, j: int) -> Tuple[ModuleHom, ...]:
+    def hom_space(self, i: int, j: int) -> HomSpace:
         key = (i, j)
         if key not in self._hom:
-            self._hom[key] = hom_basis(self._mods[i], self._mods[j]).basis
+            self._hom[key] = hom_basis(self._mods[i], self._mods[j])
         return self._hom[key]
+
+    def hom(self, i: int, j: int) -> Tuple[ModuleHom, ...]:
+        return self.hom_space(i, j).basis
 
     def hom_dim(self, i: int, j: int) -> int:
         return len(self.hom(i, j))

@@ -18,7 +18,7 @@ from .errors import (
     SelfExtensionError,
     TaumutError,
 )
-from .linalg import Mat, hstack, rref
+from .linalg import Mat, hstack, row_space
 from .modules import (
     IsoRegistry,
     Module,
@@ -116,8 +116,8 @@ def _presentation_pairing_dim(reg: IsoRegistry, sid: int, brick_id: int) -> int:
     if not images:
         return total
     width = len(images[0])
-    rank = rref(Mat(field, images, ncols=width, _raw=True)).rank
-    return total - rank
+    _, pivots = row_space(Mat(field, images, ncols=width, _raw=True))
+    return total - len(pivots)
 
 
 def paired_columns(pair: SupportPair) -> List[PairedColumn]:
@@ -327,7 +327,7 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
         ker, _ = kernel(f)
         injective = ker.is_zero
         surjective = all(
-            rref(f.mats[v]).rank == s0h.dims[v]
+            len(row_space(f.mats[v])[1]) == s0h.dims[v]
             for v in range(reg.algebra.n_vertices)
         )
         if injective and not surjective:

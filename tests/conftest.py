@@ -157,6 +157,27 @@ def naive_semibrick_count(algebra) -> int:
     )
 
 
+def solved_end_constants(M, E) -> tuple:
+    """Structure constants and identity coefficients of End(M) in the basis
+    E, each found by solving over the flattened basis rather than read off
+    its free columns."""
+    from taumut.linalg import Mat, solve
+    from taumut.modules import identity_hom
+
+    field = M.algebra.field
+    width = len(E[0].flatten())
+    basis_t = Mat(field, [h.flatten() for h in E], ncols=width).transpose()
+
+    def coords(h):
+        sol = solve(basis_t, Mat(field, [h.flatten()], ncols=width).transpose())
+        assert sol is not None, "element outside the endomorphism basis"
+        return tuple(sol.flatten())
+
+    d = len(E)
+    struct = {(i, j): coords(E[i].compose(E[j])) for i in range(d) for j in range(d)}
+    return struct, coords(identity_hom(M))
+
+
 @pytest.fixture(scope="session")
 def a2_quiver() -> ExchangeQuiver:
     return explore(IsoRegistry(build_preset("a-path:2")))

@@ -4,7 +4,10 @@ The registry's translate is checked against the uncached translate, the
 Ext^1 representatives and the registry's cached Ext^1 dimension against
 the Ext^1 dimension formula, the shifted columns of the SMC against the
 co-semibrick of the dual pair, and the exchange quiver's adjacency lists
-against a scan of its arrows.
+against a scan of its arrows.  The End(M) structure constants read off
+the free columns are checked against solved ones, and Hom(N, tau M) from
+the registry's translate against the presentation pairing, which needs no
+translate (AIR Prop. 2.4).
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ import pytest
 
 from taumut import IsoRegistry
 from taumut.linalg import QQ, PrimeField
-from taumut.modules import _indec_iso, ar_translate, ext1_basis, ext1_dim
+from taumut.modules import _indec_iso, ar_translate, end_data, ext1_basis, ext1_dim
 from taumut.presets import build_preset
-from taumut.smc import paired_columns
+from taumut.smc import _presentation_pairing_dim, paired_columns
 from taumut.tautilt import cosemibrick_of, dual_pair, explore
+
+from conftest import solved_end_constants
 
 CASES = [
     (preset, field)
@@ -77,3 +82,31 @@ def test_negative_columns_are_the_dual_cosemibrick(quiver):
         negative = Counter(c.brick_id for c in paired_columns(pair) if c.sign < 0)
         dual = Counter(reg.register(m) for m in cosemibrick_of(dual_pair(pair)))
         assert negative == dual
+
+
+def test_end_data_matches_solved_coordinates(quiver):
+    # Every module registered on nakayama:cyclic:3:3 is a brick with
+    # End = k, so only preproj-a:3 reaches the loop body.
+    reg = quiver.registry
+    for i in range(reg.count()):
+        space = reg.hom_space(i, i)
+        if space.dim > 1:
+            M = reg.module(i)
+            data = end_data(M, space)
+            want = solved_end_constants(M, space.basis)
+            assert (data.struct, data.identity_coeffs) == want
+
+
+def test_presentation_pairing_is_hom_into_the_translate(quiver):
+    # For a minimal presentation P1 -> P0 -> M -> 0, dim Hom(N, tau M) is
+    # the cokernel dimension of Hom(P0, N) -> Hom(P1, N).
+    reg = quiver.registry
+    n = reg.count()
+    nonzero = 0
+    for i in range(n):
+        tid = reg.tau_id(i)
+        for j in range(n):
+            got = _presentation_pairing_dim(reg, i, j)
+            assert got == (0 if tid is None else reg.hom_dim(j, tid))
+            nonzero += got > 0
+    assert nonzero > 0

@@ -13,15 +13,15 @@ from taumut.linalg import (
     QQ,
     Mat,
     PrimeField,
+    _rref_rows,
     block_diag,
     det,
     extend_span,
     hstack,
     kernel_basis,
     left_kernel_rows,
-    rank,
     reduce_row,
-    rref,
+    row_space,
     solve,
     vstack,
 )
@@ -75,14 +75,20 @@ def test_matmul_shape_guard():
         a.mul(a)
 
 
+def _reduced(m):
+    """_rref_rows on a matrix: (rank, the reduced rows as a matrix, pivots)."""
+    rank_, rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
+    return rank_, Mat(m.field, rows, ncols=m.ncols, _raw=True), pivots
+
+
 def test_rref_known_matrix():
     m = Mat(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    res = rref(m)
-    assert res.rank == 2
-    assert res.pivot_cols == (0, 1)
+    rank_, reduced, pivots = _reduced(m)
+    assert rank_ == 2
+    assert pivots == (0, 1)
     # re-reducing is a no-op
-    again = rref(res.reduced)
-    assert again.reduced == res.reduced
+    assert _reduced(reduced)[1] == reduced
+    assert row_space(m) == (Mat(QQ, reduced.rows[:2]), (0, 1))
 
 
 def test_empty_matrix_width_is_kept():
@@ -129,12 +135,12 @@ def test_solve_result_actually_solves(field, rows):
 @given(rows=_mats())
 def test_kernel_vectors_multiply_to_zero(field, rows):
     m = Mat(field, rows)
-    ker = kernel_basis(m)
-    assert len(ker) == m.ncols - rank(m)
-    for v in ker:
-        assert m.mul(v).is_zero()
+    rank_ = len(row_space(m)[1])
+    ker, free_cols = kernel_basis(m)
+    assert ker.nrows == len(free_cols) == m.ncols - rank_
+    assert m.mul(ker.transpose()).is_zero()
     left = left_kernel_rows(m)
-    assert left.nrows == m.nrows - rank(m)
+    assert left.nrows == m.nrows - rank_
     assert left.mul(m).is_zero()
 
 
@@ -142,7 +148,7 @@ def test_kernel_vectors_multiply_to_zero(field, rows):
 @given(rows=_mats())
 def test_rank_is_transpose_invariant(rows):
     m = Mat(QQ, rows)
-    assert rank(m) == rank(m.transpose())
+    assert len(row_space(m)[1]) == len(row_space(m.transpose())[1])
 
 
 # -- the field kernels against a textbook reference --------------------------
@@ -226,14 +232,19 @@ def _assert_canonical_entries(m):
 @given(data=st.data())
 def test_rref_matches_naive_gauss_jordan(field, data):
     m = data.draw(_field_mats(field))
-    res = rref(m)
+    got_rank, reduced, got_pivots = _reduced(m)
     rank_, rows, pivots = _naive_rref(field, m.rows, m.ncols)
-    assert (res.rank, res.pivot_cols) == (rank_, pivots)
-    assert res.reduced.rows == tuple(map(tuple, rows))
-    assert (res.reduced.nrows, res.reduced.ncols) == (m.nrows, m.ncols)
-    assert all(any(row) for row in res.reduced.rows[:rank_])
-    assert not any(any(row) for row in res.reduced.rows[rank_:])
-    _assert_canonical_entries(res.reduced)
+    assert (got_rank, got_pivots) == (rank_, pivots)
+    assert reduced.rows == tuple(map(tuple, rows))
+    assert (reduced.nrows, reduced.ncols) == (m.nrows, m.ncols)
+    assert all(any(row) for row in reduced.rows[:rank_])
+    assert not any(any(row) for row in reduced.rows[rank_:])
+    _assert_canonical_entries(reduced)
+    # row_space keeps the first rank rows and their pivots
+    basis, basis_pivots = row_space(m)
+    assert basis_pivots == pivots
+    assert basis.rows == tuple(map(tuple, rows[:rank_]))
+    assert (basis.nrows, basis.ncols) == (rank_, m.ncols)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -259,18 +270,26 @@ def test_solve_matches_naive(field, data):
 def test_kernel_basis_matches_naive(field, data):
     m = data.draw(_field_mats(field))
     _, rows, pivots = _naive_rref(field, m.rows, m.ncols)
+    free = tuple(c for c in range(m.ncols) if c not in pivots)
     expected = []
-    for fc in (c for c in range(m.ncols) if c not in pivots):
+    for fc in free:
         vec = [field.zero()] * m.ncols
         vec[fc] = field.one()
         for r, pc in enumerate(pivots):
             vec[pc] = field.neg(rows[r][fc])
-        expected.append(tuple((x,) for x in vec))
-    ker = kernel_basis(m)
-    assert [k.rows for k in ker] == expected
-    for k in ker:
-        _assert_canonical_entries(k)
-        assert m.mul(k).is_zero()
+        expected.append(tuple(vec))
+    ker, free_cols = kernel_basis(m)
+    assert free_cols == free
+    assert ker.rows == tuple(expected)
+    assert (ker.nrows, ker.ncols) == (len(free), m.ncols)
+    _assert_canonical_entries(ker)
+    assert m.mul(ker.transpose()).is_zero()
+    # restricted to its free columns the basis is the identity, so the
+    # coordinates of a kernel vector are its entries there
+    one, zero = field.one(), field.zero()
+    assert [[row[c] for c in free] for row in ker.rows] == [
+        [one if i == j else zero for j in range(len(free))] for i in range(len(free))
+    ]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -316,13 +335,13 @@ def test_entrywise_ops_and_reduce_row(field, data):
     assert a.is_zero() == all(x == 0 for row in a.rows for x in row)
     # reduce_row leaves a row's residue modulo the rref row space: zero in
     # every pivot column, and the row minus the residue lies in the span.
-    res = rref(b)
-    basis = res.reduced.rows[: res.rank]
+    span, pivots = row_space(b)
+    basis = span.rows
     for row in a.rows:
-        resid = reduce_row(field, row, basis, res.pivot_cols)
-        assert all(resid[c] == 0 for c in res.pivot_cols)
+        resid = reduce_row(field, row, basis, pivots)
+        assert all(resid[c] == 0 for c in pivots)
         diff = Mat(field, [row], ncols=a.ncols).sub(Mat(field, [resid], ncols=a.ncols))
-        assert rank(vstack(field, [Mat(field, basis, ncols=a.ncols), diff])) == res.rank
+        assert len(row_space(vstack(field, [span, diff]))[1]) == len(pivots)
         _assert_canonical_entries(Mat(field, [resid], ncols=a.ncols, _raw=True))
 
 
@@ -333,8 +352,8 @@ def test_extend_span_grows_exactly_when_rank_grows(field, data):
     m = data.draw(_field_mats(field, max_dim=5))
     rows, pivots = [], []
     for k, row in enumerate(m.rows):
-        before = rank(Mat(field, m.rows[:k], ncols=m.ncols))
-        after = rank(Mat(field, m.rows[: k + 1], ncols=m.ncols))
+        before = len(row_space(Mat(field, m.rows[:k], ncols=m.ncols))[1])
+        after = len(row_space(Mat(field, m.rows[: k + 1], ncols=m.ncols))[1])
         assert extend_span(field, rows, pivots, row) == (after > before)
         assert len(rows) == len(pivots) == after
     # Each kept row has a 1 at its pivot and 0 at the earlier pivots, so
@@ -353,26 +372,26 @@ def test_kernel_edge_cases(field):
     one = field.one()
     for nrows, ncols in [(0, 3), (3, 0), (0, 0)]:
         m = Mat.zeros(field, nrows, ncols)
-        res = rref(m)
-        assert (res.rank, res.pivot_cols) == (0, ())
-        assert (res.reduced.nrows, res.reduced.ncols) == (nrows, ncols)
-        assert len(kernel_basis(m)) == ncols
+        rank_, reduced, pivots = _reduced(m)
+        assert (rank_, pivots) == (0, ())
+        assert (reduced.nrows, reduced.ncols) == (nrows, ncols)
+        assert row_space(m) == (Mat.zeros(field, 0, ncols), ())
+        ker, free_cols = kernel_basis(m)
+        assert (ker.nrows, free_cols) == (ncols, tuple(range(ncols)))
         assert m.mul(Mat.zeros(field, ncols, 2)) == Mat.zeros(field, nrows, 2)
         assert Mat.zeros(field, 2, nrows).mul(m) == Mat.zeros(field, 2, ncols)
     zero = Mat.zeros(field, 3, 4)
-    res = rref(zero)
-    assert (res.rank, res.pivot_cols, res.reduced) == (0, (), zero)
-    _assert_canonical_entries(res.reduced)
-    assert [k.rows for k in kernel_basis(zero)] == [
-        tuple((one if i == j else field.zero(),) for i in range(4)) for j in range(4)
-    ]
+    rank_, reduced, pivots = _reduced(zero)
+    assert (rank_, pivots, reduced) == (0, (), zero)
+    _assert_canonical_entries(reduced)
+    assert kernel_basis(zero)[0] == Mat.identity(field, 4)
     assert solve(zero, Mat.zeros(field, 3, 1)) == Mat.zeros(field, 4, 1)
     assert solve(zero, Mat(field, [[1], [0], [0]])) is None
     for value, expected_rank in [(0, 0), (1, 1), (2, 1), (-1, 1)]:
         m = Mat(field, [[value]])
-        res = rref(m)
+        rank_, reduced, _ = _reduced(m)
         if field.is_zero(m[0, 0]):
             expected_rank = 0
-        assert res.rank == expected_rank
-        assert res.reduced.rows == (((one,),) if expected_rank else ((field.zero(),),))
-        _assert_canonical_entries(res.reduced)
+        assert rank_ == expected_rank
+        assert reduced.rows == (((one,),) if expected_rank else ((field.zero(),),))
+        _assert_canonical_entries(reduced)

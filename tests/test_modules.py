@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumut.errors import DimensionMismatchError, SpecError
-from taumut.linalg import QQ, Mat, PrimeField, rank, solve
+from taumut.errors import CharacteristicError, DimensionMismatchError, SpecError
+from taumut.linalg import QQ, Mat, PrimeField, hstack, row_space, solve, vstack
 from taumut.modules import (
     Module,
     ModuleHom,
@@ -48,11 +48,14 @@ from taumut.modules import (
     semibrick_socle,
     semibrick_top,
     simple_module,
+    submodule_from_rows,
     top,
     zero_hom,
     zero_module,
 )
 from taumut.presets import build_preset
+
+from conftest import solved_end_constants
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,38 @@ def test_hom_dims_between_uniserials(a3, simples):
     assert img.dims == (0, 1, 1)
     cok, _ = cokernel(h)
     assert cok.dims == (1, 0, 0)
+
+
+def test_submodule_rejects_rows_that_are_not_arrow_stable(a3):
+    # the top of P_0 = 1/2/3 maps onto vertex 1, where no rows are given
+    p0 = projective_module(a3, 0)
+    rows = [Mat(QQ, [[1]]), Mat.zeros(QQ, 0, 1), Mat.zeros(QQ, 0, 1)]
+    with pytest.raises(DimensionMismatchError, match="outside the expected row space"):
+        submodule_from_rows(p0, rows)
+
+
+def test_image_and_cokernel_read_off_the_echelon_form():
+    # maps P_i -> P_j + P_j of the form (h, 2h): their rows are not unit
+    # vectors, so the rref bases have nonzero entries at free columns
+    algebra = build_preset("preproj-a:3")
+    field = algebra.field
+    projectives = [projective_module(algebra, v) for v in range(3)]
+    for M in projectives:
+        for N in projectives:
+            NN, _ = direct_sum(algebra, [N, N])
+            for h in hom_basis(M, N).basis:
+                mats = [hstack(field, [m, m.scale(2)], nrows=m.nrows) for m in h.mats]
+                h2 = ModuleHom(M, NN, mats)
+                img, incl = image(h2)
+                cok, proj = cokernel(h2)
+                assert h2.compose(proj).is_zero()
+                assert incl.compose(proj).is_zero()
+                for v in range(algebra.n_vertices):
+                    assert img.dims[v] + cok.dims[v] == NN.dims[v]
+                    assert len(row_space(proj.mats[v])[1]) == cok.dims[v]
+                    # the image is spanned by the rows of h2 at each vertex
+                    both = vstack(field, [h2.mats[v], incl.mats[v]])
+                    assert len(row_space(both)[1]) == img.dims[v]
 
 
 def test_ar_translate_of_simples(a3, simples):
@@ -258,15 +293,13 @@ def test_hom_spaces_respect_composition(i, j):
         for g in hom_basis(n, m).basis:
             comp = f.compose(g)
             # membership: solving for coordinates must succeed
-            from taumut.modules import _hom_coords_matrix
-            from taumut.linalg import solve
-
             basis = hom_basis(m, m).basis
             if not basis:
                 assert comp.is_zero()
                 continue
-            coords = _hom_coords_matrix(a3.field, basis)
-            target = _hom_coords_matrix(a3.field, [comp])
+            width = len(comp.flatten())
+            coords = Mat(a3.field, [b.flatten() for b in basis], ncols=width)
+            target = Mat(a3.field, [comp.flatten()], ncols=width)
             assert solve(coords.transpose(), target.transpose()) is not None
 
 
@@ -293,9 +326,10 @@ def _quadratic_module(field):
 )
 def test_quadratic_field_endomorphism_ring_is_local(field):
     M = _quadratic_module(field)
-    E = hom_basis(M, M).basis
+    space = hom_basis(M, M)
+    E = space.basis
     assert len(E) == 2
-    data = end_data(M, E)
+    data = end_data(M, space)
     assert data.rad_vectors == []
     # No probe splits M, so only the field-quotient certificate can show
     # that it is indecomposable.
@@ -360,11 +394,25 @@ END_CASES = {
 
 
 @functools.lru_cache(maxsize=None)
-def _end_basis(name, copies):
+def _end_space(name, copies):
     M = END_CASES[name]()
     if copies > 1:
         M = direct_sum(M.algebra, [M] * copies)[0]
-    return M, hom_basis(M, M).basis
+    return M, hom_basis(M, M)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("name", sorted(END_CASES))
+def test_end_data_matches_solved_coordinates(name, copies):
+    M, space = _end_space(name, copies)
+    p = M.algebra.field.characteristic()
+    if p and p <= space.dim:
+        # two copies over F_5 and F_7: the trace form cannot be trusted
+        with pytest.raises(CharacteristicError):
+            end_data(M, space)
+        return
+    data = end_data(M, space)
+    assert (data.struct, data.identity_coeffs) == solved_end_constants(M, space.basis)
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -372,7 +420,8 @@ def _end_basis(name, copies):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_minpoly_matches_one_solve_per_power(name, copies, data):
-    M, E = _end_basis(name, copies)
+    M, space = _end_space(name, copies)
+    E = space.basis
     field = M.algebra.field
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(E), max_size=len(E)))
     h = zero_hom(M, M)
@@ -385,4 +434,4 @@ def test_minpoly_matches_one_solve_per_power(name, copies, data):
     assert _poly_of_hom(got, h).is_zero()
     # the powers below the degree are independent: no lower degree kills h
     assert len(lower) == len(got) - 1
-    assert rank(Mat(field, lower, ncols=len(lower[0]))) == len(lower)
+    assert len(row_space(Mat(field, lower, ncols=len(lower[0])))[1]) == len(lower)
