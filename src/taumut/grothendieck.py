@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
-from .errors import TaumutError
-from .modules import simple_module, hom_dim
 from .smc import PairedColumn, paired_columns
 from .tautilt import SupportPair
 
@@ -62,30 +60,21 @@ def g_matrix(pair: SupportPair) -> Tuple[Tuple[int, ...], ...]:
 
 
 def simple_end_dims(algebra) -> Tuple[int, ...]:
-    return tuple(
-        hom_dim(simple_module(algebra, v), simple_module(algebra, v))
-        for v in range(algebra.n_vertices)
-    )
+    # each simple_module is one-dimensional, so End(S_v) = k
+    return (1,) * algebra.n_vertices
 
 
 def c_data(pair: SupportPair):
     """Signed composition-factor columns of the paired bricks, plus the
     diagonal of their endomorphism dimensions."""
     reg = pair.registry
-    n = reg.algebra.n_vertices
-    simple_dims = simple_end_dims(reg.algebra)
     cols = []
     d_prime = []
     paired = paired_columns(pair)
     for col in paired:
-        brick = reg.module(col.brick_id)
-        vec = []
-        for v in range(n):
-            # composition multiplicity: vertex dimension over dim S_v
-            if brick.dims[v] % simple_dims[v] != 0:
-                raise TaumutError("composition multiplicity is not integral")
-            vec.append(col.sign * (brick.dims[v] // simple_dims[v]))
-        cols.append(vec)
+        # every simple is one-dimensional, so the composition multiplicity
+        # at v is the vertex dimension
+        cols.append([col.sign * x for x in reg.module(col.brick_id).dims])
         d_prime.append(reg.end_dim(col.brick_id))
     return cols, tuple(d_prime), tuple(paired)
 

@@ -56,9 +56,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return not a
 
@@ -618,39 +615,3 @@ def extend_span(field: Field, rows: list, pivots: list, row) -> bool:
             pivots.append(c)
             return True
     return False
-
-
-def det(m: Mat):
-    """Determinant of a square matrix by fraction-free-enough elimination."""
-    if m.nrows != m.ncols:
-        raise DimensionMismatchError("determinant of a non-square matrix")
-    field = m.field
-    n = m.nrows
-    if n == 0:
-        return field.one()
-    rows = [list(r) for r in m.rows]
-    sign_flip = False
-    acc = field.one()
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not field.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero()
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign_flip = not sign_flip
-        pivot = rows[c][c]
-        acc = field.mul(acc, pivot)
-        inv = field.inv(pivot)
-        for i in range(c + 1, n):
-            factor = field.mul(rows[i][c], inv)
-            if field.is_zero(factor):
-                continue
-            rows[i] = [
-                field.sub(x, field.mul(factor, y))
-                for x, y in zip(rows[i], rows[c])
-            ]
-    return field.neg(acc) if sign_flip else acc

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import sympy
@@ -831,16 +832,20 @@ def end_data(M: Module, space: HomSpace) -> EndData:
         gram_rows.append(row)
     gram = Mat(field, gram_rows, ncols=d, _raw=True)
     rad_vectors = list(kernel_basis(gram)[0].rows)
-    rad_homs = []
-    for vec in rad_vectors:
-        h = None
-        for c, b in zip(vec, E):
-            if field.is_zero(c):
-                continue
-            term = b.scale(c)
-            h = term if h is None else h.add(term)
-        rad_homs.append(h if h is not None else zero_hom(M, M))
+    rad_homs = [_hom_of_coords(M, E, vec) for vec in rad_vectors]
     return EndData(tuple(E), d, struct, identity_coeffs, rad_vectors, rad_homs)
+
+
+def _hom_of_coords(M: Module, E: Sequence[ModuleHom], vec: Sequence) -> ModuleHom:
+    """The endomorphism of M with coordinates vec in the basis E."""
+    field = M.algebra.field
+    h = None
+    for c, b in zip(vec, E):
+        if field.is_zero(c):
+            continue
+        term = b.scale(c)
+        h = term if h is None else h.add(term)
+    return h if h is not None else zero_hom(M, M)
 
 
 def _powers(one, times) -> Iterator:
@@ -903,117 +908,77 @@ def _factor_poly(field, coeffs: Sequence) -> List[Tuple[list, int]]:
     return out
 
 
-def _poly_of_hom(coeffs: Sequence, h: ModuleHom) -> ModuleHom:
-    """Evaluate an ascending-coefficient polynomial at an endomorphism."""
-    field = h.source.algebra.field
-    acc = zero_hom(h.source, h.source)
-    ident = identity_hom(h.source)
-    for c in reversed(list(coeffs)):
-        acc = acc.compose(h)
-        if not field.is_zero(c):
-            acc = acc.add(ident.scale(c))
-    return acc
-
-
-def _probe_elements(E: Sequence[ModuleHom]) -> Iterator[ModuleHom]:
-    """The basis, then pairwise sums, then pairwise composites, built only
-    as far as the caller reads."""
-    yield from E
-    d = len(E)
-    for i in range(d):
-        for j in range(i + 1, d):
-            yield E[i].add(E[j])
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                yield E[i].compose(E[j])
-
-
 def is_brick(M: Module) -> bool:
     """Is End(M) a division algebra?
 
-    Raises IndeterminateDecompositionError if the probe strategy cannot
-    certify either answer; it never guesses.
+    Raises IndeterminateDecompositionError if no probe of `_end_split`
+    decides; it never guesses.
     """
     space = hom_basis(M, M)
-    E = space.basis
-    if len(E) == 0:
-        return False
-    if len(E) == 1:
-        return True
+    if space.dim <= 1:
+        return space.dim == 1
     data = end_data(M, space)
-    if data.rad_vectors:
-        return False
-    field = M.algebra.field
-    one = identity_hom(M)
-    saw_full_irreducible = False
-    for probe in _probe_elements(E):
-        mp = _minpoly(field, map(ModuleHom.flatten, _powers(one, probe.compose)))
-        factors = _factor_poly(field, mp)
-        if len(factors) > 1 or factors[0][1] > 1:
-            return False
-        if len(mp) - 1 == len(E):
-            saw_full_irreducible = True
-    if saw_full_irreducible:
-        return True
+    return not data.rad_vectors and _end_split(M, data) is None
+
+
+def _end_split(N: Module, data: EndData) -> Optional[Tuple[list, list]]:
+    """Split or certify End(N) with one probe search over its structure
+    constants.
+
+    The probes are the basis, then pairwise sums, then products of two
+    distinct basis elements.  At the first probe x whose minimal polynomial
+    has two distinct irreducible factors, returns the coordinates of g(x)
+    and h(x), where g is the first factor to its multiplicity and h the
+    rest, so N = ker g(x) + ker h(x).  Returns None at the first probe
+    whose minimal polynomial is p^k with deg p = dim End/rad: x then
+    generates the field End/rad, so End(N) is local.  A non-local End has
+    no such probe and a local one no splitting probe, so the first probe
+    that decides is the answer.
+    """
+    field = N.algebra.field
+    d = data.dim
+    q = d - len(data.rad_vectors)
+    zero, one = field.zero(), field.one()
+    units = [tuple(one if k == i else zero for k in range(d)) for i in range(d)]
+    sums = (
+        tuple(map(field.add, units[i], units[j]))
+        for i in range(d)
+        for j in range(i + 1, d)
+    )
+    products = (data.struct[(i, j)] for i in range(d) for j in range(d) if i != j)
+    for x in chain(units, sums, products):
+        # row i of right multiplication by x: the coordinates of E[i] x
+        right = [
+            field._matmul([x], [data.struct[(i, j)] for j in range(d)], d)[0]
+            for i in range(d)
+        ]
+
+        def times(row, right=right):
+            return field._matmul([row], right, d)[0]
+
+        factors = _factor_poly(field, _minpoly(field, _powers(data.identity_coeffs, times)))
+        if len(factors) > 1:
+            g_h = [[one], [one]]
+            for k, (fc, fm) in enumerate(factors):
+                for _ in range(fm):
+                    g_h[k > 0] = _poly_mul(field, g_h[k > 0], fc)
+            return tuple(_poly_at(field, p, data.identity_coeffs, times) for p in g_h)
+        if len(factors[0][0]) - 1 == q:
+            return None
     raise IndeterminateDecompositionError(
-        "semisimple endomorphism ring defied the probe strategy; "
-        "cannot certify whether it is a division algebra"
+        f"cannot certify a decomposition of a module with dims {N.dims}"
     )
 
 
-def _struct_mul(field, struct, d, a: Sequence, b: Sequence) -> list:
-    out = [field.zero()] * d
-    for i, ca in enumerate(a):
-        if field.is_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            if field.is_zero(cb):
-                continue
-            c = field.mul(ca, cb)
-            for k, s in enumerate(struct[(i, j)]):
-                if not field.is_zero(s):
-                    out[k] = field.add(out[k], field.mul(c, s))
-    return out
-
-
-def _certify_local_via_field_quotient(M: Module, data: EndData) -> bool:
-    """True if End(M)/rad is certified to be a (commutative) field."""
-    field = M.algebra.field
-    d = data.dim
-    rad_rows: List[list] = []
-    rad_piv: List[int] = []
-    for v in data.rad_vectors:
-        extend_span(field, rad_rows, rad_piv, v)
-    q = d - len(rad_rows)
-    if q == 1:
-        return True
-    unit_probes = [tuple(field.one() if k == i else field.zero() for k in range(d)) for i in range(d)]
-    pair_probes = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair_probes.append(
-                tuple(
-                    field.add(a, b)
-                    for a, b in zip(unit_probes[i], unit_probes[j])
-                )
-            )
-    one = reduce_row(field, data.identity_coeffs, rad_rows, rad_piv)
-    for probe in unit_probes + pair_probes:
-        reduced_probe = reduce_row(field, probe, rad_rows, rad_piv)
-        if not any(reduced_probe):
-            continue
-
-        def times(cur):
-            prod = _struct_mul(field, data.struct, d, cur, reduced_probe)
-            return reduce_row(field, prod, rad_rows, rad_piv)
-
-        coeffs = _minpoly(field, _powers(one, times))
-        if len(coeffs) - 1 == q:
-            factors = _factor_poly(field, coeffs)
-            if len(factors) == 1 and factors[0][1] == 1:
-                return True
-    return False
+def _poly_at(field, coeffs: Sequence, one: Sequence, times) -> list:
+    """Coordinates of p(x) by Horner's rule, given those of 1 and right
+    multiplication by x."""
+    acc = [field.zero()] * len(one)
+    for c in reversed(coeffs):
+        acc = times(acc)
+        if not field.is_zero(c):
+            acc = [field.add(a, field.mul(c, u)) for a, u in zip(acc, one)]
+    return acc
 
 
 def decompose(M: Module) -> List[Module]:
@@ -1025,51 +990,22 @@ def decompose(M: Module) -> List[Module]:
     while work:
         N = work.pop()
         space = hom_basis(N, N)
-        E = space.basis
-        if len(E) == 1:
+        if space.dim == 1:
             out.append(N)
             continue
         data = end_data(N, space)
         if data.dim - len(data.rad_vectors) == 1:
             out.append(N)
             continue
-        split = _try_split(N, E)
-        if split is not None:
-            work.extend(split)
-            continue
-        if _certify_local_via_field_quotient(N, data):
+        split = _end_split(N, data)
+        if split is None:
             out.append(N)
             continue
-        raise IndeterminateDecompositionError(
-            f"cannot certify a decomposition of a module with dims {N.dims}"
-        )
-    return out
-
-
-def _try_split(N: Module, E: Sequence[ModuleHom]) -> Optional[List[Module]]:
-    field = N.algebra.field
-    one = identity_hom(N)
-    for probe in _probe_elements(E):
-        mp = _minpoly(field, map(ModuleHom.flatten, _powers(one, probe.compose)))
-        factors = _factor_poly(field, mp)
-        if len(factors) < 2:
-            continue
-        g_coeffs, g_mult = factors[0]
-        g = list(g_coeffs)
-        for _ in range(g_mult - 1):
-            g = _poly_mul(field, g, g_coeffs)
-        h = [field.one()]
-        for fc, fm in factors[1:]:
-            for _ in range(fm):
-                h = _poly_mul(field, h, fc)
-        sub1, _ = kernel(_poly_of_hom(g, probe))
-        sub2, _ = kernel(_poly_of_hom(h, probe))
-        if sub1.dim_total == 0 or sub2.dim_total == 0:
-            continue
+        sub1, sub2 = (kernel(_hom_of_coords(N, space.basis, vec))[0] for vec in split)
         if sub1.dim_total + sub2.dim_total != N.dim_total:
             raise DimensionMismatchError("fitting split lost dimensions")
-        return [sub1, sub2]
-    return None
+        work.extend([sub1, sub2])
+    return out
 
 
 def _poly_mul(field, a: Sequence, b: Sequence) -> list:

@@ -71,12 +71,6 @@ class TwoTermSMC:
     def key(self) -> tuple:
         return (self.degree0, self.degree_minus1)
 
-    def modules0(self) -> List[Module]:
-        return [self.registry.module(i) for i in self.degree0]
-
-    def modules1(self) -> List[Module]:
-        return [self.registry.module(i) for i in self.degree_minus1]
-
     def signature(self) -> tuple:
         """Dim vectors with shift flags, a stable comparison key for tests."""
         reg = self.registry

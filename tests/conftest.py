@@ -178,6 +178,44 @@ def solved_end_constants(M, E) -> tuple:
     return struct, coords(identity_hom(M))
 
 
+def det(m):
+    """Determinant of a square matrix by fraction-free-enough elimination."""
+    from taumut.errors import DimensionMismatchError
+
+    if m.nrows != m.ncols:
+        raise DimensionMismatchError("determinant of a non-square matrix")
+    field = m.field
+    n = m.nrows
+    if n == 0:
+        return field.one()
+    rows = [list(r) for r in m.rows]
+    sign_flip = False
+    acc = field.one()
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if not field.is_zero(rows[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return field.zero()
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            sign_flip = not sign_flip
+        pivot = rows[c][c]
+        acc = field.mul(acc, pivot)
+        inv = field.inv(pivot)
+        for i in range(c + 1, n):
+            factor = field.mul(rows[i][c], inv)
+            if field.is_zero(factor):
+                continue
+            rows[i] = [
+                field.sub(x, field.mul(factor, y))
+                for x, y in zip(rows[i], rows[c])
+            ]
+    return field.neg(acc) if sign_flip else acc
+
+
 @pytest.fixture(scope="session")
 def a2_quiver() -> ExchangeQuiver:
     return explore(IsoRegistry(build_preset("a-path:2")))

@@ -18,11 +18,12 @@ from taumut.grothendieck import (
     simple_end_dims,
     smith_diagonal,
 )
-from taumut.linalg import QQ, Mat, PrimeField, det
+from taumut.linalg import QQ, Mat, PrimeField
+from taumut.modules import hom_dim, simple_module
 from taumut.presets import build_preset
 from taumut.tautilt import explore
 
-from conftest import vertex_by_summands
+from conftest import det, vertex_by_summands
 
 
 def _identity(n):
@@ -99,6 +100,22 @@ def test_simple_end_dims_are_one_over_a_field():
     assert simple_end_dims(a) == (1, 1, 1)
     b = build_preset("nakayama:cyclic:2:3")
     assert simple_end_dims(b) == (1, 1)
+    # the general computation, dim Hom(S_v, S_v), on every preset family
+    for name in (
+        "a-path:3",
+        "a3-figure",
+        "nakayama:linear:4:2",
+        "nakayama:cyclic:3:2",
+        "preproj-a:3",
+        "msex",
+    ):
+        for field in (QQ, PrimeField(5)):
+            algebra = build_preset(name, field)
+            general = tuple(
+                hom_dim(simple_module(algebra, v), simple_module(algebra, v))
+                for v in range(algebra.n_vertices)
+            )
+            assert simple_end_dims(algebra) == general
 
 
 def test_smith_diagonal_normalizes():

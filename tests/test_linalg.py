@@ -15,7 +15,6 @@ from taumut.linalg import (
     PrimeField,
     _rref_rows,
     block_diag,
-    det,
     extend_span,
     hstack,
     kernel_basis,
@@ -25,6 +24,8 @@ from taumut.linalg import (
     solve,
     vstack,
 )
+
+from conftest import det
 
 F5 = PrimeField(5)
 

@@ -6,6 +6,7 @@ uniserial 1/2/3)."""
 from __future__ import annotations
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,10 @@ from taumut.modules import (
     Module,
     ModuleHom,
     IsoRegistry,
-    _certify_local_via_field_quotient,
+    _end_split,
     _indec_iso,
     _minpoly,
-    _poly_of_hom,
     _powers,
-    _try_split,
     ar_translate,
     ar_translate_inverse,
     cokernel,
@@ -54,6 +53,7 @@ from taumut.modules import (
     zero_module,
 )
 from taumut.presets import build_preset
+from taumut.tautilt import explore
 
 from conftest import solved_end_constants
 
@@ -321,6 +321,22 @@ def _quadratic_module(field):
     return Module(algebra, (2, 2, 0), mats)
 
 
+def _quadratic_square_module(field):
+    """dims (4, 4, 0) on msex with alpha = I and beta the companion matrix
+    of (x^2 - 2)^2.
+
+    beta is cyclic, so End is k[beta] = k[x]/((x^2 - 2)^2): local with a
+    radical of dimension two where 2 is not a square, so End/rad is the
+    quadratic field; two local pieces where it is."""
+    algebra = build_preset("msex", field)
+    mats = [
+        Mat.identity(field, 4),
+        Mat(field, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-4, 0, 4, 0]]),
+        Mat.zeros(field, 4, 0),
+    ]
+    return Module(algebra, (4, 4, 0), mats)
+
+
 @pytest.mark.parametrize(
     "field", [QQ, PrimeField(3), PrimeField(5)], ids=["Q", "F3", "F5"]
 )
@@ -331,10 +347,9 @@ def test_quadratic_field_endomorphism_ring_is_local(field):
     assert len(E) == 2
     data = end_data(M, space)
     assert data.rad_vectors == []
-    # No probe splits M, so only the field-quotient certificate can show
-    # that it is indecomposable.
-    assert _try_split(M, E) is None
-    assert _certify_local_via_field_quotient(M, data)
+    # No probe splits M, and beta's minimal polynomial x^2 - 2 is
+    # irreducible of degree dim End, so it certifies that End is a field.
+    assert _end_split(M, data) is None
     parts = decompose(M)
     assert [p.dims for p in parts] == [(2, 2, 0)]
     assert is_brick(M)
@@ -348,9 +363,39 @@ def test_quadratic_module_splits_where_two_is_a_square():
     # beta acts as 3 on one summand and as -3 on the other
     assert not _indec_iso(parts[0], parts[1])
     assert not is_brick(M)
+    # (x^2 - 2)^2 = (x - 3)^2 (x + 3)^2: the split keeps each multiplicity,
+    # and each summand has End = k[x]/(x^2), so it is no brick
+    parts = decompose(_quadratic_square_module(field))
+    assert sorted(p.dims for p in parts) == [(2, 2, 0), (2, 2, 0)]
+    assert not _indec_iso(parts[0], parts[1])
+    assert not any(is_brick(p) for p in parts)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_quadratic_field_over_a_radical_is_local(field):
+    M = _quadratic_square_module(field)
+    space = hom_basis(M, M)
+    data = end_data(M, space)
+    assert (data.dim, len(data.rad_vectors)) == (4, 2)
+    # End/rad has dimension two: neither the ground field nor all of End
+    assert _end_split(M, data) is None
+    assert [p.dims for p in decompose(M)] == [(4, 4, 0)]
+    assert not is_brick(M)
 
 
 # -- the minimal polynomial against one solve per power ----------------------
+
+
+def _poly_of_hom(coeffs, h):
+    """Evaluate an ascending-coefficient polynomial at an endomorphism."""
+    field = h.source.algebra.field
+    acc = zero_hom(h.source, h.source)
+    ident = identity_hom(h.source)
+    for c in reversed(list(coeffs)):
+        acc = acc.compose(h)
+        if not field.is_zero(c):
+            acc = acc.add(ident.scale(c))
+    return acc
 
 
 def _naive_minpoly(h):
@@ -370,9 +415,9 @@ def _naive_minpoly(h):
         flats.append(cur.flatten())
 
 
-def _cyclic_projective():
+def _cyclic_projective(field=PrimeField(5)):
     """P_0 over the cyclic Nakayama algebra B_{2,4}: End is k[t]/(t^2)."""
-    return projective_module(build_preset("nakayama:cyclic:2:4", PrimeField(5)), 0)
+    return projective_module(build_preset("nakayama:cyclic:2:4", field), 0)
 
 
 def test_indec_iso_looks_past_radical_composites():
@@ -435,3 +480,87 @@ def test_minpoly_matches_one_solve_per_power(name, copies, data):
     # the powers below the degree are independent: no lower degree kills h
     assert len(lower) == len(got) - 1
     assert len(row_space(Mat(field, lower, ncols=len(lower[0])))[1]) == len(lower)
+
+
+# -- is_brick and decompose against routes that share no probe search --------
+
+
+@functools.lru_cache(maxsize=None)
+def _registry(preset, field):
+    return explore(IsoRegistry(build_preset(preset, field))).registry
+
+
+def _registry_modules(preset, field):
+    reg = _registry(preset, field)
+    return [reg.module(i) for i in range(reg.count())]
+
+
+def _brute_force_brick(M):
+    """Is every nonzero element of End(M) invertible at every vertex?
+    Enumerates all of End(M) over a prime field."""
+    field = M.algebra.field
+    E = hom_basis(M, M).basis
+    for coeffs in itertools.product(range(field.p), repeat=len(E)):
+        if not any(coeffs):
+            continue
+        h = zero_hom(M, M)
+        for c, b in zip(coeffs, E):
+            h = h.add(b.scale(c))
+        if any(len(row_space(m)[1]) < m.nrows for m in h.mats):
+            return False
+    return True
+
+
+F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
+
+# each case: the modules, and the is_brick verdicts expected on them (None
+# when the brute force alone is the reference)
+BRICK_CASES = {
+    "quadratic-F3": (lambda: [_quadratic_module(F3)], [True]),
+    "quadratic-F5": (lambda: [_quadratic_module(F5)], [True]),
+    "quadratic-F7": (lambda: [_quadratic_module(F7)], [False]),
+    "cyclic-P0-F3": (lambda: [_cyclic_projective(F3)], [False]),
+    "cyclic-P0-F5": (lambda: [_cyclic_projective(F5)], [False]),
+    "cyclic-P0-F7": (lambda: [_cyclic_projective(F7)], [False]),
+    "nakayama:cyclic:3:3-F5": (lambda: _registry_modules("nakayama:cyclic:3:3", F5), None),
+    "preproj-a:3-F5": (lambda: _registry_modules("preproj-a:3", F5), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRICK_CASES))
+def test_is_brick_matches_brute_force_over_small_fields(name):
+    build, expected = BRICK_CASES[name]
+    verdicts = []
+    for M in build():
+        if hom_dim(M, M) > 3:
+            continue
+        verdict = is_brick(M)
+        assert verdict == _brute_force_brick(M)
+        verdicts.append(verdict)
+    assert verdicts
+    if expected is not None:
+        assert verdicts == expected
+    elif name.startswith("preproj"):
+        # projectives with End of dimension two are not bricks
+        assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("preset", ["a-path:3", "nakayama:cyclic:3:3", "preproj-a:3"])
+def test_decompose_recovers_both_summands_of_m_plus_n_plus_m(preset):
+    reg = _registry(preset, QQ)
+    pairs = [
+        (i, j)
+        for i in range(reg.count())
+        for j in range(reg.count())
+        if i != j and (reg.hom_dim(i, j) or reg.hom_dim(j, i))
+    ]
+    assert pairs
+    for i, j in pairs:
+        M, N = reg.module(i), reg.module(j)
+        parts = decompose(direct_sum(reg.algebra, [M, N, M])[0])
+        assert len(parts) == 3
+        remaining = [M, N, M]
+        for part in parts:
+            hits = [k for k, X in enumerate(remaining) if _indec_iso(part, X)]
+            assert hits, f"summand {part.dims} of {M.dims} + {N.dims} + {M.dims}"
+            remaining.pop(hits[0])
