@@ -23,6 +23,7 @@ from .errors import (
     NotTauRigidError,
     SelfExtensionError,
     SpecError,
+    TauTiltingInfiniteError,
     TaumutError,
 )
 from .grothendieck import (
@@ -103,6 +104,7 @@ from .tautilt import (
     export_dot,
     export_records,
     initial_pair,
+    kronecker_witness,
     left_mutate,
     pair_is_tau_rigid,
     restrict_quiver,

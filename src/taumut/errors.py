@@ -33,6 +33,11 @@ class NotTauRigidError(TaumutError):
     """A module that must be tau-rigid is not."""
 
 
+class TauTiltingInfiniteError(TaumutError):
+    """The algebra has infinitely many support tau-tilting pairs, so an
+    unbounded exploration would never finish."""
+
+
 class MutationError(TaumutError):
     """Mutation was requested at a summand that is not mutable."""
 

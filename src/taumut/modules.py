@@ -425,28 +425,9 @@ def projective_module(algebra: Algebra, v: int) -> Module:
 
 
 def injective_module(algebra: Algebra, v: int) -> Module:
-    """The indecomposable injective I_v on the dual of the path basis.
-
-    The space at vertex u is dual to the paths u -> v; an arrow acts by the
-    transpose of left multiplication on those paths.
-    """
-    field = algebra.field
-    vidx = algebra.quiver.vertex_index
-    blocks = [algebra.basis_paths(u, v) for u in range(algebra.n_vertices)]
-    dims = [len(b) for b in blocks]
-    pos = []
-    for u in range(algebra.n_vertices):
-        pos.append({k: i for i, (k, _) in enumerate(blocks[u])})
-    mats = []
-    for a in algebra.quiver.arrows:
-        u, w = vidx[a.source], vidx[a.target]
-        ai = algebra.quiver.arrow_index[a.name]
-        mat = [[field.zero()] * dims[w] for _ in range(dims[u])]
-        for y_local, (_, y_arrows) in enumerate(blocks[w]):
-            for k, c in algebra.path_class(u, (ai,) + y_arrows):
-                mat[pos[u][k]][y_local] = c
-        mats.append(Mat(field, mat, ncols=dims[w], _raw=True))
-    return Module(algebra, dims, mats, _validated=True)
+    """The indecomposable injective I_v = D(e_v A^op): the dual of the
+    opposite algebra's projective at v."""
+    return dualize(projective_module(algebra.opposite(), v))
 
 
 def dualize(M: Module) -> Module:
@@ -460,10 +441,6 @@ def projective_sum(algebra: Algebra, vertices: Sequence[int]) -> Tuple[Module, L
     return direct_sum(algebra, [projective_module(algebra, v) for v in vertices])
 
 
-def injective_sum(algebra: Algebra, vertices: Sequence[int]) -> Tuple[Module, List[List[int]]]:
-    return direct_sum(algebra, [injective_module(algebra, v) for v in vertices])
-
-
 # -- minimal presentations and the translate --------------------------------
 
 
@@ -475,7 +452,6 @@ class Presentation:
     p0_vertices: Tuple[int, ...]
     p0: Module
     p0_offsets: List[List[int]]
-    cover: ModuleHom
     omega: Module
     omega_incl: ModuleHom
     p1_vertices: Tuple[int, ...]
@@ -495,24 +471,48 @@ def _top_generators(M: Module) -> List[Tuple[int, int]]:
     return gens
 
 
+def _hom_from_projectives(
+    P: Module,
+    offsets: Sequence[Sequence[int]],
+    vertices: Sequence[int],
+    N: Module,
+    images: Sequence[Sequence],
+) -> ModuleHom:
+    """The map from P, the sum of the projectives at `vertices` with the
+    given direct-sum offsets, to N that sends generator j to the row
+    images[j] of N at vertices[j].  Basis path p of the j-th summand goes
+    to images[j] acted on by p."""
+    A = P.algebra
+    field = A.field
+    zero = field.zero()
+    rows = [[[zero] * N.dims[u]] * P.dims[u] for u in range(A.n_vertices)]
+    for j, w in enumerate(vertices):
+        if not any(images[j]):
+            continue
+        for u in range(A.n_vertices):
+            for local, (_, arrows) in enumerate(A.basis_paths(w, u)):
+                vec = images[j]
+                for ai in arrows:
+                    vec = field._matmul([vec], N.mats[ai].rows, N.mats[ai].ncols)[0]
+                rows[u][offsets[j][u] + local] = vec
+    mats = [Mat(field, r, ncols=N.dims[u], _raw=True) for u, r in enumerate(rows)]
+    return ModuleHom(P, N, mats)
+
+
+def _unit_row(field, d: int, x: Optional[int]) -> list:
+    """The x-th unit row of length d; the zero row when x is None."""
+    zero, one = field.zero(), field.one()
+    return [one if c == x else zero for c in range(d)]
+
+
 def _projective_cover(M: Module) -> Tuple[Tuple[int, ...], Module, List[List[int]], ModuleHom]:
     A = M.algebra
-    field = A.field
     gens = _top_generators(M)
     vertices = tuple(v for v, _ in gens)
     p0, offsets = projective_sum(A, vertices)
-    n = A.n_vertices
-    mats = []
-    for u in range(n):
-        rows = [[field.zero()] * M.dims[u] for _ in range(p0.dims[u])]
-        for copy, (v, x) in enumerate(gens):
-            block = A.basis_paths(v, u)
-            for local, (_, arrows) in enumerate(block):
-                act = M.path_action(v, arrows)
-                rows[offsets[copy][u] + local] = list(act.row(x))
-        mats.append(Mat(field, rows, ncols=M.dims[u], _raw=True))
-    cover = ModuleHom(p0, M, mats)
-    for v in range(n):
+    units = [_unit_row(A.field, M.dims[v], x) for v, x in gens]
+    cover = _hom_from_projectives(p0, offsets, vertices, M, units)
+    for v in range(A.n_vertices):
         if len(row_space(cover.mats[v])[1]) != M.dims[v]:
             raise DimensionMismatchError("projective cover failed to surject")
     return vertices, p0, offsets, cover
@@ -523,75 +523,45 @@ def minimal_projective_presentation(M: Module) -> Presentation:
     omega, incl = kernel(cover)
     p1_vertices, p1, p1_off, cover1 = _projective_cover(omega)
     f = cover1.compose(incl)
-    return Presentation(
-        module=M,
-        p0_vertices=p0_vertices,
-        p0=p0,
-        p0_offsets=p0_off,
-        cover=cover,
-        omega=omega,
-        omega_incl=incl,
-        p1_vertices=p1_vertices,
-        p1=p1,
-        p1_offsets=p1_off,
-        f=f,
-    )
-
-
-def _empty_path_position(algebra: Algebra, v: int) -> int:
-    for i, (_, arrows) in enumerate(algebra.basis_paths(v, v)):
-        if arrows == ():
-            return i
-    raise SpecError("idempotent path missing from basis")
+    return Presentation(M, p0_vertices, p0, p0_off, omega, incl, p1_vertices, p1, p1_off, f)
 
 
 def nakayama_functor_map(pres: Presentation) -> Tuple[Module, Module, ModuleHom]:
-    """Apply nu = D Hom(-, A) to the presentation map f: P1 -> P0."""
+    """nu f = D Hom(f, A) for the presentation map f: P1 -> P0.
+
+    Hom(P_w, A) is the opposite algebra's projective at w, so Hom(f, A)
+    maps the sum over P0's vertices to the sum over P1's, sending
+    generator j to the entries c_ij of f, reversed into paths of the
+    opposite algebra."""
     A = pres.module.algebra
+    op = A.opposite()
     field = A.field
-    nu_p1, off1 = injective_sum(A, pres.p1_vertices)
-    nu_p0, off0 = injective_sum(A, pres.p0_vertices)
-    n = A.n_vertices
-
-    # Entry c_ij of f over the algebra: the image of the i-th generator,
-    # sliced along the j-th copy of P0.
-    coefs: Dict[Tuple[int, int], List[Tuple[int, object]]] = {}
-    for i, vi in enumerate(pres.p1_vertices):
-        grow = pres.p1_offsets[i][vi] + _empty_path_position(A, vi)
-        frow = pres.f.mats[vi].row(grow)
-        for j, wj in enumerate(pres.p0_vertices):
-            block = A.basis_paths(wj, vi)
-            start = pres.p0_offsets[j][vi]
-            entries = []
-            for local, (k, _) in enumerate(block):
-                c = frow[start + local]
-                if not field.is_zero(c):
-                    entries.append((k, c))
-            if entries:
-                coefs[(i, j)] = entries
-
-    pos_maps: List[Dict[Tuple[int, int], Dict[int, int]]] = []
-    mats = []
-    for u in range(n):
-        mat = [[field.zero()] * nu_p0.dims[u] for _ in range(nu_p1.dims[u])]
+    hom_p0, off0 = projective_sum(op, pres.p0_vertices)
+    hom_p1, off1 = projective_sum(op, pres.p1_vertices)
+    # c_ij is the image of the i-th generator of P1 (the first basis path
+    # v_i -> v_i is the empty one), sliced along the j-th copy of P0
+    gen_rows = [pres.f.mats[v].row(off[v]) for off, v in zip(pres.p1_offsets, pres.p1_vertices)]
+    images = []
+    for j, wj in enumerate(pres.p0_vertices):
+        img = [field.zero()] * hom_p1.dims[wj]
         for i, vi in enumerate(pres.p1_vertices):
-            rows_block = A.basis_paths(u, vi)
-            rpos = {k: z for z, (k, _) in enumerate(rows_block)}
-            for j, wj in enumerate(pres.p0_vertices):
-                entries = coefs.get((i, j))
-                if not entries:
+            pos = {k: off1[i][wj] + z for z, (k, _) in enumerate(op.basis_paths(vi, wj))}
+            start = pres.p0_offsets[j][vi]
+            for local, (_, arrows) in enumerate(A.basis_paths(wj, vi)):
+                c = gen_rows[i][start + local]
+                if field.is_zero(c):
                     continue
-                cols_block = A.basis_paths(u, wj)
-                for y_local, (y_k, _) in enumerate(cols_block):
-                    for b, cb in entries:
-                        for k, c in A.mult_basis(y_k, b):
-                            z = rpos[k]
-                            cur = mat[off1[i][u] + z][off0[j][u] + y_local]
-                            mat[off1[i][u] + z][off0[j][u] + y_local] = field.add(
-                                cur, field.mul(cb, c)
-                            )
-        mats.append(Mat(field, mat, ncols=nu_p0.dims[u], _raw=True))
-    return nu_p1, nu_p0, ModuleHom(nu_p1, nu_p0, mats)
+                for k, ck in op.path_class(vi, arrows[::-1]):
+                    img[pos[k]] = field.add(img[pos[k]], field.mul(c, ck))
+        images.append(img)
+    nu_f = _dual_hom(_hom_from_projectives(hom_p0, off0, pres.p0_vertices, hom_p1, images))
+    return nu_f.source, nu_f.target, nu_f
+
+
+def _dual_hom(h: ModuleHom) -> ModuleHom:
+    """D h: D(target) -> D(source), the transpose over the opposite algebra."""
+    mats = [m.transpose() for m in h.mats]
+    return ModuleHom(dualize(h.target), dualize(h.source), mats, _validated=True)
 
 
 def _translate(pres: Presentation) -> Module:
@@ -625,23 +595,20 @@ def ar_translate_inverse(M: Module) -> Module:
 
 
 def _projective_hom_block(pres: Presentation, N: Module) -> List[ModuleHom]:
-    """The canonical basis of Hom(P0, N) written out explicitly."""
-    A = pres.module.algebra
-    field = A.field
-    n = A.n_vertices
-    out = []
-    for j, wj in enumerate(pres.p0_vertices):
-        for x in range(N.dims[wj]):
-            mats = []
-            for u in range(n):
-                rows = [[field.zero()] * N.dims[u] for _ in range(pres.p0.dims[u])]
-                block = A.basis_paths(wj, u)
-                for local, (_, arrows) in enumerate(block):
-                    act = N.path_action(wj, arrows)
-                    rows[pres.p0_offsets[j][u] + local] = list(act.row(x))
-                mats.append(Mat(field, rows, ncols=N.dims[u], _raw=True))
-            out.append(ModuleHom(pres.p0, N, mats))
-    return out
+    """The canonical basis of Hom(P0, N): generator j to a unit row of N at
+    its vertex, the other generators to zero."""
+    vs = pres.p0_vertices
+    return [
+        _hom_from_projectives(
+            pres.p0,
+            pres.p0_offsets,
+            vs,
+            N,
+            [_unit_row(N.algebra.field, N.dims[w], x if k == j else None) for k, w in enumerate(vs)],
+        )
+        for j, wj in enumerate(vs)
+        for x in range(N.dims[wj])
+    ]
 
 
 def ext1_dim(M: Module, N: Module, pres: Optional[Presentation] = None) -> int:
@@ -725,10 +692,8 @@ def is_tau_rigid_pair(
 
 
 def is_tau_inverse_rigid(M: Module) -> bool:
-    t = ar_translate_inverse(M)
-    if t.is_zero:
-        return True
-    return hom_dim(t, M) == 0
+    """Hom(tau^-1 M, M) = 0, which is Hom(D M, tau D M) = 0."""
+    return is_tau_rigid_pair(dualize(M), ())
 
 
 def trace_rows(X: Module, generators: Union[Module, Sequence[Module]]) -> List[Mat]:
@@ -754,21 +719,10 @@ def in_fac(X: Module, generators: Union[Module, Sequence[Module]]) -> bool:
 
 
 def in_sub(X: Module, cogenerators: Union[Module, Sequence[Module]]) -> bool:
-    """Does X embed into a finite sum from add(cogenerators)?"""
+    """Does X embed into a finite sum from add(cogenerators)?  Exactly when
+    D X is generated by their duals."""
     gens = [cogenerators] if isinstance(cogenerators, Module) else list(cogenerators)
-    A = X.algebra
-    field = A.field
-    for v in range(A.n_vertices):
-        if X.dims[v] == 0:
-            continue
-        mats = []
-        for U in gens:
-            for h in hom_basis(X, U).basis:
-                mats.append(h.mats[v])
-        joint = hstack(field, mats, nrows=X.dims[v])
-        if left_kernel_rows(joint).nrows != 0:
-            return False
-    return True
+    return in_fac(dualize(X), [dualize(U) for U in gens])
 
 
 # -- endomorphism rings: radical, bricks, decomposition ----------------------

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 from .algebra import Algebra, AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
 from .errors import GuardExceededError, IntervalError, SpecError
 from .linalg import QQ, Field, Mat
-from .modules import Module, hom_dim, is_brick
+from .modules import Module, hom_dim, is_brick, projective_module, quotient_by_rows
 
 
 @dataclass(frozen=True)
@@ -81,49 +81,24 @@ def _shape_of(algebra: Algebra) -> NakayamaShape:
 
 def uniserial_module(algebra: Algebra, top_vertex: int, length: int) -> Module:
     """The uniserial module of the given length whose top sits at
-    top_vertex (1-based), following the unique outgoing walk."""
+    top_vertex (1-based): P_u modulo its basis paths of length >= length."""
     shape = _shape_of(algebra)
     if not 1 <= top_vertex <= shape.n:
         raise IntervalError(f"vertex {top_vertex} out of range")
     if length < 1 or length > shape.l:
         raise IntervalError(f"no uniserial module of length {length}")
-    walk = [top_vertex - 1]
-    steps: List[int] = []
-    for _ in range(length - 1):
-        here = walk[-1]
-        outgoing = [
-            ai
-            for ai, a in enumerate(algebra.quiver.arrows)
-            if algebra.quiver.vertex_index[a.source] == here
-        ]
-        if not outgoing:
-            raise IntervalError(
-                f"walk of length {length} from vertex {top_vertex} leaves "
-                "the quiver"
-            )
-        (ai,) = outgoing
-        steps.append(ai)
-        walk.append(algebra.quiver.vertex_index[algebra.quiver.arrows[ai].target])
+    u = top_vertex - 1
+    P = projective_module(algebra, u)
+    if length > P.dim_total:  # P_u is itself uniserial
+        raise IntervalError(f"walk of length {length} from vertex {top_vertex} leaves the quiver")
     field = algebra.field
-    dims = [0] * shape.n
-    local: List[int] = []
-    for v in walk:
-        local.append(dims[v])
-        dims[v] += 1
-    mats = []
-    for ai, a in enumerate(algebra.quiver.arrows):
-        src = algebra.quiver.vertex_index[a.source]
-        tgt = algebra.quiver.vertex_index[a.target]
-        rows = [[field.zero()] * dims[tgt] for _ in range(dims[src])]
-        for m, step in enumerate(steps):
-            if step == ai:
-                rows[local[m]][local[m + 1]] = field.one()
-        mats.append((rows, dims[tgt]))
-    return Module(
-        algebra,
-        dims,
-        [Mat(field, rows, ncols=nc) for rows, nc in mats],
-    )
+    killed = []
+    for w, d in enumerate(P.dims):
+        unit = Mat.identity(field, d).rows
+        paths = algebra.basis_paths(u, w)
+        long = [unit[z] for z, (_, arrows) in enumerate(paths) if len(arrows) >= length]
+        killed.append(Mat(field, long, ncols=d, _raw=True))
+    return quotient_by_rows(P, killed)[0]
 
 
 def interval_module(algebra: Algebra, u: int, v: int) -> Module:

@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import Algebra
+from .algebra import Algebra, Arrow
 from .errors import (
     IncompleteExplorationError,
     MutationError,
     NotTauRigidError,
+    TauTiltingInfiniteError,
     TaumutError,
 )
 from .linalg import hstack
@@ -304,6 +305,21 @@ class ExchangeQuiver:
         )
 
 
+def kronecker_witness(algebra: Algebra) -> Optional[Tuple[Arrow, Arrow]]:
+    """Two arrows with the same source and the same target, source !=
+    target, or None.  Such a pair spans a quotient of A onto the Kronecker
+    algebra, and tau-tilting finiteness passes to quotients (Demonet-Iyama-
+    Jasso), so A has infinitely many support tau-tilting pairs."""
+    seen: Dict[Tuple[str, str], Arrow] = {}
+    for a in algebra.quiver.arrows:
+        if a.source == a.target:
+            continue
+        first = seen.setdefault((a.source, a.target), a)
+        if first is not a:
+            return first, a
+    return None
+
+
 def explore(
     source: Union[Algebra, IsoRegistry, SupportPair],
     max_depth: Optional[int] = None,
@@ -312,12 +328,24 @@ def explore(
 
     With max_depth set, vertices at that distance are recorded but not
     expanded; the result is flagged incomplete if any of them still had
-    mutable summands.
+    mutable summands.  Without it, an exploration from (A, 0) of an
+    algebra with a `kronecker_witness` raises TauTiltingInfiniteError
+    instead of running forever.
     """
     if isinstance(source, SupportPair):
         root = source
         registry = root.registry
     else:
+        algebra = source if isinstance(source, Algebra) else source.algebra
+        witness = kronecker_witness(algebra) if max_depth is None else None
+        if witness is not None:
+            a, b = witness
+            raise TauTiltingInfiniteError(
+                f"arrows {a.name} and {b.name} both go from vertex {a.source} "
+                f"to vertex {a.target}, so the algebra maps onto the Kronecker "
+                "algebra and has infinitely many support tau-tilting pairs; "
+                "bound the exploration with --max-depth"
+            )
         root = initial_pair(source)
         registry = root.registry
     algebra = registry.algebra

@@ -216,6 +216,110 @@ def det(m):
     return field.neg(acc) if sign_flip else acc
 
 
+def reference_injective(algebra, v):
+    """I_v on the dual of the path basis, built directly: the space at u is
+    dual to the paths u -> v, and an arrow acts by the transpose of left
+    multiplication on those paths."""
+    from taumut.linalg import Mat
+    from taumut.modules import Module
+
+    field = algebra.field
+    vidx = algebra.quiver.vertex_index
+    blocks = [algebra.basis_paths(u, v) for u in range(algebra.n_vertices)]
+    dims = [len(b) for b in blocks]
+    pos = [{k: i for i, (k, _) in enumerate(block)} for block in blocks]
+    mats = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        u, w = vidx[a.source], vidx[a.target]
+        mat = [[field.zero()] * dims[w] for _ in range(dims[u])]
+        for y_local, (_, y_arrows) in enumerate(blocks[w]):
+            for k, c in algebra.path_class(u, (ai,) + y_arrows):
+                mat[pos[u][k]][y_local] = c
+        mats.append(Mat(field, mat, ncols=dims[w], _raw=True))
+    return Module(algebra, dims, mats)
+
+
+def reference_nakayama_map(pres):
+    """nu f: nu P1 -> nu P0 on sums of `reference_injective`, entry by
+    entry from the algebra's multiplication table: the entry c_ij of f
+    acts on the dual basis of the paths into P0's vertices."""
+    from taumut.linalg import Mat
+    from taumut.modules import ModuleHom, direct_sum
+
+    A = pres.module.algebra
+    field = A.field
+    nu_p1, off1 = direct_sum(A, [reference_injective(A, v) for v in pres.p1_vertices])
+    nu_p0, off0 = direct_sum(A, [reference_injective(A, v) for v in pres.p0_vertices])
+    coefs = {}
+    for i, vi in enumerate(pres.p1_vertices):
+        empty = [arrows for _, arrows in A.basis_paths(vi, vi)].index(())
+        grow = pres.p1_offsets[i][vi] + empty
+        frow = pres.f.mats[vi].row(grow)
+        for j, wj in enumerate(pres.p0_vertices):
+            start = pres.p0_offsets[j][vi]
+            coefs[(i, j)] = [
+                (k, frow[start + local])
+                for local, (k, _) in enumerate(A.basis_paths(wj, vi))
+                if not field.is_zero(frow[start + local])
+            ]
+    mats = []
+    for u in range(A.n_vertices):
+        mat = [[field.zero()] * nu_p0.dims[u] for _ in range(nu_p1.dims[u])]
+        for i, vi in enumerate(pres.p1_vertices):
+            rpos = {k: z for z, (k, _) in enumerate(A.basis_paths(u, vi))}
+            for j, wj in enumerate(pres.p0_vertices):
+                for y_local, (y_k, _) in enumerate(A.basis_paths(u, wj)):
+                    for b, cb in coefs[(i, j)]:
+                        for k, c in A.mult_basis(y_k, b):
+                            r, col = off1[i][u] + rpos[k], off0[j][u] + y_local
+                            mat[r][col] = field.add(mat[r][col], field.mul(cb, c))
+        mats.append(Mat(field, mat, ncols=nu_p0.dims[u], _raw=True))
+    return nu_p1, nu_p0, ModuleHom(nu_p1, nu_p0, mats)
+
+
+def reference_uniserial(algebra, top_vertex, length):
+    """The uniserial module along the unique outgoing walk from top_vertex
+    (1-based), one basis vector per step, with the same errors as
+    `nakayama.uniserial_module`."""
+    from taumut.errors import IntervalError
+    from taumut.linalg import Mat
+    from taumut.modules import Module
+
+    shape = algebra.nakayama_shape
+    if not 1 <= top_vertex <= shape.n:
+        raise IntervalError(f"vertex {top_vertex} out of range")
+    if length < 1 or length > shape.l:
+        raise IntervalError(f"no uniserial module of length {length}")
+    vidx = algebra.quiver.vertex_index
+    walk = [top_vertex - 1]
+    steps = []
+    for _ in range(length - 1):
+        outgoing = [
+            ai for ai, a in enumerate(algebra.quiver.arrows) if vidx[a.source] == walk[-1]
+        ]
+        if not outgoing:
+            raise IntervalError(
+                f"walk of length {length} from vertex {top_vertex} leaves the quiver"
+            )
+        (ai,) = outgoing
+        steps.append(ai)
+        walk.append(vidx[algebra.quiver.arrows[ai].target])
+    field = algebra.field
+    dims = [0] * shape.n
+    local = []
+    for v in walk:
+        local.append(dims[v])
+        dims[v] += 1
+    mats = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        rows = [[field.zero()] * dims[vidx[a.target]] for _ in range(dims[vidx[a.source]])]
+        for m, step in enumerate(steps):
+            if step == ai:
+                rows[local[m]][local[m + 1]] = field.one()
+        mats.append(Mat(field, rows, ncols=dims[vidx[a.target]]))
+    return Module(algebra, dims, mats)
+
+
 @pytest.fixture(scope="session")
 def a2_quiver() -> ExchangeQuiver:
     return explore(IsoRegistry(build_preset("a-path:2")))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,27 @@ def test_explore_depth_limited_exit_code(capsys):
     )
     assert code == 3
     assert "incomplete (max depth 2)" in out
+
+
+def test_verify_msex_without_max_depth_fails_fast(capsys):
+    # msex is tau-tilting infinite; without the witness check verify would
+    # run forever, so an alarm turns a hang into a failure.
+    def hang(signum, frame):
+        raise TimeoutError("verify --preset msex did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", "--preset", "msex"])
+        assert time.perf_counter() - start < 5
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: arrows alpha and beta both go from vertex 1 to vertex 2")
+    assert "--max-depth" in err
 
 
 def test_smc_and_restrict_refuse_incomplete(capsys):

@@ -7,7 +7,11 @@ co-semibrick of the dual pair, and the exchange quiver's adjacency lists
 against a scan of its arrows.  The End(M) structure constants read off
 the free columns are checked against solved ones, and Hom(N, tau M) from
 the registry's translate against the presentation pairing, which needs no
-translate (AIR Prop. 2.4).
+translate (AIR Prop. 2.4).  Injectives and nu f, derived from the opposite
+algebra's projectives, are checked against direct constructions on the
+dual path basis; in_sub and tau^-1-rigidity, derived by duality, against
+their own definitions; and explorations over Q against explorations over
+several primes.
 """
 
 from __future__ import annotations
@@ -17,13 +21,29 @@ from collections import Counter
 import pytest
 
 from taumut import IsoRegistry
-from taumut.linalg import QQ, PrimeField
-from taumut.modules import _indec_iso, ar_translate, end_data, ext1_basis, ext1_dim
+from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
+from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, left_kernel_rows
+from taumut.modules import (
+    ModuleHom,
+    _indec_iso,
+    ar_translate,
+    ar_translate_inverse,
+    direct_sum,
+    end_data,
+    ext1_basis,
+    ext1_dim,
+    hom_basis,
+    hom_dim,
+    in_sub,
+    injective_module,
+    is_tau_inverse_rigid,
+    nakayama_functor_map,
+)
 from taumut.presets import build_preset
 from taumut.smc import _presentation_pairing_dim, paired_columns
-from taumut.tautilt import cosemibrick_of, dual_pair, explore
+from taumut.tautilt import cosemibrick_of, dual_pair, explore, export_records
 
-from conftest import solved_end_constants
+from conftest import reference_injective, reference_nakayama_map, solved_end_constants
 
 CASES = [
     (preset, field)
@@ -110,3 +130,160 @@ def test_presentation_pairing_is_hom_into_the_translate(quiver):
             assert got == (0 if tid is None else reg.hom_dim(j, tid))
             nonzero += got > 0
     assert nonzero > 0
+
+
+# One preset per family; msex is tau-tilting infinite, so its registry is
+# the one of a depth-3 exploration.
+FAMILIES = [
+    "a-path:4",
+    "a3-figure",
+    "nakayama:linear:4:3",
+    "nakayama:cyclic:3:3",
+    "preproj-a:3",
+    "msex",
+]
+FAMILY_CASES = [(preset, field) for preset in FAMILIES for field in (QQ, PrimeField(5))]
+
+
+def _family_registry(preset, field):
+    depth = 3 if preset == "msex" else None
+    return explore(IsoRegistry(build_preset(preset, field)), depth).registry
+
+
+@pytest.mark.parametrize(
+    "preset,field", FAMILY_CASES + [("preproj-a:4", QQ)], ids=str
+)
+def test_injective_is_the_dual_path_basis_construction(preset, field):
+    A = build_preset(preset, field)
+    for v in range(A.n_vertices):
+        assert injective_module(A, v) == reference_injective(A, v)
+
+
+@pytest.mark.parametrize("preset,field", FAMILY_CASES, ids=str)
+def test_nakayama_map_is_the_multiplication_table_construction(preset, field):
+    reg = _family_registry(preset, field)
+    checked = 0
+    for i in range(reg.count()):
+        pres = reg.presentation(i)
+        if pres.p1.is_zero:
+            continue
+        nu_p1, nu_p0, nu_f = nakayama_functor_map(pres)
+        ref_p1, ref_p0, ref_f = reference_nakayama_map(pres)
+        assert (nu_p1, nu_p0, nu_f.mats) == (ref_p1, ref_p0, ref_f.mats)
+        checked += 1
+    assert checked > 0
+
+
+def _signed_square(field):
+    """1 -> 2 -> 4 (a, b) and 1 -> 3 -> 4 (c, d) with ab + cd = 0.  The
+    arrows are listed a, d, c, b, so A keeps cd in its path basis and the
+    opposite algebra keeps the reverse of ab = -cd."""
+    quiver = Quiver(
+        ("1", "2", "3", "4"),
+        (Arrow("a", "1", "2"), Arrow("d", "3", "4"), Arrow("c", "1", "3"), Arrow("b", "2", "4")),
+    )
+    rel = normalize_relation(quiver, [(1, ("a", "b")), (1, ("c", "d"))])
+    return build_algebra(AlgebraSpec(quiver, (rel,), 3, field))
+
+
+def _basis_change(A, vertices):
+    """Per vertex u, the map from the sum of the derived injectives at
+    `vertices` to the sum of the direct ones.  Row q, column p holds the
+    coefficient of the opposite algebra's basis path q in the reverse of
+    A's basis path p: the dual of rewriting the one path basis in the
+    other."""
+    op = A.opposite()
+    field = A.field
+    mats = []
+    for u in range(A.n_vertices):
+        blocks = []
+        for v in vertices:
+            pos = {k: z for z, (k, _) in enumerate(op.basis_paths(v, u))}
+            paths = A.basis_paths(u, v)
+            rows = [[field.zero()] * len(paths) for _ in pos]
+            for col, (_, arrows) in enumerate(paths):
+                for k, c in op.path_class(v, arrows[::-1]):
+                    rows[pos[k]][col] = c
+            blocks.append(Mat(field, rows, ncols=len(paths), _raw=True))
+        mats.append(block_diag(field, blocks))
+    return mats
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_derived_injectives_and_nu_where_the_opposite_basis_differs(field):
+    # Here the derived I_4 and some nu f are written in the opposite
+    # algebra's basis, so they differ from the direct constructions.  The
+    # basis change must be a module map and must carry one nu f to the
+    # other.
+    A = _signed_square(field)
+    for v in range(4):
+        inj, ref = injective_module(A, v), reference_injective(A, v)
+        assert (inj == ref) == (v != 3)
+        ModuleHom(inj, ref, _basis_change(A, [v]))  # raises unless it commutes
+    reg = explore(IsoRegistry(A)).registry
+    differing = 0
+    for i in range(reg.count()):
+        pres = reg.presentation(i)
+        if pres.p1.is_zero:
+            continue
+        nu_p1, nu_p0, nu_f = nakayama_functor_map(pres)
+        ref_p1, ref_p0, ref_f = reference_nakayama_map(pres)
+        change1 = ModuleHom(nu_p1, ref_p1, _basis_change(A, pres.p1_vertices))
+        change0 = ModuleHom(nu_p0, ref_p0, _basis_change(A, pres.p0_vertices))
+        assert nu_f.compose(change0).mats == change1.compose(ref_f).mats
+        differing += nu_f.mats != ref_f.mats
+    assert differing > 0
+
+
+def _embeds_by_joint_kernel(X, cogenerators) -> bool:
+    """X embeds into a sum of the cogenerators exactly when, at every
+    vertex, the maps X -> U for all U in the list have no common kernel."""
+    field = X.algebra.field
+    for v in range(X.algebra.n_vertices):
+        if X.dims[v] == 0:
+            continue
+        mats = [h.mats[v] for U in cogenerators for h in hom_basis(X, U).basis]
+        if left_kernel_rows(hstack(field, mats, nrows=X.dims[v])).nrows != 0:
+            return False
+    return True
+
+
+def test_in_sub_matches_the_joint_kernel_test(quiver):
+    reg = quiver.registry
+    mods = [reg.module(i) for i in range(reg.count())]
+    results = Counter()
+    for X in mods:
+        for k, U in enumerate(mods):
+            for cogens in ([U], [U, mods[k - 1]]):
+                got = in_sub(X, cogens)
+                assert got == _embeds_by_joint_kernel(X, cogens)
+                results[got] += 1
+    assert results[True] > 0 and results[False] > 0
+
+
+def test_tau_inverse_rigid_matches_hom_from_the_inverse_translate(quiver):
+    # The registry modules, and the sum of each with the next one.
+    reg = quiver.registry
+    A = reg.algebra
+    mods = [reg.module(i) for i in range(reg.count())]
+    sums = [direct_sum(A, [M, mods[k - 1]])[0] for k, M in enumerate(mods)]
+    results = Counter()
+    for M in mods + sums:
+        t = ar_translate_inverse(M)
+        got = is_tau_inverse_rigid(M)
+        assert got == (t.is_zero or hom_dim(t, M) == 0)
+        results[got] += 1
+    assert results[True] > 0 and results[False] > 0
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["a-path:4", "nakayama:cyclic:3:3", "nakayama:linear:4:3", "preproj-a:3"],
+)
+def test_explore_over_q_matches_explore_over_primes(preset):
+    # These exchange quivers do not depend on the field, so the exported
+    # records over Q and over each prime must be equal.
+    want = export_records(explore(IsoRegistry(build_preset(preset))))
+    for p in (5, 7, 101, 32003):
+        got = export_records(explore(IsoRegistry(build_preset(preset, PrimeField(p)))))
+        assert got == want, f"F_{p}"

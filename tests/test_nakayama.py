@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from taumut import IsoRegistry
 from taumut.errors import GuardExceededError, IntervalError, SpecError
+from taumut.linalg import QQ, PrimeField
 from taumut.nakayama import (
     NakayamaShape,
     a_count,
@@ -29,7 +30,7 @@ from taumut.nakayama import (
 )
 from taumut.tautilt import explore
 
-from conftest import catalan_by_recurrence, naive_semibrick_count
+from conftest import catalan_by_recurrence, naive_semibrick_count, reference_uniserial
 
 
 def test_shape_validation():
@@ -53,6 +54,29 @@ def test_uniserial_and_interval_modules():
     assert interval_module(b22, 2, 1).dims == (1, 1)  # wraps around
     with pytest.raises(IntervalError):
         interval_module(b22, 1, 1 + 2)  # out of range vertex
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+@pytest.mark.parametrize("kind", ["linear", "cyclic"])
+def test_uniserial_is_the_walk_construction(kind, field):
+    # Every top and length in range and one past each end, n <= 4, l <= 5:
+    # the same exact matrices, or the same IntervalError message.
+    errors = 0
+    for n in range(1, 5):
+        for l in range(1, 6):
+            algebra = build_nakayama(NakayamaShape(kind, n, l), field)
+            for u in range(0, n + 2):
+                for k in range(0, l + 2):
+                    try:
+                        want = reference_uniserial(algebra, u, k)
+                    except IntervalError as exc:
+                        with pytest.raises(IntervalError) as got:
+                            uniserial_module(algebra, u, k)
+                        assert str(got.value) == str(exc)
+                        errors += 1
+                        continue
+                    assert uniserial_module(algebra, u, k) == want
+    assert errors > 0
 
 
 def test_brick_enumeration_counts():

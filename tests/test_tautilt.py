@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taumut import IsoRegistry
-from taumut.errors import IncompleteExplorationError, NotTauRigidError, TaumutError
-from taumut.linalg import PrimeField
+from taumut.errors import (
+    IncompleteExplorationError,
+    NotTauRigidError,
+    TaumutError,
+    TauTiltingInfiniteError,
+)
+from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra
+from taumut.linalg import QQ, PrimeField
 from taumut.modules import is_tau_rigid_pair, simple_module
 from taumut.presets import build_preset
 from taumut.tautilt import (
@@ -23,6 +29,7 @@ from taumut.tautilt import (
     export_dot,
     export_records,
     initial_pair,
+    kronecker_witness,
     left_mutate,
     mutable_positions,
     restrict_quiver,
@@ -223,6 +230,43 @@ def test_export_dot_shape(a3_quiver):
 def test_exploration_field_independent_counts():
     q5 = explore(IsoRegistry(build_preset("a-path:3", PrimeField(5))))
     assert (q5.n_vertices, q5.n_arrows) == (14, 21)
+
+
+def test_unbounded_exploration_of_msex_raises_at_once():
+    algebra = build_preset("msex")
+    for source in (algebra, IsoRegistry(algebra)):
+        with pytest.raises(TauTiltingInfiniteError) as exc:
+            explore(source)
+        msg = str(exc.value)
+        for word in ("alpha", "beta", "vertex 1", "vertex 2", "--max-depth"):
+            assert word in msg
+    bounded = explore(IsoRegistry(algebra), max_depth=2)
+    assert (bounded.n_vertices, bounded.complete) == (9, False)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [f"a-path:{n}" for n in range(1, 7)]
+    + ["a3-figure"]
+    + [f"preproj-a:{n}" for n in range(1, 5)]
+    + [
+        f"nakayama:{kind}:{n}:{l}"
+        for kind in ("linear", "cyclic")
+        for n in range(1, 5)
+        for l in range(1, 5)
+    ],
+)
+def test_no_kronecker_witness_on_tau_tilting_finite_presets(preset):
+    assert kronecker_witness(build_preset(preset)) is None
+
+
+def test_parallel_loops_are_no_kronecker_witness():
+    # k<x, y>/(x, y)^2 is local, so its only support tau-tilting pairs are
+    # (A, 0) and (0, A).
+    quiver = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
+    algebra = build_algebra(AlgebraSpec(quiver, (), 2, QQ))
+    assert kronecker_witness(algebra) is None
+    assert explore(algebra).n_vertices == 2
 
 
 def test_initial_pair_from_algebra_or_registry():
