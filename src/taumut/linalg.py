@@ -535,32 +535,10 @@ def row_space(m: Mat):
     coordinates of any vector of the span are its entries at the pivots,
     and len(pivots) is the rank.
     """
+    if not m.nrows:
+        return m, ()
     rank, rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
     return Mat(m.field, rows[:rank], ncols=m.ncols, _raw=True), pivots
-
-
-def solve(m: Mat, rhs: Mat) -> Optional[Mat]:
-    """One exact solution x of m @ x = rhs, or None if inconsistent.
-
-    rhs may have several columns; the result then solves all of them at
-    once.  Free variables are set to zero, so the answer is deterministic.
-    """
-    m._check_same_field(rhs)
-    if m.nrows != rhs.nrows:
-        raise DimensionMismatchError("solve shape mismatch")
-    field = m.field
-    aug = [list(a) + list(b) for a, b in zip(m.rows, rhs.rows)]
-    if not aug:
-        return Mat.zeros(field, m.ncols, rhs.ncols)
-    rank_, rows, pivots = _rref_rows(field, aug)
-    for c in pivots:
-        if c >= m.ncols:
-            return None
-    z = field.zero()
-    out = [[z] * rhs.ncols for _ in range(m.ncols)]
-    for r, c in enumerate(pivots):
-        out[c] = rows[r][m.ncols :]
-    return Mat(field, out, ncols=rhs.ncols, _raw=True)
 
 
 def kernel_basis(m: Mat):
@@ -574,6 +552,8 @@ def kernel_basis(m: Mat):
     field = m.field
     if m.ncols == 0:
         return Mat.zeros(field, 0, 0), ()
+    if not m.nrows:
+        return Mat.identity(field, m.ncols), tuple(range(m.ncols))
     _, rows, pivots = _rref_rows(field, [list(r) for r in m.rows])
     pivot_set = set(pivots)
     free_cols = tuple(c for c in range(m.ncols) if c not in pivot_set)

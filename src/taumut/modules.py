@@ -33,7 +33,6 @@ from .linalg import (
     left_kernel_rows,
     reduce_row,
     row_space,
-    solve,
     vstack,
 )
 
@@ -228,6 +227,18 @@ def zero_hom(M: Module, N: Module) -> ModuleHom:
         for v in range(M.algebra.n_vertices)
     ]
     return ModuleHom(M, N, mats, _validated=True)
+
+
+def _hom_into_sum(M: Module, homs: Sequence[ModuleHom]) -> ModuleHom:
+    """The map from M to the direct sum of the targets of homs whose
+    components are homs."""
+    A = M.algebra
+    C, _ = direct_sum(A, [h.target for h in homs])
+    mats = [
+        hstack(A.field, [h.mats[v] for h in homs], nrows=M.dims[v])
+        for v in range(A.n_vertices)
+    ]
+    return ModuleHom(M, C, mats, _validated=True)
 
 
 @dataclass(frozen=True)
@@ -814,22 +825,20 @@ def _minpoly(field, powers: Iterator[Sequence]) -> list:
     """Minimal polynomial coefficients (ascending, monic) of an algebra
     element, given the coordinates of its powers 1, x, x^2, ...
 
-    The first power in the span of the earlier ones fixes the degree.  The
-    earlier ones are independent, so one solve gives the coefficients.
+    Power k is spanned with the unit row e_k appended, so each kept row
+    carries its combination of powers along.  The first power whose own
+    part reduces to zero leaves x^k minus its expression in the lower
+    powers, up to scale, in the appended part.
     """
     rows: List[list] = []
     piv: List[int] = []
-    lower: List[Sequence] = []
-    for vec in powers:
-        if not extend_span(field, rows, piv, vec):
-            break
-        lower.append(vec)
-    width = len(vec)
-    sol = solve(
-        Mat(field, lower, ncols=width, _raw=True).transpose(),
-        Mat(field, [vec], ncols=width, _raw=True).transpose(),
-    )
-    return [field.neg(c) for c in sol.flatten()] + [field.one()]
+    for k, vec in enumerate(powers):
+        d = len(vec)
+        extend_span(field, rows, piv, [*vec, *_unit_row(field, d + 1, k)])
+        if piv[-1] >= d:
+            rel = rows[-1][d : d + k + 1]
+            inv = field.inv(rel[k])
+            return [field.mul(inv, c) for c in rel]
 
 
 def _factor_poly(field, coeffs: Sequence) -> List[Tuple[list, int]]:
@@ -972,28 +981,20 @@ def _poly_mul(field, a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _indec_iso(M: Module, N: Module, n_rad_homs: Optional[List[ModuleHom]] = None) -> bool:
-    """Isomorphism test for two indecomposable modules."""
+def _indec_iso(M: Module, N: Module) -> bool:
+    """Is M isomorphic to the indecomposable module N?
+
+    End(N) is local, so if some isomorphism phi: M -> N exists, the maps
+    M -> N that are not isomorphisms form the proper subspace
+    rad End(N) phi of Hom(M, N).  A basis never lies in a proper subspace,
+    so M and N are isomorphic exactly when some basis map of Hom(M, N) is
+    bijective at every vertex.  Only N has to be indecomposable.
+    """
     if M.dims != N.dims:
         return False
-    field = M.algebra.field
-    fw = hom_basis(M, N).basis
-    if not fw:
-        return False
-    bw = hom_basis(N, M).basis
-    if not bw:
-        return False
-    if n_rad_homs is None:
-        n_rad_homs = _rad_homs(hom_basis(N, N))
-    # M and N are isomorphic exactly when some g f is a unit of the local
-    # ring End(N).  Its non-units form the ideal rad End(N), so it suffices
-    # to find one basis composite outside that span.
-    rows: List[list] = []
-    piv: List[int] = []
-    for h in n_rad_homs:
-        extend_span(field, rows, piv, h.flatten())
     return any(
-        extend_span(field, rows, piv, g.compose(f).flatten()) for g in bw for f in fw
+        all(len(row_space(m)[1]) == m.nrows for m in f.mats)
+        for f in hom_basis(M, N).basis
     )
 
 
@@ -1145,7 +1146,6 @@ class IsoRegistry:
         self._tau: Dict[int, Optional[int]] = {}
         self._pres: Dict[int, Presentation] = {}
         self._rad: Dict[int, List[ModuleHom]] = {}
-        self._brick: Dict[int, bool] = {}
         self._ext1: Dict[Tuple[int, int], int] = {}
         self._pair_top: Dict[tuple, tuple] = {}
         self._pair_socle: Dict[tuple, tuple] = {}
@@ -1172,13 +1172,20 @@ class IsoRegistry:
         """Identify an indecomposable module up to isomorphism."""
         if M.is_zero:
             raise DimensionMismatchError("cannot register the zero module")
-        bucket = self._by_dims.setdefault(M.dims, [])
-        for i in bucket:
-            if _indec_iso(M, self._mods[i], self.rad_end(i)):
+        i = self._find(M)
+        return self._append(M) if i is None else i
+
+    def _find(self, M: Module) -> Optional[int]:
+        """The id of the registered module isomorphic to M, if any."""
+        for i in self._by_dims.get(M.dims, ()):
+            if _indec_iso(M, self._mods[i]):
                 return i
+        return None
+
+    def _append(self, M: Module) -> int:
         self._mods.append(M)
         i = len(self._mods) - 1
-        bucket.append(i)
+        self._by_dims.setdefault(M.dims, []).append(i)
         return i
 
     def register_all(self, M: Module) -> List[int]:
@@ -1218,9 +1225,9 @@ class IsoRegistry:
         return self._tau[i]
 
     def is_brick_id(self, i: int) -> bool:
-        if i not in self._brick:
-            self._brick[i] = is_brick(self._mods[i])
-        return self._brick[i]
+        # A registered module is indecomposable, so End is local, and a
+        # local ring is a division ring exactly when its radical is zero.
+        return not self.rad_end(i)
 
     def projective_vertex(self, i: int) -> Optional[int]:
         return self._projective_vertex.get(i)
@@ -1252,11 +1259,18 @@ class IsoRegistry:
         return cache[ids]
 
     def register_component(self, M: Module) -> int:
-        """Register a module that must be indecomposable."""
+        """Register a module that must be indecomposable.
+
+        A module isomorphic to a registered one is indecomposable, so only
+        a module the registry does not know yet is decomposed.
+        """
+        i = self._find(M)
+        if i is not None:
+            return i
         parts = decompose(M)
         if len(parts) != 1:
             raise IndeterminateDecompositionError(
                 f"expected an indecomposable module, but the one with dims "
                 f"{M.dims} has {len(parts)} summands"
             )
-        return self.register(parts[0])
+        return self._append(parts[0])

@@ -23,6 +23,7 @@ from .modules import (
     IsoRegistry,
     Module,
     ModuleHom,
+    _hom_into_sum,
     _projective_hom_block,
     cokernel,
     decompose,
@@ -311,17 +312,11 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
                 "hom space dimension is not divisible by the brick's "
                 "endomorphism ring"
             )
-        h = len(chosen)
-        s0h, _ = direct_sum(reg.algebra, [S0] * h)
-        mats = [
-            hstack(field, [c.mats[v] for c in chosen], nrows=T.dims[v])
-            for v in range(reg.algebra.n_vertices)
-        ]
-        f = ModuleHom(T, s0h, mats, _validated=True)
+        f = _hom_into_sum(T, chosen)
         ker, _ = kernel(f)
         injective = ker.is_zero
         surjective = all(
-            len(row_space(f.mats[v])[1]) == s0h.dims[v]
+            len(row_space(f.mats[v])[1]) == f.target.dims[v]
             for v in range(reg.algebra.n_vertices)
         )
         if injective and not surjective:

@@ -20,11 +20,10 @@ from .errors import (
     TauTiltingInfiniteError,
     TaumutError,
 )
-from .linalg import hstack
 from .modules import (
     IsoRegistry,
     Module,
-    ModuleHom,
+    _hom_into_sum,
     cokernel,
     decompose,
     direct_sum,
@@ -198,7 +197,6 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
     """
     reg = pair.registry
     algebra = reg.algebra
-    field = algebra.field
     ids = pair.summand_ids
     tops = reg.pair_top_ids(ids)
     if position < 0 or position >= len(ids):
@@ -212,23 +210,10 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
     others = [sid for k, sid in enumerate(ids) if k != position]
     X = reg.module(xid)
 
-    hom_lists = [(uid, reg.hom(xid, uid)) for uid in others]
-    target_summands: List[Module] = []
-    hom_sequence: List[ModuleHom] = []
-    for uid, homs in hom_lists:
-        for h in homs:
-            target_summands.append(reg.module(uid))
-            hom_sequence.append(h)
+    homs = [h for uid in others for h in reg.hom(xid, uid)]
     extras: List[int] = []
-    if hom_sequence:
-        C, _ = direct_sum(algebra, target_summands)
-        mats = []
-        for v in range(algebra.n_vertices):
-            mats.append(
-                hstack(field, [h.mats[v] for h in hom_sequence], nrows=X.dims[v])
-            )
-        phi = ModuleHom(X, C, mats, _validated=True)
-        coker, _ = cokernel(phi)
+    if homs:
+        coker, _ = cokernel(_hom_into_sum(X, homs))
         other_set = set(others)
         for part in decompose(coker):
             pid = reg.register(part)

@@ -161,7 +161,7 @@ def solved_end_constants(M, E) -> tuple:
     """Structure constants and identity coefficients of End(M) in the basis
     E, each found by solving over the flattened basis rather than read off
     its free columns."""
-    from taumut.linalg import Mat, solve
+    from taumut.linalg import Mat
     from taumut.modules import identity_hom
 
     field = M.algebra.field
@@ -176,6 +176,52 @@ def solved_end_constants(M, E) -> tuple:
     d = len(E)
     struct = {(i, j): coords(E[i].compose(E[j])) for i in range(d) for j in range(d)}
     return struct, coords(identity_hom(M))
+
+
+def solve(m, rhs):
+    """One exact solution x of m @ x = rhs, or None if inconsistent.
+
+    rhs may have several columns; the result then solves all of them at
+    once.  Free variables are set to zero, so the answer is deterministic.
+    """
+    from taumut.errors import DimensionMismatchError
+    from taumut.linalg import Mat, _rref_rows
+
+    m._check_same_field(rhs)
+    if m.nrows != rhs.nrows:
+        raise DimensionMismatchError("solve shape mismatch")
+    field = m.field
+    aug = [list(a) + list(b) for a, b in zip(m.rows, rhs.rows)]
+    if not aug:
+        return Mat.zeros(field, m.ncols, rhs.ncols)
+    _, rows, pivots = _rref_rows(field, aug)
+    if any(c >= m.ncols for c in pivots):
+        return None
+    out = [[field.zero()] * rhs.ncols for _ in range(m.ncols)]
+    for r, c in enumerate(pivots):
+        out[c] = rows[r][m.ncols :]
+    return Mat(field, out, ncols=rhs.ncols, _raw=True)
+
+
+def reference_indec_iso(M, N):
+    """Isomorphism test for an indecomposable N through the radical of
+    End(N): M and N are isomorphic exactly when some composite g f of basis
+    maps f: M -> N and g: N -> M is a unit of the local ring End(N), that
+    is, lies outside the span of rad End(N)."""
+    from taumut.linalg import extend_span
+    from taumut.modules import _rad_homs, hom_basis
+
+    if M.dims != N.dims:
+        return False
+    field = M.algebra.field
+    fw = hom_basis(M, N).basis
+    bw = hom_basis(N, M).basis
+    rows, piv = [], []
+    for h in _rad_homs(hom_basis(N, N)):
+        extend_span(field, rows, piv, h.flatten())
+    return any(
+        extend_span(field, rows, piv, g.compose(f).flatten()) for g in bw for f in fw
+    )
 
 
 def det(m):

@@ -7,23 +7,28 @@ co-semibrick of the dual pair, and the exchange quiver's adjacency lists
 against a scan of its arrows.  The End(M) structure constants read off
 the free columns are checked against solved ones, and Hom(N, tau M) from
 the registry's translate against the presentation pairing, which needs no
-translate (AIR Prop. 2.4).  Injectives and nu f, derived from the opposite
-algebra's projectives, are checked against direct constructions on the
-dual path basis; in_sub and tau^-1-rigidity, derived by duality, against
-their own definitions; and explorations over Q against explorations over
-several primes.
+translate (AIR Prop. 2.4).  The registry's identification by a bijective
+basis map is checked against the composite-outside-the-radical test, on
+registered modules and on random changes of their bases.  Injectives and
+nu f, derived from the opposite algebra's projectives, are checked against
+direct constructions on the dual path basis; in_sub and tau^-1-rigidity,
+derived by duality, against their own definitions; and explorations over
+Q against explorations over several primes.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
-from taumut import IsoRegistry
+from taumut import IsoRegistry, modules
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
+from taumut.errors import IndeterminateDecompositionError
 from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, left_kernel_rows
 from taumut.modules import (
+    Module,
     ModuleHom,
     _indec_iso,
     ar_translate,
@@ -36,6 +41,7 @@ from taumut.modules import (
     hom_dim,
     in_sub,
     injective_module,
+    is_brick,
     is_tau_inverse_rigid,
     nakayama_functor_map,
 )
@@ -43,7 +49,14 @@ from taumut.presets import build_preset
 from taumut.smc import _presentation_pairing_dim, paired_columns
 from taumut.tautilt import cosemibrick_of, dual_pair, explore, export_records
 
-from conftest import reference_injective, reference_nakayama_map, solved_end_constants
+from conftest import (
+    det,
+    reference_indec_iso,
+    reference_injective,
+    reference_nakayama_map,
+    solve,
+    solved_end_constants,
+)
 
 CASES = [
     (preset, field)
@@ -287,3 +300,105 @@ def test_explore_over_q_matches_explore_over_primes(preset):
     for p in (5, 7, 101, 32003):
         got = export_records(explore(IsoRegistry(build_preset(preset, PrimeField(p)))))
         assert got == want, f"F_{p}"
+
+
+# -- the registry's identification against the radical route ------------------
+
+IDENTIFY_CASES = [
+    (preset, field)
+    for preset in ("a-path:4", "preproj-a:3", "nakayama:cyclic:3:3")
+    for field in (QQ, PrimeField(5))
+]
+
+
+@pytest.fixture(scope="module", params=IDENTIFY_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def identified(request):
+    """An explored registry and a seeded random conjugate of each of its
+    modules."""
+    preset, field = request.param
+    reg = explore(IsoRegistry(build_preset(preset, field))).registry
+    rng = random.Random(9)
+    return reg, [_conjugate(reg.module(i), rng) for i in range(reg.count())]
+
+
+def _conjugate(M, rng):
+    """M carried along a random invertible change of basis g_v at every
+    vertex: arrow u -> w acts by g_u^-1 M_a g_w.  Drawn again while it
+    equals M, unless every arrow of M acts by zero, as on a simple."""
+    A = M.algebra
+    field = A.field
+    vidx = A.quiver.vertex_index
+    while True:
+        g = []
+        for d in M.dims:
+            m = Mat.zeros(field, d, d)
+            while field.is_zero(det(m)):
+                entries = [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(d)]
+                m = Mat(field, entries, ncols=d)
+            g.append(m)
+        inv = [solve(m, Mat.identity(field, m.nrows)) for m in g]
+        mats = [
+            inv[vidx[a.source]].mul(M.mats[ai]).mul(g[vidx[a.target]])
+            for ai, a in enumerate(A.quiver.arrows)
+        ]
+        C = Module(A, M.dims, mats)
+        if C != M or all(m.is_zero() for m in M.mats):
+            return C
+
+
+def test_indec_iso_matches_the_radical_composite_test(identified):
+    # Registered modules are pairwise non-isomorphic, and each conjugate is
+    # isomorphic to its own module only.
+    reg, conjugates = identified
+    n = reg.count()
+    assert sum(conjugates[i] != reg.module(i) for i in range(n)) > n // 2
+    seen = Counter()
+    for i in range(n):
+        for j in range(n):
+            N = reg.module(j)
+            if N.dims != reg.module(i).dims:
+                continue
+            for M in (reg.module(i), conjugates[i]):
+                got = _indec_iso(M, N)
+                assert got == reference_indec_iso(M, N) == (i == j)
+                seen[got] += 1
+    assert seen[True] == 2 * n
+
+
+def test_register_component_of_a_known_module_decomposes_nothing(identified, monkeypatch):
+    reg, conjugates = identified
+    n = reg.count()
+
+    def refuse(M):
+        raise AssertionError(f"decomposed a module with dims {M.dims}")
+
+    monkeypatch.setattr(modules, "decompose", refuse)
+    assert [reg.register_component(C) for C in conjugates] == list(range(n))
+    assert reg.count() == n
+
+
+def test_register_component_of_a_sum_still_raises(identified):
+    reg, _ = identified
+    p = reg.algebra.field.characteristic()
+    n = reg.count()
+    checked = 0
+    for i in range(n):
+        M, N = reg.module(i), reg.module((i + 1) % n)
+        S = direct_sum(reg.algebra, [M, N])[0]
+        if p and hom_dim(S, S) >= p:
+            continue  # the trace-form radical needs p > dim End
+        checked += 1
+        with pytest.raises(IndeterminateDecompositionError) as err:
+            reg.register_component(S)
+        assert str(err.value) == (
+            f"expected an indecomposable module, but the one with dims "
+            f"{S.dims} has 2 summands"
+        )
+    assert checked and reg.count() == n
+
+
+def test_is_brick_id_matches_is_brick(identified):
+    reg, _ = identified
+    verdicts = [reg.is_brick_id(i) for i in range(reg.count())]
+    assert verdicts == [is_brick(reg.module(i)) for i in range(reg.count())]
+    assert any(verdicts)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taumut import linalg
 from taumut.errors import DimensionMismatchError, FieldMismatchError
 from taumut.linalg import (
     QQ,
@@ -21,11 +22,10 @@ from taumut.linalg import (
     left_kernel_rows,
     reduce_row,
     row_space,
-    solve,
     vstack,
 )
 
-from conftest import det
+from conftest import det, solve
 
 F5 = PrimeField(5)
 
@@ -366,6 +366,18 @@ def test_extend_span_grows_exactly_when_rank_grows(field, data):
     for row in m.rows:
         assert not any(reduce_row(field, row, rows, pivots))
     _assert_canonical_entries(Mat(field, rows, ncols=m.ncols, _raw=True))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_row_less_eliminations_are_not_run(field, monkeypatch):
+    def refuse(field, rows):
+        raise AssertionError("eliminated a matrix with no rows")
+
+    monkeypatch.setattr(linalg, "_rref_rows", refuse)
+    for ncols in (0, 3):
+        m = Mat.zeros(field, 0, ncols)
+        assert row_space(m) == (Mat.zeros(field, 0, ncols), ())
+        assert kernel_basis(m) == (Mat.identity(field, ncols), tuple(range(ncols)))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taumut.errors import CharacteristicError, DimensionMismatchError, SpecError
-from taumut.linalg import QQ, Mat, PrimeField, hstack, row_space, solve, vstack
+from taumut.linalg import QQ, Mat, PrimeField, hstack, row_space, vstack
 from taumut.modules import (
     Module,
     ModuleHom,
@@ -55,7 +55,7 @@ from taumut.modules import (
 from taumut.presets import build_preset
 from taumut.tautilt import explore
 
-from conftest import solved_end_constants
+from conftest import solve, solved_end_constants
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +381,17 @@ def test_quadratic_field_over_a_radical_is_local(field):
     assert _end_split(M, data) is None
     assert [p.dims for p in decompose(M)] == [(4, 4, 0)]
     assert not is_brick(M)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_registry_brick_verdict_on_local_ends_over_a_quadratic_field(field):
+    # End is the field k[x]/(x^2 - 2) on the first module, so it is a brick
+    # although End is not the ground field; on the second End is local with
+    # End/rad that field, so it is none.
+    for M, brick in ((_quadratic_module(field), True), (_quadratic_square_module(field), False)):
+        reg = IsoRegistry(M.algebra)
+        i = reg.register(M)
+        assert reg.is_brick_id(i) == is_brick(M) == brick
 
 
 # -- the minimal polynomial against one solve per power ----------------------
