@@ -229,18 +229,6 @@ def zero_hom(M: Module, N: Module) -> ModuleHom:
     return ModuleHom(M, N, mats, _validated=True)
 
 
-def _hom_into_sum(M: Module, homs: Sequence[ModuleHom]) -> ModuleHom:
-    """The map from M to the direct sum of the targets of homs whose
-    components are homs."""
-    A = M.algebra
-    C, _ = direct_sum(A, [h.target for h in homs])
-    mats = [
-        hstack(A.field, [h.mats[v] for h in homs], nrows=M.dims[v])
-        for v in range(A.n_vertices)
-    ]
-    return ModuleHom(M, C, mats, _validated=True)
-
-
 @dataclass(frozen=True)
 class HomSpace:
     """A canonical basis of Hom(source, target) and the free columns of its
@@ -1257,6 +1245,34 @@ class IsoRegistry:
                 for comp in comps
             )
         return cache[ids]
+
+    def left_approximation(self, i: int, ids: Sequence[int]) -> ModuleHom:
+        """A minimal left add(U)-approximation M_i -> U', U the sum of the
+        distinct indecomposables ids: into copies of each U_u, a basis over
+        End(U_u)/rad of Hom(M_i, U_u) modulo the maps h r through a radical
+        map r of add(U), that is r in Hom(U_w, U_u) for w != u or in
+        rad End(U_u).  If M_i + U is the module of a support tau-tilting
+        pair and M_i is not in Fac U, the cokernel is zero or the one new
+        summand of the left mutation at M_i (Adachi-Iyama-Reiten,
+        "tau-tilting theory", Thm 2.30)."""
+        A = self.algebra
+        picked: List[ModuleHom] = []
+        for u in ids:
+            if not self.hom(i, u):
+                continue
+            base = [
+                h.compose(r).flatten()
+                for w in ids
+                for h in self.hom(i, w)
+                for r in (self.rad_end(u) if w == u else self.hom(w, u))
+            ]
+            ends = self.hom(u, u)
+            picked += greedy_span_pick(
+                A.field, base, self.hom(i, u), lambda h: [h.compose(e).flatten() for e in ends]
+            )
+        M = self._mods[i]
+        mats = [hstack(A.field, [h.mats[v] for h in picked], nrows=d) for v, d in enumerate(M.dims)]
+        return ModuleHom(M, direct_sum(A, [h.target for h in picked])[0], mats, _validated=True)
 
     def register_component(self, M: Module) -> int:
         """Register a module that must be indecomposable.

@@ -23,7 +23,6 @@ from .modules import (
     IsoRegistry,
     Module,
     ModuleHom,
-    _hom_into_sum,
     _projective_hom_block,
     cokernel,
     decompose,
@@ -301,18 +300,16 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
             )
         new0.append(reg.register_component(_universal_extension(pres, chosen, S0)))
     for tid in x.degree_minus1:
-        T = reg.module(tid)
         homs = list(reg.hom(tid, s0))
         if not homs:
             new1.append(tid)
             continue
-        chosen = greedy_span_pick(field, [], homs, end_orbit)
-        if len(chosen) * len(end_s0) != len(homs):
+        f = reg.left_approximation(tid, [s0])
+        if f.target.dim_total * len(end_s0) != len(homs) * S0.dim_total:
             raise TaumutError(
                 "hom space dimension is not divisible by the brick's "
                 "endomorphism ring"
             )
-        f = _hom_into_sum(T, chosen)
         ker, _ = kernel(f)
         injective = ker.is_zero
         surjective = all(

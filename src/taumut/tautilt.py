@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .algebra import Algebra, Arrow
 from .errors import (
     IncompleteExplorationError,
+    IndeterminateDecompositionError,
     MutationError,
     NotTauRigidError,
     TauTiltingInfiniteError,
@@ -23,9 +24,7 @@ from .errors import (
 from .modules import (
     IsoRegistry,
     Module,
-    _hom_into_sum,
     cokernel,
-    decompose,
     direct_sum,
     zero_module,
 )
@@ -193,10 +192,11 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
     """Mutate at one summand; returns the new pair and the label's id.
 
     The label is the top component of the removed summand; mutation is
-    only defined where that component is nonzero.
+    only defined where that component is nonzero.  The new summand is the
+    cokernel of the removed summand's minimal left approximation by the
+    others; one that splits or is kept means the pair was not tau-rigid.
     """
     reg = pair.registry
-    algebra = reg.algebra
     ids = pair.summand_ids
     tops = reg.pair_top_ids(ids)
     if position < 0 or position >= len(ids):
@@ -206,32 +206,26 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
         raise MutationError(
             f"summand at position {position} is generated by the others"
         )
-    xid = ids[position]
     others = [sid for k, sid in enumerate(ids) if k != position]
-    X = reg.module(xid)
-
-    homs = [h for uid in others for h in reg.hom(xid, uid)]
-    extras: List[int] = []
-    if homs:
-        coker, _ = cokernel(_hom_into_sum(X, homs))
-        other_set = set(others)
-        for part in decompose(coker):
-            pid = reg.register(part)
-            if pid not in other_set:
-                extras.append(pid)
-    if len(extras) > 1:
+    coker, _ = cokernel(reg.left_approximation(ids[position], others))
+    try:
+        extras = [] if coker.is_zero else [reg.register_component(coker)]
+        if set(extras) & set(others):
+            raise NotTauRigidError(f"the cokernel with dims {coker.dims} is a kept summand")
+    except (IndeterminateDecompositionError, NotTauRigidError) as err:
+        if pair_is_tau_rigid(pair):
+            raise
+        dims = [list(reg.module(i).dims) for i in ids]
         raise MutationError(
-            "mutation produced more than one new summand; "
-            "the input pair cannot have been tau-rigid"
-        )
+            f"mutation at position {position} of the pair with summand dims "
+            f"{dims}: {err}; the input pair cannot have been tau-rigid"
+        ) from err
 
-    new_ids = tuple(sorted(others + extras))
-    n = algebra.n_vertices
-    new_supp = tuple(
-        v
-        for v in range(n)
+    new_ids = others + extras
+    new_supp = [
+        v for v in range(reg.algebra.n_vertices)
         if all(reg.module(i).dims[v] == 0 for i in new_ids)
-    )
+    ]
     new_pair = SupportPair(reg, new_ids, new_supp)
     if not pair_is_tau_rigid(new_pair):
         raise NotTauRigidError("mutation produced a non-rigid pair")

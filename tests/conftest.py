@@ -224,6 +224,41 @@ def reference_indec_iso(M, N):
     )
 
 
+def reference_left_mutate(pair, position):
+    """Left mutation through a non-minimal approximation: X maps into every
+    Hom-basis copy of the other summands, the cokernel is decomposed, and
+    the parts that are not kept summands are the new summands.  Returns the
+    new pair and the label's id, like `left_mutate`."""
+    from taumut.linalg import hstack
+    from taumut.modules import ModuleHom, cokernel, decompose, direct_sum
+    from taumut.tautilt import SupportPair
+
+    reg = pair.registry
+    A = reg.algebra
+    ids = pair.summand_ids
+    others = [sid for k, sid in enumerate(ids) if k != position]
+    X = reg.module(ids[position])
+    homs = [h for uid in others for h in reg.hom(ids[position], uid)]
+    extras = []
+    if homs:
+        C, _ = direct_sum(A, [h.target for h in homs])
+        mats = [
+            hstack(A.field, [h.mats[v] for h in homs], nrows=X.dims[v])
+            for v in range(A.n_vertices)
+        ]
+        for part in decompose(cokernel(ModuleHom(X, C, mats))[0]):
+            pid = reg.register(part)
+            if pid not in others:
+                extras.append(pid)
+    assert len(extras) <= 1, "more than one new summand"
+    new_ids = others + extras
+    missing = [
+        v for v in range(A.n_vertices)
+        if all(reg.module(i).dims[v] == 0 for i in new_ids)
+    ]
+    return SupportPair(reg, new_ids, missing), reg.pair_top_ids(ids)[position]
+
+
 def det(m):
     """Determinant of a square matrix by fraction-free-enough elimination."""
     from taumut.errors import DimensionMismatchError

@@ -9,7 +9,9 @@ the free columns are checked against solved ones, and Hom(N, tau M) from
 the registry's translate against the presentation pairing, which needs no
 translate (AIR Prop. 2.4).  The registry's identification by a bijective
 basis map is checked against the composite-outside-the-radical test, on
-registered modules and on random changes of their bases.  Injectives and
+registered modules and on random changes of their bases.  Left mutation
+through the minimal approximation is checked against mutation through the
+full Hom basis with a decomposed cokernel.  Injectives and
 nu f, derived from the opposite algebra's projectives, are checked against
 direct constructions on the dual path basis; in_sub and tau^-1-rigidity,
 derived by duality, against their own definitions; and explorations over
@@ -25,14 +27,16 @@ import pytest
 
 from taumut import IsoRegistry, modules
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
-from taumut.errors import IndeterminateDecompositionError
-from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, left_kernel_rows
+from taumut.errors import CharacteristicError, IndeterminateDecompositionError, MutationError
+from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, left_kernel_rows, row_space
 from taumut.modules import (
     Module,
     ModuleHom,
     _indec_iso,
     ar_translate,
     ar_translate_inverse,
+    cokernel,
+    decompose,
     direct_sum,
     end_data,
     ext1_basis,
@@ -45,18 +49,30 @@ from taumut.modules import (
     is_tau_inverse_rigid,
     nakayama_functor_map,
 )
+from taumut.nakayama import uniserial_module
 from taumut.presets import build_preset
 from taumut.smc import _presentation_pairing_dim, paired_columns
-from taumut.tautilt import cosemibrick_of, dual_pair, explore, export_records
+from taumut.tautilt import (
+    SupportPair,
+    cosemibrick_of,
+    dual_pair,
+    explore,
+    export_records,
+    left_mutate,
+    mutable_positions,
+    pair_is_tau_rigid,
+)
 
 from conftest import (
     det,
     reference_indec_iso,
     reference_injective,
+    reference_left_mutate,
     reference_nakayama_map,
     solve,
     solved_end_constants,
 )
+from test_modules import _quadratic_module
 
 CASES = [
     (preset, field)
@@ -291,15 +307,21 @@ def test_tau_inverse_rigid_matches_hom_from_the_inverse_translate(quiver):
 
 @pytest.mark.parametrize(
     "preset",
-    ["a-path:4", "nakayama:cyclic:3:3", "nakayama:linear:4:3", "preproj-a:3"],
+    ["a-path:3", "a-path:4", "nakayama:cyclic:3:3", "nakayama:linear:4:3", "preproj-a:3"],
 )
 def test_explore_over_q_matches_explore_over_primes(preset):
     # These exchange quivers do not depend on the field, so the exported
-    # records over Q and over each prime must be equal.
+    # records over Q and over each prime must be equal.  F_2 and F_3 are at
+    # or below dim End of modules that mutation meets.
     want = export_records(explore(IsoRegistry(build_preset(preset))))
-    for p in (5, 7, 101, 32003):
-        got = export_records(explore(IsoRegistry(build_preset(preset, PrimeField(p)))))
-        assert got == want, f"F_{p}"
+    for p in (2, 3, 5, 7, 101, 32003):
+        registry = IsoRegistry(build_preset(preset, PrimeField(p)))
+        if (preset, p) == ("preproj-a:3", 2):
+            # The trace-form radical of a projective's End (dim 2) needs p > 2.
+            with pytest.raises(CharacteristicError):
+                explore(registry)
+            continue
+        assert export_records(explore(registry)) == want, f"F_{p}"
 
 
 # -- the registry's identification against the radical route ------------------
@@ -402,3 +424,111 @@ def test_is_brick_id_matches_is_brick(identified):
     verdicts = [reg.is_brick_id(i) for i in range(reg.count())]
     assert verdicts == [is_brick(reg.module(i)) for i in range(reg.count())]
     assert any(verdicts)
+
+
+# -- left mutation by the minimal approximation -------------------------------
+
+MUTATE_CASES = IDENTIFY_CASES + [("msex", QQ), ("msex", PrimeField(5))]
+
+
+@pytest.fixture(scope="module", params=MUTATE_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def mutations(request):
+    """Every left mutation at every vertex of an explored quiver, as
+    (pair, position, new pair, label); msex is explored to depth 3."""
+    preset, field = request.param
+    depth = 3 if preset == "msex" else None
+    quiver = explore(IsoRegistry(build_preset(preset, field)), max_depth=depth)
+    return [
+        (pair, pos, *left_mutate(pair, pos))
+        for pair in quiver.pairs
+        for pos in mutable_positions(pair)
+    ]
+
+
+def _others(pair, position):
+    return [sid for k, sid in enumerate(pair.summand_ids) if k != position]
+
+
+def test_left_mutate_matches_the_decomposing_mutation(mutations):
+    assert mutations
+    for pair, pos, new, label in mutations:
+        want, want_label = reference_left_mutate(pair, pos)
+        assert (new.key, label) == (want.key, want_label)
+
+
+def test_left_approximation_is_an_approximation(mutations):
+    # Every map X -> U_u factors through f: X -> U', so the composites of f
+    # with a basis of Hom(U', U_u) span Hom(X, U_u).
+    spanned = 0
+    for pair, pos, _, _ in mutations:
+        reg = pair.registry
+        xid = pair.summand_ids[pos]
+        f = reg.left_approximation(xid, _others(pair, pos))
+        for u in _others(pair, pos):
+            rows = [f.compose(g).flatten() for g in hom_basis(f.target, reg.module(u)).basis]
+            rank = len(row_space(Mat(reg.algebra.field, rows))[1]) if rows else 0
+            assert rank == reg.hom_dim(xid, u)
+            spanned += rank
+    assert spanned
+
+
+def test_mutation_cokernel_is_zero_or_one_new_summand(mutations):
+    new_summands = 0
+    for pair, pos, new, _ in mutations:
+        reg = pair.registry
+        others = _others(pair, pos)
+        coker = cokernel(reg.left_approximation(pair.summand_ids[pos], others))[0]
+        parts = decompose(coker)
+        assert len(parts) <= 1
+        if parts:
+            assert not any(_indec_iso(coker, reg.module(u)) for u in others)
+            assert any(_indec_iso(coker, reg.module(i)) for i in new.summand_ids)
+            new_summands += 1
+    assert new_summands
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_left_approximation_picks_over_the_end_ring(field):
+    # End(Q) = k[x]/(x^2 - 2) is a field of degree 2, and Hom(P_0, Q) is
+    # one copy of it, so the minimal approximation is a single map into Q.
+    # Picking over k alone would map into Q^2 and leave Q in the cokernel.
+    Q = _quadratic_module(field)
+    reg = IsoRegistry(Q.algebra)
+    q = reg.register(Q)
+    f = reg.left_approximation(reg.projective_ids[0], [q])
+    assert f.target.dims == (2, 2, 0)
+    assert cokernel(f)[0].dims == (1, 0, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_left_approximation_skips_maps_through_the_end_radical(field):
+    # Hom(P, M) for P = k[x]/(x^3) and M = k[x]/(x^2) is M itself; the map
+    # 1 -> x is 1 -> 1 followed by x in rad End(M).  So one copy of M
+    # approximates P, and P -> M is onto.
+    A = build_preset("nakayama:cyclic:1:3", field)
+    reg = IsoRegistry(A)
+    m = reg.register(uniserial_module(A, 1, 2))
+    f = reg.left_approximation(reg.projective_ids[0], [m])
+    assert f.target.dims == (2,)
+    assert cokernel(f)[0].is_zero
+
+
+@pytest.mark.parametrize(
+    "ids,position,reason",
+    [
+        ((2, 4, 7), 1, "expected an indecomposable module, but the one with dims (1, 0, 1) has 2 summands"),
+        ((3, 4, 8), 0, "the cokernel with dims (0, 1, 0) is a kept summand"),
+    ],
+    ids=["split", "kept"],
+)
+def test_mutation_of_a_non_rigid_pair_is_a_typed_error(ids, position, reason):
+    reg = explore(IsoRegistry(build_preset("preproj-a:3"))).registry
+    pair = SupportPair(reg, ids, ())
+    assert not pair_is_tau_rigid(pair)
+    dims = [list(reg.module(i).dims) for i in ids]
+    with pytest.raises(MutationError) as err:
+        left_mutate(pair, position)
+    assert str(err.value) == (
+        f"mutation at position {position} of the pair with summand dims "
+        f"{dims}: {reason}; the input pair cannot have been tau-rigid"
+    )
