@@ -21,7 +21,7 @@ from .errors import (
 )
 from .grothendieck import check_duality, duality_report, grothendieck_data
 from .linalg import QQ, Field, PrimeField
-from .modules import IsoRegistry, in_fac
+from .modules import IsoRegistry
 from .nakayama import count_value, format_count_table
 from .presets import PRESET_HELP
 from .quotient import central_ideal, verify_ejr
@@ -237,18 +237,22 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
                 f"semibrick of vertex {i} repeats vertex {seen_semibricks[sb]}"
             )
         seen_semibricks[sb] = i
-        report = check_smc_axioms(smc_of_vertex(pair, check=False))
+        x = smc_of_vertex(pair, check=False)
+        report = check_smc_axioms(x)
         if not report.ok:
             failures.append(
                 f"smc axioms fail at vertex {i}: {report.violations[0]}"
             )
+        # Asai: degree 0 labels the arrows out, the shifted part those in
+        outs = tuple(sorted(lab for _, _, lab in quiver.out_arrows(i)))
+        ins = tuple(sorted(lab for _, _, lab in quiver.in_arrows(i)))
+        if x.key != (outs, ins):
+            failures.append(f"smc of vertex {i} is not the labels of its arrows")
         dual = duality_report(pair)
         if not dual["ok"]:
             failures.append(f"duality fails at vertex {i}")
     for s, t, lab in quiver.arrows:
-        label = reg.module(lab)
-        src_module = quiver.pairs[s].module()
-        if not in_fac(label, src_module):
+        if not reg.in_fac(lab, quiver.pairs[s].summand_ids):
             failures.append(f"label on {s}->{t} is not a factor of the source")
         if any(
             reg.hom_dim(j, lab) != 0 for j in quiver.pairs[t].summand_ids

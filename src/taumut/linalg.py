@@ -568,12 +568,6 @@ def kernel_basis(m: Mat):
     return Mat(field, basis, ncols=m.ncols, _raw=True), free_cols
 
 
-def left_kernel_rows(m: Mat) -> Mat:
-    """A basis of {y : y @ m = 0} as stacked rows, read off the kernel of
-    the transpose.  The rows are not row-reduced."""
-    return kernel_basis(m.transpose())[0]
-
-
 def reduce_row(field: Field, row, rref_rows, pivots):
     """Subtract rref rows to clear the pivot coordinates of a row vector."""
     return field._reduce_row(row, rref_rows, pivots)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import sympy
 
@@ -30,7 +30,6 @@ from .linalg import (
     extend_span,
     hstack,
     kernel_basis,
-    left_kernel_rows,
     reduce_row,
     row_space,
     vstack,
@@ -305,24 +304,27 @@ def hom_dim(M: Module, N: Module) -> int:
 # -- submodules, quotients, kernels ----------------------------------------
 
 
-def submodule_from_rows(M: Module, rows_per_vertex: Sequence[Mat]) -> Tuple[Module, ModuleHom]:
-    """The submodule spanned by given rows (must be arrow-stable).
+def submodule_from_rows(
+    M: Module, spans: Sequence[Tuple[Mat, Sequence[int]]]
+) -> Tuple[Module, ModuleHom]:
+    """The submodule with the given span at each vertex (must be
+    arrow-stable).
 
-    Each span is reduced once; the rref basis gives the coordinates of a
-    pushed row at its pivot columns, and the row must equal that
-    combination of the basis."""
+    A span is (basis, coordinate columns), as `row_space` and
+    `kernel_basis` return it: basis row k has a 1 at coordinate column k
+    and 0 at the others, so a pushed row's coordinates are its entries
+    there, and the row must equal that combination of the basis."""
     A = M.algebra
     field = A.field
     vidx = A.quiver.vertex_index
-    spans = [row_space(r) for r in rows_per_vertex]
     rows = [basis for basis, _ in spans]
     mats = []
     for ai, a in enumerate(A.quiver.arrows):
         u, w = vidx[a.source], vidx[a.target]
-        basis, pivots = spans[w]
+        basis, cols = spans[w]
         pushed = rows[u].mul(M.mats[ai])
-        at_pivots = [[row[c] for c in pivots] for row in pushed.rows]
-        coords = Mat(field, at_pivots, ncols=len(pivots), _raw=True)
+        at_cols = [[row[c] for c in cols] for row in pushed.rows]
+        coords = Mat(field, at_cols, ncols=len(cols), _raw=True)
         if coords.mul(basis) != pushed:
             raise DimensionMismatchError("vectors outside the expected row space")
         mats.append(coords)
@@ -337,7 +339,8 @@ def quotient_by_rows(M: Module, rows_per_vertex: Sequence[Mat]) -> Tuple[Module,
     Each span is reduced once, and the quotient has a basis indexed by the
     free (non-pivot) columns.  The projection reads off the rref basis: a
     free unit vector e_c maps to its own coordinate, and the pivot unit
-    vector of basis row B maps to -B at the free columns."""
+    vector of basis row B maps to -B at the free columns.  It commutes with
+    the arrows by construction, so it is not checked."""
     A = M.algebra
     field = A.field
     vidx = A.quiver.vertex_index
@@ -362,17 +365,17 @@ def quotient_by_rows(M: Module, rows_per_vertex: Sequence[Mat]) -> Tuple[Module,
         lifted = Mat(field, [M.mats[ai].row(c) for c in free[u]], ncols=M.dims[w], _raw=True)
         arrow_mats.append(lifted.mul(proj_mats[w]))
     quo = Module(A, [len(cols) for cols in free], arrow_mats, _validated=True)
-    proj = ModuleHom(M, quo, proj_mats)
+    proj = ModuleHom(M, quo, proj_mats, _validated=True)
     return quo, proj
 
 
 def kernel(h: ModuleHom) -> Tuple[Module, ModuleHom]:
-    rows = [left_kernel_rows(m) for m in h.mats]
-    return submodule_from_rows(h.source, rows)
+    # {y : y m = 0} is the kernel of the transpose
+    return submodule_from_rows(h.source, [kernel_basis(m.transpose()) for m in h.mats])
 
 
 def image(h: ModuleHom) -> Tuple[Module, ModuleHom]:
-    return submodule_from_rows(h.target, h.mats)
+    return submodule_from_rows(h.target, [row_space(m) for m in h.mats])
 
 
 def cokernel(h: ModuleHom) -> Tuple[Module, ModuleHom]:
@@ -480,7 +483,8 @@ def _hom_from_projectives(
     """The map from P, the sum of the projectives at `vertices` with the
     given direct-sum offsets, to N that sends generator j to the row
     images[j] of N at vertices[j].  Basis path p of the j-th summand goes
-    to images[j] acted on by p."""
+    to images[j] acted on by p.  P_w = e_w A is free on e_w, so any row of
+    N at w fixes a module map, and the result is not checked."""
     A = P.algebra
     field = A.field
     zero = field.zero()
@@ -495,7 +499,7 @@ def _hom_from_projectives(
                     vec = field._matmul([vec], N.mats[ai].rows, N.mats[ai].ncols)[0]
                 rows[u][offsets[j][u] + local] = vec
     mats = [Mat(field, r, ncols=N.dims[u], _raw=True) for u, r in enumerate(rows)]
-    return ModuleHom(P, N, mats)
+    return ModuleHom(P, N, mats, _validated=True)
 
 
 def _unit_row(field, d: int, x: Optional[int]) -> list:
@@ -695,20 +699,23 @@ def is_tau_inverse_rigid(M: Module) -> bool:
     return is_tau_rigid_pair(dualize(M), ())
 
 
+def _image_rows(X: Module, maps: Iterable[ModuleHom]) -> List[Mat]:
+    """Rows spanning the images of maps into X, per vertex.  They are
+    stacked, not reduced: the caller reduces each span once."""
+    per_vertex: List[List[Mat]] = [[] for _ in X.dims]
+    for h in maps:
+        for chunk, m in zip(per_vertex, h.mats):
+            chunk.append(m)
+    return [
+        vstack(X.algebra.field, chunk, ncols=d) for chunk, d in zip(per_vertex, X.dims)
+    ]
+
+
 def trace_rows(X: Module, generators: Union[Module, Sequence[Module]]) -> List[Mat]:
     """Row bases of the trace of add(generators) in X, per vertex."""
     gens = [generators] if isinstance(generators, Module) else list(generators)
-    A = X.algebra
-    field = A.field
-    per_vertex: List[List[Mat]] = [[] for _ in range(A.n_vertices)]
-    for U in gens:
-        for h in hom_basis(U, X).basis:
-            for v in range(A.n_vertices):
-                per_vertex[v].append(h.mats[v])
-    return [
-        row_space(vstack(field, chunk, ncols=X.dims[v]))[0]
-        for v, chunk in enumerate(per_vertex)
-    ]
+    maps = (h for U in gens for h in hom_basis(U, X).basis)
+    return [row_space(rows)[0] for rows in _image_rows(X, maps)]
 
 
 def in_fac(X: Module, generators: Union[Module, Sequence[Module]]) -> bool:
@@ -1022,33 +1029,6 @@ def _rad_homs(end_space: HomSpace) -> List[ModuleHom]:
     return end_data(end_space.source, end_space).rad_homs
 
 
-def _grid_top_rows(
-    summands: Sequence[Module],
-    hom_fn: Callable[[int, int], Sequence[ModuleHom]],
-    rad_fn: Callable[[int], Sequence[ModuleHom]],
-    i: int,
-) -> List[Mat]:
-    """Rows spanning the images of the radical maps into summand i, per
-    vertex.  They are stacked, not reduced: the caller reduces each span
-    once."""
-    A = summands[i].algebra
-    field = A.field
-    per_vertex: List[List[Mat]] = [[] for _ in range(A.n_vertices)]
-    for j in range(len(summands)):
-        if j == i:
-            continue
-        for h in hom_fn(j, i):
-            for v in range(A.n_vertices):
-                per_vertex[v].append(h.mats[v])
-    for h in rad_fn(i):
-        for v in range(A.n_vertices):
-            per_vertex[v].append(h.mats[v])
-    return [
-        vstack(field, chunk, ncols=summands[i].dims[v])
-        for v, chunk in enumerate(per_vertex)
-    ]
-
-
 def top_components(
     summands: Sequence[Module],
     hom_fn: Optional[Callable[[int, int], Sequence[ModuleHom]]] = None,
@@ -1060,9 +1040,10 @@ def top_components(
     if rad_fn is None:
         rad_fn = lambda i: _rad_homs(hom_basis(summands[i], summands[i]))
     out = []
-    for i in range(len(summands)):
-        rows = _grid_top_rows(summands, hom_fn, rad_fn, i)
-        out.append(quotient_by_rows(summands[i], rows)[0])
+    for i, Mi in enumerate(summands):
+        maps = [h for j in range(len(summands)) if j != i for h in hom_fn(j, i)]
+        maps += rad_fn(i)
+        out.append(quotient_by_rows(Mi, _image_rows(Mi, maps))[0])
     return out
 
 
@@ -1078,20 +1059,14 @@ def socle_components(
         rad_fn = lambda i: _rad_homs(hom_basis(summands[i], summands[i]))
     out = []
     for i, Mi in enumerate(summands):
-        A = Mi.algebra
-        field = A.field
-        homs: List[ModuleHom] = []
-        for j in range(len(summands)):
-            if j == i:
-                continue
-            homs.extend(hom_fn(i, j))
-        homs.extend(rad_fn(i))
-        rows = []
-        for v in range(A.n_vertices):
-            mats = [h.mats[v] for h in homs]
-            joint = hstack(field, mats, nrows=Mi.dims[v])
-            rows.append(left_kernel_rows(joint))
-        out.append(submodule_from_rows(Mi, rows)[0])
+        maps = [h for j in range(len(summands)) if j != i for h in hom_fn(i, j)]
+        maps += rad_fn(i)
+        # the common kernel at v is the left kernel of the maps side by side
+        joints = [
+            hstack(Mi.algebra.field, [h.mats[v] for h in maps], nrows=d)
+            for v, d in enumerate(Mi.dims)
+        ]
+        out.append(submodule_from_rows(Mi, [kernel_basis(m.transpose()) for m in joints])[0])
     return out
 
 
@@ -1245,6 +1220,13 @@ class IsoRegistry:
                 for comp in comps
             )
         return cache[ids]
+
+    def in_fac(self, i: int, ids: Sequence[int]) -> bool:
+        """Is module i generated by the modules ids?  The images of the
+        cached Hom spaces must span it at every vertex."""
+        X = self._mods[i]
+        rows = _image_rows(X, (h for j in ids for h in self.hom(j, i)))
+        return all(len(row_space(r)[1]) == d for r, d in zip(rows, X.dims))
 
     def left_approximation(self, i: int, ids: Sequence[int]) -> ModuleHom:
         """A minimal left add(U)-approximation M_i -> U', U the sum of the

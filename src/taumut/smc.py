@@ -313,8 +313,7 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
         ker, _ = kernel(f)
         injective = ker.is_zero
         surjective = all(
-            len(row_space(f.mats[v])[1]) == f.target.dims[v]
-            for v in range(reg.algebra.n_vertices)
+            s - k == t for s, k, t in zip(f.source.dims, ker.dims, f.target.dims)
         )
         if injective and not surjective:
             new0.append(reg.register_component(cokernel(f)[0]))

@@ -25,8 +25,6 @@ from .modules import (
     IsoRegistry,
     Module,
     cokernel,
-    direct_sum,
-    zero_module,
 )
 
 
@@ -71,11 +69,6 @@ class SupportPair:
 
     def modules(self) -> List[Module]:
         return [self.registry.module(i) for i in self.summand_ids]
-
-    def module(self) -> Module:
-        if not self.summand_ids:
-            return zero_module(self.registry.algebra)
-        return direct_sum(self.registry.algebra, self.modules())[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,20 +121,21 @@ def initial_pair(source: Union[Algebra, IsoRegistry]) -> SupportPair:
     return SupportPair(registry, registry.projective_ids, ())
 
 
+def _tau_rigid_ids(reg: IsoRegistry, ids: Sequence[int]) -> bool:
+    """Hom(U_i, tau U_j) = 0 for all i, j in ids.  The translates are
+    registered in the order of ids, up to the first nonzero Hom."""
+    for j in ids:
+        tj = reg.tau_id(j)
+        if tj is not None and any(reg.hom_dim(i, tj) != 0 for i in ids):
+            return False
+    return True
+
+
 def pair_is_tau_rigid(pair: SupportPair) -> bool:
     reg = pair.registry
-    for v in pair.support_complement:
-        for i in pair.summand_ids:
-            if reg.module(i).dims[v] != 0:
-                return False
-    for j in pair.summand_ids:
-        tj = reg.tau_id(j)
-        if tj is None:
-            continue
-        for i in pair.summand_ids:
-            if reg.hom_dim(i, tj) != 0:
-                return False
-    return True
+    if any(reg.module(i).dims[v] for v in pair.support_complement for i in pair.summand_ids):
+        return False
+    return _tau_rigid_ids(reg, pair.summand_ids)
 
 
 def mutable_positions(pair: SupportPair) -> List[int]:
@@ -428,12 +422,8 @@ def restrict_quiver(
     u_ids = tuple(_register_given(reg, U))
     if not u_ids:
         raise TaumutError("restriction to an empty module is the whole quiver")
-    for i in u_ids:
-        tid = reg.tau_id(i)
-        if tid is not None and any(
-            reg.hom_dim(j, tid) != 0 for j in u_ids
-        ):
-            raise NotTauRigidError("the fixed module U is not tau-rigid")
+    if not _tau_rigid_ids(reg, u_ids):
+        raise NotTauRigidError("the fixed module U is not tau-rigid")
     verts = restriction_vertices(quiver, u_ids)
     vset = set(verts)
     sub_arrows = [

@@ -203,6 +203,16 @@ def solve(m, rhs):
     return Mat(field, out, ncols=rhs.ncols, _raw=True)
 
 
+def reference_kernel(h):
+    """The kernel of h with each span reduced a second time: the left kernel
+    rows of h at each vertex, then the row space of those rows."""
+    from taumut.linalg import kernel_basis, row_space
+    from taumut.modules import submodule_from_rows
+
+    spans = [row_space(kernel_basis(m.transpose())[0]) for m in h.mats]
+    return submodule_from_rows(h.source, spans)
+
+
 def reference_indec_iso(M, N):
     """Isomorphism test for an indecomposable N through the radical of
     End(N): M and N are isomorphic exactly when some composite g f of basis

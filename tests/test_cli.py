@@ -15,6 +15,7 @@ import pytest
 
 import taumut
 from taumut.cli import main
+from taumut.modules import ModuleHom
 from taumut.presets import preset_spec
 
 
@@ -102,6 +103,47 @@ def test_verify_nakayama_checks_recurrence(capsys):
     assert code == 0
     assert "6 vertices, 6 arrows, complete" in out
     assert "verify: ok" in out
+
+
+@pytest.mark.parametrize("emptied", ["degree0", "shifted"])
+def test_verify_reports_an_smc_that_is_not_the_arrow_labels(emptied, capsys, monkeypatch):
+    # a-path:3 has 14 vertices: the source has no arrows in and the sink no
+    # arrows out.  Emptying one part of every collection leaves it unequal
+    # to the labels at the other 13.
+    from taumut import cli
+    from taumut.smc import TwoTermSMC
+
+    real = cli.smc_of_vertex
+
+    def fake(pair, check=True):
+        x = real(pair, check=check)
+        if emptied == "degree0":
+            return TwoTermSMC(x.registry, (), x.degree_minus1)
+        return TwoTermSMC(x.registry, x.degree0, ())
+
+    monkeypatch.setattr(cli, "smc_of_vertex", fake)
+    code, out, _ = run(capsys, ["verify", "--preset", "a-path:3"])
+    assert code == 1
+    flagged = [line for line in out.splitlines() if line.endswith("is not the labels of its arrows")]
+    assert len(flagged) == 13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--preset", "a-path:4"],
+        ["verify", "--preset", "preproj-a:3"],
+        ["explore", "--preset", "a-path:5", "--field", "fp:32003"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_the_verbs_build_no_map_that_needs_a_commutation_check(argv, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"checked the commutation of {self!r}")
+
+    monkeypatch.setattr(ModuleHom, "_check_commutes", refuse)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
 
 
 def test_restrict_output(capsys):

@@ -1,0 +1,52 @@
+"""CLI output against stored copies, byte for byte.
+
+The verbs number vertices in breadth-first order, which follows registry
+ids, so these files also pin the order in which modules are registered.
+Each `.stdout` file under `golden/` is the stdout of one run; `SHA256SUMS`
+holds the digests of the files that `--out` and `--dot` write.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from taumut.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+STDOUT_RUNS = {
+    f"{verb}-{tag}": [verb, "--preset", preset]
+    for verb in ("semibricks", "smc", "gvectors")
+    for tag, preset in (("preproj-a3", "preproj-a:3"), ("cyclic33", "nakayama:cyclic:3:3"))
+}
+STDOUT_RUNS["semibricks-preproj-a3-fp5"] = ["semibricks", "--preset", "preproj-a:3", "--field", "fp:5"]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_RUNS))
+def test_stdout_matches_the_stored_copy(name, capsys):
+    assert main(STDOUT_RUNS[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def _digests() -> dict:
+    lines = (GOLDEN / "SHA256SUMS").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+def test_exported_files_match_the_stored_digests(tmp_path, capsys):
+    preset = ["--preset", "preproj-a:3"]
+    json_out, dot_out = tmp_path / "explore-preproj-a3.json", tmp_path / "explore-preproj-a3.dot"
+    gvec_out = tmp_path / "gvectors-preproj-a3.json"
+    assert main(["explore", *preset, "--out", str(json_out), "--dot", str(dot_out)]) == 0
+    assert main(["gvectors", *preset, "--out", str(gvec_out)]) == 0
+    capsys.readouterr()
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (json_out, dot_out, gvec_out)
+    }
+    assert got == _digests()

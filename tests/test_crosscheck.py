@@ -15,7 +15,11 @@ full Hom basis with a decomposed cokernel.  Injectives and
 nu f, derived from the opposite algebra's projectives, are checked against
 direct constructions on the dual path basis; in_sub and tau^-1-rigidity,
 derived by duality, against their own definitions; and explorations over
-Q against explorations over several primes.
+Q against explorations over several primes.  The registry's Fac test is
+checked against in_fac of the summands, kernels that keep their echelon
+basis against the reduced left kernel, maps built without the commutation
+check against that check, and the two parts of each vertex's SMC against
+the labels of its arrows out and in.
 """
 
 from __future__ import annotations
@@ -25,14 +29,15 @@ from collections import Counter
 
 import pytest
 
-from taumut import IsoRegistry, modules
+from taumut import IsoRegistry, modules, smc
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
 from taumut.errors import CharacteristicError, IndeterminateDecompositionError, MutationError
-from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, left_kernel_rows, row_space
+from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, kernel_basis, row_space
 from taumut.modules import (
     Module,
     ModuleHom,
     _indec_iso,
+    _projective_hom_block,
     ar_translate,
     ar_translate_inverse,
     cokernel,
@@ -43,15 +48,22 @@ from taumut.modules import (
     ext1_dim,
     hom_basis,
     hom_dim,
+    in_fac,
     in_sub,
     injective_module,
     is_brick,
     is_tau_inverse_rigid,
+    kernel,
     nakayama_functor_map,
 )
 from taumut.nakayama import uniserial_module
 from taumut.presets import build_preset
-from taumut.smc import _presentation_pairing_dim, paired_columns
+from taumut.smc import (
+    _presentation_pairing_dim,
+    check_label_coincidence,
+    paired_columns,
+    smc_of_vertex,
+)
 from taumut.tautilt import (
     SupportPair,
     cosemibrick_of,
@@ -67,6 +79,7 @@ from conftest import (
     det,
     reference_indec_iso,
     reference_injective,
+    reference_kernel,
     reference_left_mutate,
     reference_nakayama_map,
     solve,
@@ -272,7 +285,7 @@ def _embeds_by_joint_kernel(X, cogenerators) -> bool:
         if X.dims[v] == 0:
             continue
         mats = [h.mats[v] for U in cogenerators for h in hom_basis(X, U).basis]
-        if left_kernel_rows(hstack(field, mats, nrows=X.dims[v])).nrows != 0:
+        if kernel_basis(hstack(field, mats, nrows=X.dims[v]).transpose())[0].nrows != 0:
             return False
     return True
 
@@ -532,3 +545,118 @@ def test_mutation_of_a_non_rigid_pair_is_a_typed_error(ids, position, reason):
         f"mutation at position {position} of the pair with summand dims "
         f"{dims}: {reason}; the input pair cannot have been tau-rigid"
     )
+
+
+# -- spans and maps built once -------------------------------------------------
+
+
+def test_registry_fac_matches_in_fac_of_the_summands(quiver):
+    # A label is generated by its source pair and, receiving no map from
+    # the target pair, lies outside Fac of the target's summands: every
+    # arrow gives one positive and one negative case.
+    reg = quiver.registry
+    seen = Counter()
+    for s, t, lab in quiver.arrows:
+        for pair in (quiver.pairs[s], quiver.pairs[t]):
+            got = reg.in_fac(lab, pair.summand_ids)
+            assert got == in_fac(reg.module(lab), pair.modules())
+            seen[got] += 1
+    assert seen[True] == seen[False] == quiver.n_arrows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_kernel_spans_the_reduced_left_kernel(field):
+    # kernel(h) keeps the kernel basis; the reference reduces it again.  At
+    # every vertex both span one subspace, and the change of basis between
+    # them is a module isomorphism.
+    reg = explore(IsoRegistry(build_preset("preproj-a:3", field))).registry
+    n = reg.algebra.n_vertices
+    proper = 0
+    for i in range(reg.count()):
+        for j in range(reg.count()):
+            for h in reg.hom(i, j):
+                ker, incl = kernel(h)
+                ref, ref_incl = reference_kernel(h)
+                change = []
+                for v in range(n):
+                    pivots = row_space(ref_incl.mats[v])[1]
+                    at_pivots = [[row[c] for c in pivots] for row in incl.mats[v].rows]
+                    c = Mat(field, at_pivots, ncols=len(pivots))
+                    assert c.mul(ref_incl.mats[v]) == incl.mats[v]
+                    change.append(c)
+                assert ker.dims == ref.dims
+                ModuleHom(ker, ref, change)  # raises unless it commutes
+                assert incl.compose(h).is_zero()
+                proper += 0 < ker.dim_total < h.source.dim_total
+    assert proper
+
+
+CONSTRUCTED = [
+    (preset, field)
+    for preset in ("preproj-a:3", "nakayama:cyclic:3:3")
+    for field in (QQ, PrimeField(5))
+]
+
+
+@pytest.mark.parametrize("preset,field", CONSTRUCTED, ids=str)
+def test_maps_made_by_construction_commute(preset, field, monkeypatch):
+    # Projections, covers and nu f skip the commutation check when they are
+    # built; here every one that an exploration and its label-coincidence
+    # check build must pass it.  The universal extensions of the SMC
+    # mutation are the quotients whose spans are not coordinate subspaces.
+    made = {}
+
+    def record(namespace, name, kind, pick):
+        fn = getattr(namespace, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.setdefault(kind, []).append(pick(out))
+            return out
+
+        monkeypatch.setattr(namespace, name, wrapper)
+
+    for namespace in (modules, smc):
+        record(namespace, "quotient_by_rows", "projection", lambda out: out[1])
+    record(modules, "_projective_cover", "cover", lambda out: out[3])
+    record(modules, "nakayama_functor_map", "nu f", lambda out: out[2])
+    quiver = explore(IsoRegistry(build_preset(preset, field)))
+    assert check_label_coincidence(quiver)["ok"]
+    reg = quiver.registry
+    made["Hom(P0, N)"] = [
+        h
+        for i in range(reg.count())
+        for j in range(reg.count())
+        for h in _projective_hom_block(reg.presentation(i), reg.module(j))
+    ]
+    assert all(made.get(kind) for kind in ("projection", "cover", "nu f", "Hom(P0, N)"))
+    for maps in made.values():
+        for h in maps:
+            ModuleHom(h.source, h.target, h.mats)  # raises unless it commutes
+
+
+# -- Asai's labelling: the SMC at a vertex is the labels of its arrows ---------
+
+LABELLED = [
+    (preset, field)
+    for preset in (
+        "a-path:4",
+        "preproj-a:3",
+        "nakayama:cyclic:3:3",
+        "nakayama:cyclic:3:5",
+        "nakayama:linear:5:3",
+    )
+    for field in (QQ, PrimeField(3), PrimeField(5))
+]
+
+
+@pytest.mark.parametrize("preset,field", LABELLED, ids=str)
+def test_smc_parts_are_the_labels_of_the_arrows_out_and_in(preset, field):
+    # The degree-0 part is read off top components and the shifted part off
+    # socle components of the dual pair; the arrows' labels are the top
+    # components of their source pairs.
+    quiver = explore(IsoRegistry(build_preset(preset, field)))
+    for i, pair in enumerate(quiver.pairs):
+        x = smc_of_vertex(pair, check=False)
+        assert x.degree0 == tuple(sorted(lab for _, _, lab in quiver.out_arrows(i)))
+        assert x.degree_minus1 == tuple(sorted(lab for _, _, lab in quiver.in_arrows(i)))

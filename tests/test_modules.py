@@ -131,7 +131,7 @@ def test_submodule_rejects_rows_that_are_not_arrow_stable(a3):
     p0 = projective_module(a3, 0)
     rows = [Mat(QQ, [[1]]), Mat.zeros(QQ, 0, 1), Mat.zeros(QQ, 0, 1)]
     with pytest.raises(DimensionMismatchError, match="outside the expected row space"):
-        submodule_from_rows(p0, rows)
+        submodule_from_rows(p0, [row_space(r) for r in rows])
 
 
 def test_image_and_cokernel_read_off_the_echelon_form():
