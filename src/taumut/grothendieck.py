@@ -35,20 +35,8 @@ def g_columns(pair: SupportPair) -> List[List[int]]:
     vertex (-e_v), in the pair's column order."""
     reg = pair.registry
     n = reg.algebra.n_vertices
-    cols = []
-    for sid in pair.summand_ids:
-        pres = reg.presentation(sid)
-        col = [0] * n
-        for w in pres.p0_vertices:
-            col[w] += 1
-        for w in pres.p1_vertices:
-            col[w] -= 1
-        cols.append(col)
-    for v in pair.support_complement:
-        col = [0] * n
-        col[v] = -1
-        cols.append(col)
-    return cols
+    cols = [list(reg.g_vector(sid)) for sid in pair.summand_ids]
+    return cols + [[-1 if w == v else 0 for w in range(n)] for v in pair.support_complement]
 
 
 def _columns_to_rows(cols: Sequence[Sequence[int]], n: int) -> Tuple[Tuple[int, ...], ...]:

@@ -1110,6 +1110,7 @@ class IsoRegistry:
         self._pres: Dict[int, Presentation] = {}
         self._rad: Dict[int, List[ModuleHom]] = {}
         self._ext1: Dict[Tuple[int, int], int] = {}
+        self._tau_hom: Dict[Tuple[int, int], int] = {}
         self._pair_top: Dict[tuple, tuple] = {}
         self._pair_socle: Dict[tuple, tuple] = {}
         self.projective_ids: List[int] = []
@@ -1179,6 +1180,24 @@ class IsoRegistry:
         if i not in self._pres:
             self._pres[i] = minimal_projective_presentation(self._mods[i])
         return self._pres[i]
+
+    def g_vector(self, i: int) -> Tuple[int, ...]:
+        """[P0] - [P1] of the minimal presentation, by vertex."""
+        pres = self.presentation(i)
+        p0, p1 = pres.p0_vertices, pres.p1_vertices
+        return tuple(p0.count(v) - p1.count(v) for v in range(self.algebra.n_vertices))
+
+    def tau_hom_dim(self, i: int, j: int) -> int:
+        """dim Hom(M_j, tau M_i) = dim Hom(M_i, M_j) - <g(M_i), dim M_j>, with
+        no translate built: for a minimal presentation P1 -> P0 -> M -> 0,
+        0 -> Hom(N, tau M) -> D Hom(P1, N) -> D Hom(P0, N) -> D Hom(M, N) -> 0
+        is exact (Adachi-Iyama-Reiten, "tau-tilting theory", Prop. 2.4) and
+        Hom(P_w, N) = N_w."""
+        key = (i, j)
+        if key not in self._tau_hom:
+            pairing = sum(g * d for g, d in zip(self.g_vector(i), self._mods[j].dims))
+            self._tau_hom[key] = self.hom_dim(i, j) - pairing
+        return self._tau_hom[key]
 
     def tau_id(self, i: int) -> Optional[int]:
         """Registry id of the translate, or None when it vanishes."""

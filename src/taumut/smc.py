@@ -18,12 +18,11 @@ from .errors import (
     SelfExtensionError,
     TaumutError,
 )
-from .linalg import Mat, hstack, row_space
+from .linalg import hstack
 from .modules import (
     IsoRegistry,
     Module,
     ModuleHom,
-    _projective_hom_block,
     cokernel,
     decompose,
     direct_sum,
@@ -96,22 +95,12 @@ class TwoTermSMC:
         return f"TwoTermSMC(degree0={d0}, shifted={d1})"
 
 
-def _presentation_pairing_dim(reg: IsoRegistry, sid: int, brick_id: int) -> int:
-    """dim coker(Hom(P0, N') -> Hom(P1, N')) for the summand's presentation."""
-    pres = reg.presentation(sid)
-    brick = reg.module(brick_id)
-    total = sum(brick.dims[w] for w in pres.p1_vertices)
-    if total == 0:
-        return 0
-    field = reg.algebra.field
-    images = []
-    for h in _projective_hom_block(pres, brick):
-        images.append(list(pres.f.compose(h).flatten()))
-    if not images:
-        return total
-    width = len(images[0])
-    _, pivots = row_space(Mat(field, images, ncols=width, _raw=True))
-    return total - len(pivots)
+def _where(pair: SupportPair, column: Optional[int] = None) -> str:
+    """The pair (and column) an error is about, for its message."""
+    dims = [list(pair.registry.module(i).dims) for i in pair.summand_ids]
+    at = "" if column is None else f"column {column} of "
+    missing = list(pair.support_complement)
+    return f"{at}the pair with summand dims {dims} and missing vertices {missing}"
 
 
 def paired_columns(pair: SupportPair) -> List[PairedColumn]:
@@ -120,8 +109,9 @@ def paired_columns(pair: SupportPair) -> List[PairedColumn]:
     Mutable summands contribute their top component in degree 0; the rest
     pair with socle components of the dual pair in degree -1.  Both
     pairings are certified at runtime: positive columns must receive a
-    map from their summand, negative ones must pair against the
-    presentation, and no dual socle component may go unused.
+    map from their summand, negative ones must map into its translate
+    (Hom(S, tau U) read off the g-vector pairing), and no dual socle
+    component may go unused.
     """
     reg = pair.registry
     ids = pair.summand_ids
@@ -129,40 +119,42 @@ def paired_columns(pair: SupportPair) -> List[PairedColumn]:
     dual_ids = dual_pair(pair).summand_ids
     socle_of = dict(zip(dual_ids, reg.pair_socle_ids(dual_ids)))
 
+    def fail(reason: str) -> TaumutError:
+        return TaumutError(f"{_where(pair, len(columns))}: {reason}")
+
     columns: List[PairedColumn] = []
     used: set = set()
     for pos, sid in enumerate(ids):
         if tops[pos] is not None:
             if reg.hom_dim(sid, tops[pos]) == 0:
-                raise TaumutError("degree-0 column does not pair with its summand")
+                raise fail("degree-0 column does not pair with its summand")
             columns.append(PairedColumn("summand", pos, 1, tops[pos]))
             continue
-        pv = reg.projective_vertex(sid)
-        if pv is not None:
-            raise TaumutError(
+        if reg.projective_vertex(sid) is not None:
+            raise fail(
                 "a projective summand turned out immutable; impossible for a "
                 "basic pair"
             )
         tid = reg.tau_id(sid)
         soc = socle_of.get(tid)
         if soc is None:
-            raise TaumutError("missing socle component for an immutable summand")
-        if _presentation_pairing_dim(reg, sid, soc) == 0:
-            raise TaumutError("degree -1 column does not pair with its summand")
+            raise fail("missing socle component for an immutable summand")
+        if reg.tau_hom_dim(sid, soc) == 0:
+            raise fail("degree -1 column does not pair with its summand")
         columns.append(PairedColumn("summand", pos, -1, soc))
         used.add(tid)
     for v in pair.support_complement:
         iid = reg.injective_id(v)
         soc = socle_of.get(iid)
         if soc is None:
-            raise TaumutError("missing socle component for a missing vertex")
+            raise fail("missing socle component for a missing vertex")
         if reg.module(soc).dims[v] == 0:
-            raise TaumutError("degree -1 column does not pair with its vertex")
+            raise fail("degree -1 column does not pair with its vertex")
         columns.append(PairedColumn("support", v, -1, soc))
         used.add(iid)
     for did, soc in socle_of.items():
         if soc is not None and did not in used:
-            raise TaumutError("a dual socle component was left unpaired")
+            raise TaumutError(f"{_where(pair)}: a dual socle component was left unpaired")
     return columns
 
 
@@ -177,7 +169,7 @@ def smc_of_vertex(pair: SupportPair, check: bool = True) -> TwoTermSMC:
         report = check_smc_axioms(out)
         if not report.ok:
             raise TaumutError(
-                "constructed collection failed its axioms: "
+                f"{_where(pair)}: constructed collection failed its axioms: "
                 + "; ".join(report.violations)
             )
     return out

@@ -122,13 +122,9 @@ def initial_pair(source: Union[Algebra, IsoRegistry]) -> SupportPair:
 
 
 def _tau_rigid_ids(reg: IsoRegistry, ids: Sequence[int]) -> bool:
-    """Hom(U_i, tau U_j) = 0 for all i, j in ids.  The translates are
-    registered in the order of ids, up to the first nonzero Hom."""
-    for j in ids:
-        tj = reg.tau_id(j)
-        if tj is not None and any(reg.hom_dim(i, tj) != 0 for i in ids):
-            return False
-    return True
+    """Hom(U_i, tau U_j) = 0 for all i, j in ids, read off the g-vector
+    pairing; no translate is built or registered."""
+    return all(reg.tau_hom_dim(j, i) == 0 for j in ids for i in ids)
 
 
 def pair_is_tau_rigid(pair: SupportPair) -> bool:
@@ -454,8 +450,7 @@ def restrict_quiver(
                 violations.append(
                     f"label on {s}->{t} receives a map from U"
                 )
-            tid = reg.tau_id(i)
-            if tid is not None and reg.hom_dim(lab, tid) != 0:
+            if reg.tau_hom_dim(i, lab) != 0:
                 violations.append(
                     f"label on {s}->{t} maps into the translate of U"
                 )

@@ -146,6 +146,18 @@ def test_the_verbs_build_no_map_that_needs_a_commutation_check(argv, capsys, mon
     assert code == 0
 
 
+@pytest.mark.parametrize("preset", ["preproj-a:3", "nakayama:cyclic:3:3"])
+def test_explore_builds_no_translate(preset, capsys, monkeypatch):
+    # Rigidity is read off the g-vector pairing, so only the dual pair
+    # (verify, smc, gvectors) needs a translate module.
+    def refuse(pres):
+        raise AssertionError(f"built the translate of {pres.module!r}")
+
+    monkeypatch.setattr(taumut.modules, "_translate", refuse)
+    code, _, _ = run(capsys, ["explore", "--preset", preset])
+    assert code == 0
+
+
 def test_restrict_output(capsys):
     code, out, _ = run(
         capsys, ["restrict", "--preset", "a-path:3", "--summand", "0,1,0"]

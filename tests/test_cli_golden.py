@@ -2,6 +2,12 @@
 
 The verbs number vertices in breadth-first order, which follows registry
 ids, so these files also pin the order in which modules are registered.
+While exploring, the registry holds only the projectives, the arrow
+labels (top components) and the new summands of mutation, in the order
+the breadth-first search meets them; no translate is registered, since
+rigidity is read off the g-vector pairing.  `nakayama:cyclic:4:4` is
+here because the relative ids of its summands and labels depend on
+whether translates are registered too.
 Each `.stdout` file under `golden/` is the stdout of one run; `SHA256SUMS`
 holds the digests of the files that `--out` and `--dot` write.
 """
@@ -20,7 +26,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 STDOUT_RUNS = {
     f"{verb}-{tag}": [verb, "--preset", preset]
     for verb in ("semibricks", "smc", "gvectors")
-    for tag, preset in (("preproj-a3", "preproj-a:3"), ("cyclic33", "nakayama:cyclic:3:3"))
+    for tag, preset in (
+        ("preproj-a3", "preproj-a:3"),
+        ("cyclic33", "nakayama:cyclic:3:3"),
+        ("cyclic44", "nakayama:cyclic:4:4"),
+    )
 }
 STDOUT_RUNS["semibricks-preproj-a3-fp5"] = ["semibricks", "--preset", "preproj-a:3", "--field", "fp:5"]
 
@@ -38,15 +48,17 @@ def _digests() -> dict:
     return {name: digest for digest, name in (line.split() for line in lines)}
 
 
+EXPORT_RUNS = {"preproj-a3": "preproj-a:3", "cyclic44": "nakayama:cyclic:4:4"}
+
+
 def test_exported_files_match_the_stored_digests(tmp_path, capsys):
-    preset = ["--preset", "preproj-a:3"]
-    json_out, dot_out = tmp_path / "explore-preproj-a3.json", tmp_path / "explore-preproj-a3.dot"
-    gvec_out = tmp_path / "gvectors-preproj-a3.json"
-    assert main(["explore", *preset, "--out", str(json_out), "--dot", str(dot_out)]) == 0
-    assert main(["gvectors", *preset, "--out", str(gvec_out)]) == 0
+    got = {}
+    for tag, preset in EXPORT_RUNS.items():
+        json_out, dot_out = tmp_path / f"explore-{tag}.json", tmp_path / f"explore-{tag}.dot"
+        gvec_out = tmp_path / f"gvectors-{tag}.json"
+        assert main(["explore", "--preset", preset, "--out", str(json_out), "--dot", str(dot_out)]) == 0
+        assert main(["gvectors", "--preset", preset, "--out", str(gvec_out)]) == 0
+        for path in (json_out, dot_out, gvec_out):
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     capsys.readouterr()
-    got = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in (json_out, dot_out, gvec_out)
-    }
     assert got == _digests()

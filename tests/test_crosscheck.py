@@ -6,8 +6,9 @@ the Ext^1 dimension formula, the shifted columns of the SMC against the
 co-semibrick of the dual pair, and the exchange quiver's adjacency lists
 against a scan of its arrows.  The End(M) structure constants read off
 the free columns are checked against solved ones, and Hom(N, tau M) from
-the registry's translate against the presentation pairing, which needs no
-translate (AIR Prop. 2.4).  The registry's identification by a bijective
+the registry's translate against the g-vector pairing, which needs no
+translate (AIR Prop. 2.4), and pair rigidity read off that pairing against
+the translate of the direct sum.  The registry's identification by a bijective
 basis map is checked against the composite-outside-the-radical test, on
 registered modules and on random changes of their bases.  Left mutation
 through the minimal approximation is checked against mutation through the
@@ -53,13 +54,13 @@ from taumut.modules import (
     injective_module,
     is_brick,
     is_tau_inverse_rigid,
+    is_tau_rigid_pair,
     kernel,
     nakayama_functor_map,
 )
 from taumut.nakayama import uniserial_module
 from taumut.presets import build_preset
 from taumut.smc import (
-    _presentation_pairing_dim,
     check_label_coincidence,
     paired_columns,
     smc_of_vertex,
@@ -161,17 +162,38 @@ def test_end_data_matches_solved_coordinates(quiver):
 
 def test_presentation_pairing_is_hom_into_the_translate(quiver):
     # For a minimal presentation P1 -> P0 -> M -> 0, dim Hom(N, tau M) is
-    # the cokernel dimension of Hom(P0, N) -> Hom(P1, N).
+    # dim Hom(M, N) minus the pairing of g(M) with dim N.
     reg = quiver.registry
     n = reg.count()
     nonzero = 0
     for i in range(n):
         tid = reg.tau_id(i)
         for j in range(n):
-            got = _presentation_pairing_dim(reg, i, j)
+            got = reg.tau_hom_dim(i, j)
             assert got == (0 if tid is None else reg.hom_dim(j, tid))
             nonzero += got > 0
     assert nonzero > 0
+
+
+def test_pair_rigidity_matches_the_translate_of_the_sum(quiver):
+    # pair_is_tau_rigid reads the pairing summand by summand; the reference
+    # builds tau of the direct sum.  Every vertex is a positive case; a pair
+    # with one summand swapped for another registered module is usually not.
+    reg = quiver.registry
+    n = reg.count()
+    pairs = list(quiver.pairs)
+    for k, pair in enumerate(quiver.pairs):
+        for pos, sid in enumerate(pair.summand_ids):
+            other = (sid + k + pos + 1) % n
+            if other not in pair.summand_ids:
+                ids = pair.summand_ids[:pos] + (other,) + pair.summand_ids[pos + 1 :]
+                pairs.append(SupportPair(reg, ids, pair.support_complement))
+    results = Counter()
+    for pair in pairs:
+        got = pair_is_tau_rigid(pair)
+        assert got == is_tau_rigid_pair(pair.modules(), pair.support_complement, reg.algebra)
+        results[got] += 1
+    assert results[True] > 0 and results[False] > 0
 
 
 # One preset per family; msex is tau-tilting infinite, so its registry is

@@ -97,6 +97,20 @@ def test_paired_columns_structure(a3_quiver):
         assert all(c.sign < 0 for c in support_cols)
 
 
+def test_a_column_that_does_not_pair_names_the_pair_and_the_column(a3_quiver, monkeypatch):
+    # With Hom(S, tau U) forced to zero, the first degree -1 summand column
+    # fails: on a-path:3 that is the immutable simple S_1 at column 2.
+    reg = a3_quiver.registry
+    pair = next(p for p in a3_quiver.pairs if None in reg.pair_top_ids(p.summand_ids))
+    monkeypatch.setattr(IsoRegistry, "tau_hom_dim", lambda self, i, j: 0)
+    with pytest.raises(TaumutError) as err:
+        paired_columns(pair)
+    assert str(err.value) == (
+        "column 2 of the pair with summand dims [[1, 1, 1], [0, 0, 1], [1, 0, 0]] "
+        "and missing vertices []: degree -1 column does not pair with its summand"
+    )
+
+
 def test_mutation_follows_every_label(a3_quiver):
     reg = a3_quiver.registry
     for s, t, lab in a3_quiver.arrows:
