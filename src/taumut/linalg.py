@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-import sympy
-
 from .errors import DimensionMismatchError, FieldMismatchError
 
 ScalarInput = Union[int, str, Fraction]
@@ -218,11 +216,44 @@ class RationalField(Field):
         return hash("taumut.QQ")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the 13 prime bases up to 41 is exact below this bound
+# (Sorenson-Webster 2015); it is the least strong pseudoprime to them all.
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test; needs sympy only for n >= 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        import sympy
+
+        return sympy.isprime(n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
     """The field with p elements, p prime; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2 or not sympy.isprime(p):
+        if not isinstance(p, int) or not is_prime(p):
             raise FieldMismatchError(f"modulus {p!r} is not a prime")
         self.p = p
         self.name = f"F{p}"

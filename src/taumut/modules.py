@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import sympy
-
 from .algebra import Algebra
 from .errors import (
     CharacteristicError,
@@ -838,6 +836,8 @@ def _minpoly(field, powers: Iterator[Sequence]) -> list:
 
 def _factor_poly(field, coeffs: Sequence) -> List[Tuple[list, int]]:
     """Factor a monic polynomial into irreducibles over the field."""
+    import sympy  # on first use: it dominates start-up and most runs never factor
+
     x = sympy.Symbol("x")
     if isinstance(field, PrimeField):
         poly = sympy.Poly(list(reversed([int(c) for c in coeffs])), x, modulus=field.p, symmetric=False)

@@ -291,6 +291,23 @@ def test_field_flag(capsys):
     assert "bad prime" in err
 
 
+@pytest.mark.parametrize("modulus", ["561", "3215031751"])
+def test_field_flag_rejects_pseudoprime_moduli(modulus, capsys):
+    code, out, err = run(
+        capsys, ["explore", "--preset", "a-path:2", "--field", f"fp:{modulus}"]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: bad prime in field spec 'fp:{modulus}'\n"
+
+
+def test_field_flag_accepts_a_mersenne_prime(capsys):
+    code, out, _ = run(
+        capsys,
+        ["explore", "--preset", "a-path:2", "--field", "fp:2305843009213693951"],
+    )
+    assert (code, out) == (0, "5 vertices, 5 arrows, complete\n")
+
+
 def test_field_env_and_override(capsys, monkeypatch):
     monkeypatch.setenv("TAUMUT_FIELD", "fp:4")
     assert main(["explore", "--preset", "a-path:2"]) == 2
@@ -350,6 +367,50 @@ def test_console_script(tmp_path):
     )
     assert script.returncode == 0
     assert "5 vertices, 5 arrows, complete" in script.stdout
+
+
+# A fresh process: sympy is loaded only where a minimal polynomial must be
+# factored, which neither verb below needs, and is then imported on demand.
+_COLD_START = """
+import contextlib, io, json, sys
+import taumut, taumut.cli
+seen = {"import": "sympy" in sys.modules}
+from taumut.cli import main
+for name, argv in (
+    ("explore", ["explore", "--preset", "a-path:5", "--field", "fp:32003"]),
+    ("verify", ["verify", "--preset", "nakayama:cyclic:4:4"]),
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, name
+    seen[name] = "sympy" in sys.modules
+from taumut.linalg import QQ, Mat, PrimeField
+from taumut.modules import Module, decompose
+from taumut.presets import build_preset
+parts = {}
+for field in (QQ, PrimeField(7)):
+    companion = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-4, 0, 4, 0]]
+    mats = [Mat.identity(field, 4), Mat(field, companion), Mat.zeros(field, 4, 0)]
+    M = Module(build_preset("msex", field), (4, 4, 0), mats)
+    parts[field.name] = sorted(p.dims for p in decompose(M))
+seen["decompose"] = "sympy" in sys.modules
+print(json.dumps({"seen": seen, "parts": parts}))
+"""
+
+
+def test_cold_start_does_not_import_sympy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["seen"] == {
+        "import": False, "explore": False, "verify": False, "decompose": True,
+    }
+    # End = k[x]/((x^2 - 2)^2) is local over Q; over F_7, 2 = 3^2 splits it
+    assert result["parts"] == {"Q": [[4, 4, 0]], "F7": [[2, 2, 0], [2, 2, 0]]}
 
 
 @pytest.mark.skipif(

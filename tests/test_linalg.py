@@ -18,6 +18,7 @@ from taumut.linalg import (
     block_diag,
     extend_span,
     hstack,
+    is_prime,
     kernel_basis,
     reduce_row,
     row_space,
@@ -48,6 +49,53 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(4)
     with pytest.raises(FieldMismatchError):
         PrimeField(1)
+
+
+def test_is_prime_matches_sympy_up_to_ten_to_the_five():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(-5, 10**5 + 1) if is_prime(n)] == [
+        n for n in range(-5, 10**5 + 1) if sympy.isprime(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**12))
+def test_is_prime_matches_sympy_below_ten_to_the_twelve(n):
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(n) == sympy.isprime(n)
+
+
+# the least strong pseudoprimes to the first k prime bases, k = 1..13 (some k
+# share one); the last is the bound of the exact range
+STRONG_PSEUDOPRIMES = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+]
+CARMICHAEL = [561, 1105, 1729]
+MERSENNE = [2**61 - 1, 2**89 - 1]
+
+
+def test_is_prime_on_pseudoprimes_and_the_fallback_bound(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    reference = sympy.isprime
+    asked = []
+
+    def recording_isprime(n):
+        asked.append(n)
+        return reference(n)
+
+    monkeypatch.setattr(sympy, "isprime", recording_isprime)
+    numbers = STRONG_PSEUDOPRIMES + CARMICHAEL + MERSENNE
+    verdicts = [is_prime(n) for n in numbers]
+    # only the numbers at or above the bound reach sympy
+    assert asked == [3317044064679887385961981, 2**89 - 1]
+    assert verdicts == [reference(n) for n in numbers]
+    assert verdicts == [False] * 13 + [True, True]
+    for n in STRONG_PSEUDOPRIMES + CARMICHAEL:
+        with pytest.raises(FieldMismatchError, match="is not a prime"):
+            PrimeField(n)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
 
 
 def test_prime_field_inverse():
