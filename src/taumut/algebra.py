@@ -283,7 +283,6 @@ class Algebra:
         for i, p in enumerate(self.all_paths):
             key = (p[0], self.path_target(p))
             by_block.setdefault(key, []).append(i)
-        self.block_paths = by_block
 
         rel_meta = []
         for rel in self.defining_relations:
@@ -359,21 +358,6 @@ class Algebra:
             key = (p[0], self.path_target(p))
             self.basis_by_block.setdefault(key, []).append(k)
 
-        self._mult: Dict[Tuple[int, int], Tuple[Tuple[int, object], ...]] = {}
-        for i, gi in enumerate(self.basis):
-            si, ai = self.all_paths[gi]
-            ti = self.path_target(self.all_paths[gi])
-            for j, gj in enumerate(self.basis):
-                sj, aj = self.all_paths[gj]
-                if sj != ti:
-                    continue
-                total = ai + aj
-                if len(total) >= self.nilpotency:
-                    continue
-                nf = self.normal_form[self.path_index[(si, total)]]
-                if nf:
-                    self._mult[(i, j)] = nf
-
         self.annihilator_combos: List[Tuple[Tuple[object, Tuple[int, ...]], ...]] = []
         for rel, _, _ in rel_meta:
             combo = tuple(
@@ -413,7 +397,13 @@ class Algebra:
         return self.all_paths[self.basis[k]]
 
     def mult_basis(self, i: int, j: int) -> Tuple[Tuple[int, object], ...]:
-        return self._mult.get((i, j), ())
+        """Normal form of basis path i followed by basis path j; zero if
+        they do not compose."""
+        path_i = self.basis_element_path(i)
+        source, arrows = self.basis_element_path(j)
+        if source != self.path_target(path_i):
+            return ()
+        return self.path_class(path_i[0], path_i[1] + arrows)
 
     def path_class(self, source: int, arrows: Tuple[int, ...]) -> Tuple[Tuple[int, object], ...]:
         """Normal form of an arbitrary path, zero if length >= N."""

@@ -43,10 +43,14 @@ def _field_from_text(text: str) -> Field:
     if low in ("q", "qq"):
         return QQ
     if low.startswith("fp:"):
+        digits = text.strip()[3:]
         try:
-            return PrimeField(int(low[3:]))
-        except (ValueError, TaumutError):
-            raise SpecError(f"bad prime in field spec {text!r}") from None
+            return PrimeField(int(digits))
+        except ValueError:
+            reason = f"{digits!r} is not an integer"
+        except TaumutError as exc:
+            reason = str(exc)
+        raise SpecError(f"bad prime in field spec {text!r}: {reason}")
     raise SpecError(f"unknown field {text!r}; use q or fp:<p>")
 
 

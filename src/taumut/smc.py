@@ -10,10 +10,11 @@ pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from .errors import (
     ApproximationDichotomyError,
+    IncompleteExplorationError,
     MutationError,
     SelfExtensionError,
     TaumutError,
@@ -52,19 +53,17 @@ class PairedColumn:
 class TwoTermSMC:
     """Bricks in degree 0 and degree -1, stored as registry ids."""
 
-    __slots__ = ("registry", "degree0", "degree_minus1", "columns")
+    __slots__ = ("registry", "degree0", "degree_minus1")
 
     def __init__(
         self,
         registry: IsoRegistry,
         degree0: Sequence[int],
         degree_minus1: Sequence[int],
-        columns: Optional[Tuple[PairedColumn, ...]] = None,
     ):
         self.registry = registry
         self.degree0 = tuple(sorted(degree0))
         self.degree_minus1 = tuple(sorted(degree_minus1))
-        self.columns = columns
 
     @property
     def key(self) -> tuple:
@@ -161,10 +160,10 @@ def paired_columns(pair: SupportPair) -> List[PairedColumn]:
 def smc_of_vertex(pair: SupportPair, check: bool = True) -> TwoTermSMC:
     """The two-term collection at a pair: tops in degree 0, dual socles
     shifted.  With check=True the axioms are verified before returning."""
-    cols = tuple(paired_columns(pair))
+    cols = paired_columns(pair)
     degree0 = [c.brick_id for c in cols if c.sign > 0]
     degree_minus1 = [c.brick_id for c in cols if c.sign < 0]
-    out = TwoTermSMC(pair.registry, degree0, degree_minus1, cols)
+    out = TwoTermSMC(pair.registry, degree0, degree_minus1)
     if check:
         report = check_smc_axioms(out)
         if not report.ok:
@@ -278,12 +277,11 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
     for sid in x.degree0:
         if sid == s0:
             continue
-        S = reg.module(sid)
-        pres = reg.presentation(sid)
-        reps, coboundaries = ext1_basis(S, S0, pres)
-        if not reps:
+        if reg.ext1_dim(sid, s0) == 0:
             new0.append(sid)
             continue
+        pres = reg.presentation(sid)
+        reps, coboundaries = ext1_basis(reg.module(sid), S0, pres)
         chosen = greedy_span_pick(field, coboundaries, reps, end_orbit)
         if len(chosen) * len(end_s0) != len(reps):
             raise TaumutError(
@@ -327,27 +325,32 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
 
 def check_label_coincidence(quiver: ExchangeQuiver) -> dict:
     """Mutating the collection at an arrow's label lands on the target's
-    collection; arrows whose label has self-extensions are skipped."""
+    collection; arrows whose label has self-extensions are skipped.  Each
+    collection is read off the quiver (Asai): the labels out in degree 0,
+    the labels in shifted, so the quiver must be complete."""
+    if not quiver.complete:
+        raise IncompleteExplorationError(
+            "label coincidence needs a completely explored exchange quiver"
+        )
     reg = quiver.registry
-    smcs: Dict[int, TwoTermSMC] = {}
 
     def smc_at(i: int) -> TwoTermSMC:
-        if i not in smcs:
-            smcs[i] = smc_of_vertex(quiver.pairs[i], check=False)
-        return smcs[i]
+        return TwoTermSMC(
+            reg,
+            [lab for _, _, lab in quiver.out_arrows(i)],
+            [lab for _, _, lab in quiver.in_arrows(i)],
+        )
 
     checked = 0
     skipped: List[tuple] = []
     failures: List[tuple] = []
     for s, t, lab in quiver.arrows:
-        brick = reg.module(lab)
+        dims = tuple(reg.module(lab).dims)
         if reg.ext1_dim(lab, lab) != 0:
-            skipped.append((s, t, tuple(brick.dims)))
+            skipped.append((s, t, dims))
             continue
-        got = smc_left_mutate(smc_at(s), lab)
-        want = smc_at(t)
-        if got.key != want.key:
-            failures.append((s, t, tuple(brick.dims)))
+        if smc_left_mutate(smc_at(s), lab).key != smc_at(t).key:
+            failures.append((s, t, dims))
         checked += 1
     return {
         "checked": checked,

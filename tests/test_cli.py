@@ -128,6 +128,137 @@ def test_verify_reports_an_smc_that_is_not_the_arrow_labels(emptied, capsys, mon
     assert len(flagged) == 13
 
 
+def _verify_failures(capsys, preset):
+    code, out, _ = run(capsys, ["verify", "--preset", preset])
+    return code, [line for line in out.splitlines() if line.startswith("FAIL:")]
+
+
+def _after_exploring(monkeypatch, change):
+    """Let `verify` explore as usual, then apply `change` to the quiver."""
+    from taumut import cli
+
+    real = cli.explore
+
+    def explore(reg, max_depth=None):
+        quiver = real(reg, max_depth)
+        change(quiver)
+        return quiver
+
+    monkeypatch.setattr(cli, "explore", explore)
+
+
+def test_verify_reports_the_degree_law(capsys, monkeypatch):
+    # a quiver that claims one more vertex: in + out = n fails everywhere
+    from types import SimpleNamespace
+
+    _after_exploring(
+        monkeypatch,
+        lambda q: setattr(q, "algebra", SimpleNamespace(n_vertices=q.algebra.n_vertices + 1)),
+    )
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == [f"FAIL: degree law fails at vertex {i}" for i in range(6)]
+
+
+def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
+    from taumut import cli
+
+    real = cli.semibrick_ids_of
+    # one-brick semibricks counted twice: out-degree 1 against size 2
+    monkeypatch.setattr(cli, "semibrick_ids_of", lambda p: real(p) * (1 + (len(real(p)) == 1)))
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == [
+        f"FAIL: out-degree != semibrick size at vertex {i}" for i in (1, 2, 3, 4)
+    ]
+    # the simples counted twice at (A, 0): larger than n as well
+    monkeypatch.setattr(cli, "semibrick_ids_of", lambda p: real(p) * (1 + (len(real(p)) == 2)))
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == [
+        "FAIL: out-degree != semibrick size at vertex 0",
+        "FAIL: semibrick larger than 2 at vertex 0",
+    ]
+    # every brick renamed to one id: semibricks of one size coincide
+    monkeypatch.setattr(cli, "semibrick_ids_of", lambda p: [0] * len(real(p)))
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == [
+        "FAIL: semibrick of vertex 2 repeats vertex 1",
+        "FAIL: semibrick of vertex 3 repeats vertex 2",
+        "FAIL: semibrick of vertex 4 repeats vertex 3",
+    ]
+
+
+def test_verify_reports_the_duality(capsys, monkeypatch):
+    from taumut import cli
+
+    monkeypatch.setattr(cli, "duality_report", lambda pair: {"ok": False})
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == [f"FAIL: duality fails at vertex {i}" for i in range(6)]
+
+
+def test_verify_reports_a_label_outside_fac_of_the_source(capsys, monkeypatch):
+    from taumut.modules import IsoRegistry
+
+    monkeypatch.setattr(IsoRegistry, "in_fac", lambda self, i, ids: False)
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == [
+        f"FAIL: label on {s}->{t} is not a factor of the source"
+        for s, t in ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5))
+    ]
+
+
+def test_verify_reports_hom_from_the_target(capsys, monkeypatch):
+    # On a-path:3 the arrow 3->8 is labelled M23 and its target has the
+    # summand M12.  Claiming Hom(M12, M23) != 0 once the quiver is explored
+    # flags that arrow and touches no collection.
+    from taumut.modules import IsoRegistry
+
+    def claim(quiver):
+        reg = quiver.registry
+        ids = {reg.module(i).dims: i for i in range(reg.count())}
+        pair = (ids[(1, 1, 0)], ids[(0, 1, 1)])
+        real = IsoRegistry.hom_dim
+        monkeypatch.setattr(
+            IsoRegistry, "hom_dim", lambda self, i, j: 1 if (i, j) == pair else real(self, i, j)
+        )
+
+    _after_exploring(monkeypatch, claim)
+    code, fails = _verify_failures(capsys, "a-path:3")
+    assert code == 1
+    assert fails == ["FAIL: label on 3->8 receives Hom from the target"]
+
+
+def test_verify_reports_the_nakayama_recurrence(capsys, monkeypatch):
+    from taumut import cli
+
+    real = cli.count_value
+    monkeypatch.setattr(cli, "count_value", lambda kind, n, l: real(kind, n, l) + 1)
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == ["FAIL: vertex count 6 != recurrence 7"]
+
+
+def test_verify_reports_label_coincidence(capsys, monkeypatch):
+    # the first Koenig-Yang mutation leaves its collection unchanged
+    from taumut import smc
+
+    real = smc.smc_left_mutate
+    calls = []
+
+    def first_unmutated(x, brick):
+        calls.append(brick)
+        return x if len(calls) == 1 else real(x, brick)
+
+    monkeypatch.setattr(smc, "smc_left_mutate", first_unmutated)
+    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    assert code == 1
+    assert fails == ["FAIL: label coincidence failures: [(0, 1, (1, 0))]"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -297,7 +428,20 @@ def test_field_flag_rejects_pseudoprime_moduli(modulus, capsys):
         capsys, ["explore", "--preset", "a-path:2", "--field", f"fp:{modulus}"]
     )
     assert (code, out) == (2, "")
-    assert err == f"error: bad prime in field spec 'fp:{modulus}'\n"
+    assert err == (
+        f"error: bad prime in field spec 'fp:{modulus}': "
+        f"modulus {modulus} is not a prime\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,reason",
+    [("fp:abc", "'abc' is not an integer"), ("fp:1", "modulus 1 is not a prime")],
+)
+def test_field_flag_names_the_cause(spec, reason, capsys):
+    code, out, err = run(capsys, ["explore", "--preset", "a-path:2", "--field", spec])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad prime in field spec '{spec}': {reason}\n"
 
 
 def test_field_flag_accepts_a_mersenne_prime(capsys):

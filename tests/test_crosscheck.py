@@ -623,9 +623,10 @@ CONSTRUCTED = [
 @pytest.mark.parametrize("preset,field", CONSTRUCTED, ids=str)
 def test_maps_made_by_construction_commute(preset, field, monkeypatch):
     # Projections, covers and nu f skip the commutation check when they are
-    # built; here every one that an exploration and its label-coincidence
-    # check build must pass it.  The universal extensions of the SMC
-    # mutation are the quotients whose spans are not coordinate subspaces.
+    # built; here every one that an exploration, its collections and its
+    # label-coincidence check build must pass it.  The universal extensions
+    # of the SMC mutation are the quotients whose spans are not coordinate
+    # subspaces; the collections' dual pairs build nu f.
     made = {}
 
     def record(namespace, name, kind, pick):
@@ -643,6 +644,8 @@ def test_maps_made_by_construction_commute(preset, field, monkeypatch):
     record(modules, "_projective_cover", "cover", lambda out: out[3])
     record(modules, "nakayama_functor_map", "nu f", lambda out: out[2])
     quiver = explore(IsoRegistry(build_preset(preset, field)))
+    for pair in quiver.pairs:
+        smc_of_vertex(pair, check=False)
     assert check_label_coincidence(quiver)["ok"]
     reg = quiver.registry
     made["Hom(P0, N)"] = [

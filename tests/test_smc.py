@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumut import IsoRegistry
-from taumut.errors import MutationError, SelfExtensionError, TaumutError
+from taumut import IsoRegistry, modules, smc, tautilt
+from taumut.errors import (
+    IncompleteExplorationError,
+    MutationError,
+    SelfExtensionError,
+    TaumutError,
+)
 from taumut.linalg import PrimeField
 from taumut.presets import build_preset
 from taumut.smc import (
@@ -77,6 +82,30 @@ def test_axiom_checker_rejects_hom_between_parts(a3_quiver):
     broken = TwoTermSMC(reg, (p1, s1_id, s3_id), ())
     report = check_smc_axioms(broken)
     assert not report.ok
+
+
+def _ids_by_dims(reg):
+    return {reg.module(i).dims: i for i in range(reg.count())}
+
+
+def test_axiom_checker_names_each_violation(a3_quiver, preproj_quiver):
+    reg = a3_quiver.registry
+    ids = _ids_by_dims(reg)
+    s1, s2, s3, m12 = (ids[d] for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)))
+    cases = [
+        ((s1, m12, s3), (), "Hom inside one degree: (1, 1, 0) -> (1, 0, 0)"),
+        ((m12, s3), (s1,), "Hom across degrees: (1, 1, 0) -> (1, 0, 0)"),
+        ((s1, s3), (s2,), "Ext1 across degrees: (1, 0, 0) -> (0, 1, 0)"),
+    ]
+    for degree0, shifted, violation in cases:
+        report = check_smc_axioms(TwoTermSMC(reg, degree0, shifted))
+        assert report.violations == [violation]
+    # the middle projective of preproj-a:3 has End of dimension 2
+    reg = preproj_quiver.registry
+    p2 = reg.projective_ids[1]
+    s1, s3 = (_ids_by_dims(reg)[d] for d in ((1, 0, 0), (0, 0, 1)))
+    report = check_smc_axioms(TwoTermSMC(reg, (p2,), (s1, s3)))
+    assert report.violations == ["element (1, 2, 1) is not a brick"]
 
 
 def test_paired_columns_structure(a3_quiver):
@@ -162,6 +191,47 @@ def test_label_coincidence_on_the_whole_a3_quiver(a3_quiver):
     assert report["ok"], report["failures"]
     assert report["checked"] == 21
     assert report["skipped"] == []
+
+
+@pytest.mark.parametrize(
+    "preset,checked,bases",
+    [("nakayama:cyclic:4:4", 140, 60), ("a-path:4", 84, 28), ("preproj-a:3", 36, 16)],
+)
+def test_label_coincidence_reads_the_collections_off_the_quiver(
+    preset, checked, bases, monkeypatch
+):
+    # Asai's labels give each collection, so no dual pair, socle or nu f is
+    # built; Ext^1 bases are built only for universal extensions.
+    q = explore(IsoRegistry(build_preset(preset)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check took the dual route")
+
+    for namespace, name in (
+        (smc, "dual_pair"),
+        (tautilt, "dual_pair"),
+        (modules, "socle_components"),
+        (modules, "nakayama_functor_map"),
+    ):
+        monkeypatch.setattr(namespace, name, refuse)
+    calls = []
+    real = smc.ext1_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(smc, "ext1_basis", counted)
+    report = check_label_coincidence(q)
+    assert (report["checked"], report["skipped"], report["failures"]) == (checked, [], [])
+    assert len(calls) == bases
+
+
+def test_label_coincidence_needs_a_complete_quiver():
+    q = explore(IsoRegistry(build_preset("a-path:3")), max_depth=2)
+    assert not q.complete
+    with pytest.raises(IncompleteExplorationError):
+        check_label_coincidence(q)
 
 
 def test_label_coincidence_over_a_prime_field():
