@@ -30,6 +30,7 @@ from .tautilt import (
     ExchangeQuiver,
     SupportPair,
     _dim_string,
+    dual_pair,
     explore,
     export_dot,
     export_records,
@@ -149,8 +150,8 @@ def cmd_smc(args) -> int:
         print(_status(quiver))
         return 3
     reg = quiver.registry
-    for i, pair in enumerate(quiver.pairs):
-        x = smc_of_vertex(pair)
+    for i in range(quiver.n_vertices):
+        x = smc_of_vertex(quiver, i)
         d0 = ",".join(
             sorted(_dim_string(reg.module(s).dims) for s in x.degree0)
         )
@@ -169,8 +170,8 @@ def cmd_gvectors(args) -> int:
         return 3
     failures = 0
     records = []
-    for i, pair in enumerate(quiver.pairs):
-        data = grothendieck_data(pair)
+    for i in range(quiver.n_vertices):
+        data = grothendieck_data(quiver, i)
         report = check_duality(data)
         if not report["ok"]:
             failures += 1
@@ -241,18 +242,21 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
                 f"semibrick of vertex {i} repeats vertex {seen_semibricks[sb]}"
             )
         seen_semibricks[sb] = i
-        x = smc_of_vertex(pair, check=False)
-        report = check_smc_axioms(x)
+        report = check_smc_axioms(smc_of_vertex(quiver, i, check=False))
         if not report.ok:
             failures.append(
                 f"smc axioms fail at vertex {i}: {report.violations[0]}"
             )
-        # Asai: degree 0 labels the arrows out, the shifted part those in
-        outs = tuple(sorted(lab for _, _, lab in quiver.out_arrows(i)))
-        ins = tuple(sorted(lab for _, _, lab in quiver.in_arrows(i)))
-        if x.key != (outs, ins):
+        # Asai, by the dual route: the pair's top components label the
+        # arrows out and the socle components of its dual pair those in
+        tops = reg.pair_top_ids(pair.summand_ids)
+        socles = reg.pair_socle_ids(dual_pair(pair).summand_ids)
+        dual_route = [sorted(b for b in part if b is not None) for part in (tops, socles)]
+        outs = sorted(lab for _, _, lab in quiver.out_arrows(i))
+        ins = sorted(lab for _, _, lab in quiver.in_arrows(i))
+        if dual_route != [outs, ins]:
             failures.append(f"smc of vertex {i} is not the labels of its arrows")
-        dual = duality_report(pair)
+        dual = duality_report(quiver, i)
         if not dual["ok"]:
             failures.append(f"duality fails at vertex {i}")
     for s, t, lab in quiver.arrows:

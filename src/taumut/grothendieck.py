@@ -1,9 +1,10 @@
 """Index and coindex vectors in the Grothendieck group.
 
-Every pair yields two square integer matrices with aligned columns: G
-collects the alternating projective multiplicities of minimal
-presentations (with negated unit vectors for missing vertices), C the
-signed composition-factor vectors of the paired bricks.  The two are
+Every vertex of a complete exchange quiver yields two square integer
+matrices with aligned columns: G collects the alternating projective
+multiplicities of minimal presentations (with negated unit vectors for
+missing vertices), C the signed composition-factor vectors of the bricks
+that `smc.paired_columns` reads off the vertex's arrows.  The two are
 dual up to the diagonal endomorphism dimensions, and both are
 unimodular.
 """
@@ -15,7 +16,7 @@ from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .smc import PairedColumn, paired_columns
-from .tautilt import SupportPair
+from .tautilt import ExchangeQuiver, SupportPair
 
 
 @dataclass(frozen=True)
@@ -52,36 +53,26 @@ def simple_end_dims(algebra) -> Tuple[int, ...]:
     return (1,) * algebra.n_vertices
 
 
-def c_data(pair: SupportPair):
-    """Signed composition-factor columns of the paired bricks, plus the
-    diagonal of their endomorphism dimensions."""
+def c_matrix(quiver: ExchangeQuiver, i: int) -> Tuple[Tuple[int, ...], ...]:
+    return grothendieck_data(quiver, i).c
+
+
+def grothendieck_data(quiver: ExchangeQuiver, i: int) -> GrothendieckData:
+    """G and C at vertex i.  C's columns are the signed composition-factor
+    vectors of the paired bricks (every simple is one-dimensional, so the
+    multiplicity at v is the vertex dimension), d_prime their endomorphism
+    dimensions."""
+    pair = quiver.pairs[i]
     reg = pair.registry
-    cols = []
-    d_prime = []
-    paired = paired_columns(pair)
-    for col in paired:
-        # every simple is one-dimensional, so the composition multiplicity
-        # at v is the vertex dimension
-        cols.append([col.sign * x for x in reg.module(col.brick_id).dims])
-        d_prime.append(reg.end_dim(col.brick_id))
-    return cols, tuple(d_prime), tuple(paired)
-
-
-def c_matrix(pair: SupportPair) -> Tuple[Tuple[int, ...], ...]:
-    cols, _, _ = c_data(pair)
-    return _columns_to_rows(cols, pair.registry.algebra.n_vertices)
-
-
-def grothendieck_data(pair: SupportPair) -> GrothendieckData:
-    n = pair.registry.algebra.n_vertices
-    gc = g_columns(pair)
-    cc, d_prime, paired = c_data(pair)
+    n = reg.algebra.n_vertices
+    paired = tuple(paired_columns(quiver, i))
+    cc = [[col.sign * x for x in reg.module(col.brick_id).dims] for col in paired]
     return GrothendieckData(
         columns=paired,
-        g=_columns_to_rows(gc, n),
+        g=_columns_to_rows(g_columns(pair), n),
         c=_columns_to_rows(cc, n),
-        d=simple_end_dims(pair.registry.algebra),
-        d_prime=d_prime,
+        d=simple_end_dims(reg.algebra),
+        d_prime=tuple(reg.end_dim(col.brick_id) for col in paired),
     )
 
 
@@ -168,5 +159,5 @@ def smith_diagonal(diag: Sequence[int]) -> Tuple[int, ...]:
     return tuple(d)
 
 
-def duality_report(pair: SupportPair) -> dict:
-    return check_duality(grothendieck_data(pair))
+def duality_report(quiver: ExchangeQuiver, i: int) -> dict:
+    return check_duality(grothendieck_data(quiver, i))

@@ -1,10 +1,13 @@
 """Two-term simple-minded collections attached to exchange-quiver vertices.
 
-A collection is a set of bricks split across two degrees: the degree-0
-part is the semibrick of top components, the degree -1 part is the socle
-co-semibrick of the dual pair.  Columns stay aligned with the pair's
-summands and missing vertices so the Grothendieck matrices can reuse the
-pairing.
+A collection is a set of bricks split across two degrees.  By Asai's
+bijection the collection at a vertex is read off its arrows: the labels
+of the arrows out (top components of its summands) in degree 0, the
+labels of the arrows in shifted.  Each label is paired with the column of
+the summand or missing vertex that its arrow exchanges, and the
+Grothendieck matrices reuse that pairing.  The second route to the
+shifted part, the socle components of the dual pair, is taken only by
+`verify`'s cross-check.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .modules import (
     kernel,
     quotient_by_rows,
 )
-from .tautilt import ExchangeQuiver, SupportPair, dual_pair
+from .tautilt import ExchangeQuiver, SupportPair
 
 
 @dataclass(frozen=True)
@@ -102,65 +105,70 @@ def _where(pair: SupportPair, column: Optional[int] = None) -> str:
     return f"{at}the pair with summand dims {dims} and missing vertices {missing}"
 
 
-def paired_columns(pair: SupportPair) -> List[PairedColumn]:
-    """One signed brick per summand and per missing vertex.
+def _column_keys(pair: SupportPair) -> List[tuple]:
+    """The pair's columns in order: its summands, then its missing vertices."""
+    return [("summand", sid) for sid in pair.summand_ids] + [
+        ("support", v) for v in pair.support_complement
+    ]
 
-    Mutable summands contribute their top component in degree 0; the rest
-    pair with socle components of the dual pair in degree -1.  Both
-    pairings are certified at runtime: positive columns must receive a
-    map from their summand, negative ones must map into its translate
-    (Hom(S, tau U) read off the g-vector pairing), and no dual socle
-    component may go unused.
+
+def paired_columns(quiver: ExchangeQuiver, i: int) -> List[PairedColumn]:
+    """One signed brick per summand and per missing vertex of vertex i.
+
+    An arrow out, i -> t, removes the one summand of i that t lacks, and
+    its label goes to that column in degree 0.  An arrow in, s -> i, brings
+    the one summand or missing vertex of i that s lacks, and its label goes
+    to that column shifted.  An incomplete quiver may lack arrows in, so
+    the quiver must be complete.  Each column is certified at runtime: a
+    degree-0 brick must receive a map from its summand, a shifted one must
+    map into the summand's translate (Hom(S, tau U) read off the g-vector
+    pairing), and a missing vertex's brick must be nonzero there.
     """
+    if not quiver.complete:
+        raise IncompleteExplorationError(
+            "reading a collection off the arrows needs a completely explored "
+            "exchange quiver"
+        )
+    pair = quiver.pairs[i]
     reg = pair.registry
-    ids = pair.summand_ids
-    tops = reg.pair_top_ids(ids)
-    dual_ids = dual_pair(pair).summand_ids
-    socle_of = dict(zip(dual_ids, reg.pair_socle_ids(dual_ids)))
+    keys = _column_keys(pair)
+    paired: dict = {}
+    for sign, other, arrows in ((1, 1, quiver.out_arrows(i)), (-1, 0, quiver.in_arrows(i))):
+        for arrow in arrows:
+            exchanged = set(keys).difference(_column_keys(quiver.pairs[arrow[other]]))
+            column = keys.index(exchanged.pop()) if len(exchanged) == 1 else -1
+            if column < 0 or column in paired:
+                raise TaumutError(
+                    f"{_where(pair)}: the arrow {arrow[0]} -> {arrow[1]} does not "
+                    "exchange a column of its own"
+                )
+            paired[column] = (sign, arrow[2])
 
-    def fail(reason: str) -> TaumutError:
-        return TaumutError(f"{_where(pair, len(columns))}: {reason}")
+    def fail(column: int, reason: str) -> TaumutError:
+        return TaumutError(f"{_where(pair, column)}: {reason}")
 
     columns: List[PairedColumn] = []
-    used: set = set()
-    for pos, sid in enumerate(ids):
-        if tops[pos] is not None:
-            if reg.hom_dim(sid, tops[pos]) == 0:
-                raise fail("degree-0 column does not pair with its summand")
-            columns.append(PairedColumn("summand", pos, 1, tops[pos]))
-            continue
-        if reg.projective_vertex(sid) is not None:
-            raise fail(
-                "a projective summand turned out immutable; impossible for a "
-                "basic pair"
-            )
-        tid = reg.tau_id(sid)
-        soc = socle_of.get(tid)
-        if soc is None:
-            raise fail("missing socle component for an immutable summand")
-        if reg.tau_hom_dim(sid, soc) == 0:
-            raise fail("degree -1 column does not pair with its summand")
-        columns.append(PairedColumn("summand", pos, -1, soc))
-        used.add(tid)
-    for v in pair.support_complement:
-        iid = reg.injective_id(v)
-        soc = socle_of.get(iid)
-        if soc is None:
-            raise fail("missing socle component for a missing vertex")
-        if reg.module(soc).dims[v] == 0:
-            raise fail("degree -1 column does not pair with its vertex")
-        columns.append(PairedColumn("support", v, -1, soc))
-        used.add(iid)
-    for did, soc in socle_of.items():
-        if soc is not None and did not in used:
-            raise TaumutError(f"{_where(pair)}: a dual socle component was left unpaired")
+    for column, (kind, key) in enumerate(keys):
+        if column not in paired:
+            raise fail(column, "no arrow in or out pairs with this column")
+        sign, brick = paired[column]
+        if kind == "support":
+            if sign > 0 or reg.module(brick).dims[key] == 0:
+                raise fail(column, "degree -1 column does not pair with its vertex")
+        elif sign > 0 and reg.hom_dim(key, brick) == 0:
+            raise fail(column, "degree-0 column does not pair with its summand")
+        elif sign < 0 and reg.tau_hom_dim(key, brick) == 0:
+            raise fail(column, "degree -1 column does not pair with its summand")
+        columns.append(PairedColumn(kind, key if kind == "support" else column, sign, brick))
     return columns
 
 
-def smc_of_vertex(pair: SupportPair, check: bool = True) -> TwoTermSMC:
-    """The two-term collection at a pair: tops in degree 0, dual socles
-    shifted.  With check=True the axioms are verified before returning."""
-    cols = paired_columns(pair)
+def smc_of_vertex(quiver: ExchangeQuiver, i: int, check: bool = True) -> TwoTermSMC:
+    """The two-term collection at vertex i: the labels of its arrows out in
+    degree 0, those of its arrows in shifted.  With check=True the axioms
+    are verified before returning."""
+    pair = quiver.pairs[i]
+    cols = paired_columns(quiver, i)
     degree0 = [c.brick_id for c in cols if c.sign > 0]
     degree_minus1 = [c.brick_id for c in cols if c.sign < 0]
     out = TwoTermSMC(pair.registry, degree0, degree_minus1)
@@ -326,21 +334,10 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
 def check_label_coincidence(quiver: ExchangeQuiver) -> dict:
     """Mutating the collection at an arrow's label lands on the target's
     collection; arrows whose label has self-extensions are skipped.  Each
-    collection is read off the quiver (Asai): the labels out in degree 0,
-    the labels in shifted, so the quiver must be complete."""
-    if not quiver.complete:
-        raise IncompleteExplorationError(
-            "label coincidence needs a completely explored exchange quiver"
-        )
+    collection is read off the quiver by `smc_of_vertex`, so the quiver
+    must be complete."""
     reg = quiver.registry
-
-    def smc_at(i: int) -> TwoTermSMC:
-        return TwoTermSMC(
-            reg,
-            [lab for _, _, lab in quiver.out_arrows(i)],
-            [lab for _, _, lab in quiver.in_arrows(i)],
-        )
-
+    collections = [smc_of_vertex(quiver, i, check=False) for i in range(quiver.n_vertices)]
     checked = 0
     skipped: List[tuple] = []
     failures: List[tuple] = []
@@ -349,7 +346,7 @@ def check_label_coincidence(quiver: ExchangeQuiver) -> dict:
         if reg.ext1_dim(lab, lab) != 0:
             skipped.append((s, t, dims))
             continue
-        if smc_left_mutate(smc_at(s), lab).key != smc_at(t).key:
+        if smc_left_mutate(collections[s], lab).key != collections[t].key:
             failures.append((s, t, dims))
         checked += 1
     return {

@@ -119,8 +119,8 @@ def test_criterion_05_simple_minded_collections_fixture():
     for degree0, shifted in A3_SMC.values():
         expected.add((tuple(sorted(degree0)), tuple(sorted(shifted))))
     got = set()
-    for pair in quiver.pairs:
-        x = smc_of_vertex(pair)
+    for i in range(quiver.n_vertices):
+        x = smc_of_vertex(quiver, i)
         got.add(
             (
                 tuple(sorted(reg.module(i).dims for i in x.degree0)),
@@ -147,8 +147,8 @@ def test_criterion_06_grothendieck_duality():
     for name in presets:
         quiver = explore(IsoRegistry(build_preset(name)))
         assert quiver.complete, name
-        for i, pair in enumerate(quiver.pairs):
-            report = duality_report(pair)
+        for i in range(quiver.n_vertices):
+            report = duality_report(quiver, i)
             assert report["gtdc_equals_dprime"], (name, i)
             assert abs(report["det_g"]) == 1, (name, i)
             assert abs(report["det_c"]) == 1, (name, i)

@@ -108,20 +108,17 @@ def test_verify_nakayama_checks_recurrence(capsys):
 @pytest.mark.parametrize("emptied", ["degree0", "shifted"])
 def test_verify_reports_an_smc_that_is_not_the_arrow_labels(emptied, capsys, monkeypatch):
     # a-path:3 has 14 vertices: the source has no arrows in and the sink no
-    # arrows out.  Emptying one part of every collection leaves it unequal
-    # to the labels at the other 13.
-    from taumut import cli
-    from taumut.smc import TwoTermSMC
+    # arrows out.  verify reaches each collection by the dual route, the
+    # top components of the pair and the socle components of its dual
+    # pair; emptying one part leaves it unequal to the labels at the other
+    # 13.
+    from taumut.modules import IsoRegistry
 
-    real = cli.smc_of_vertex
-
-    def fake(pair, check=True):
-        x = real(pair, check=check)
-        if emptied == "degree0":
-            return TwoTermSMC(x.registry, (), x.degree_minus1)
-        return TwoTermSMC(x.registry, x.degree0, ())
-
-    monkeypatch.setattr(cli, "smc_of_vertex", fake)
+    layer = "pair_top_ids" if emptied == "degree0" else "pair_socle_ids"
+    _after_exploring(
+        monkeypatch,
+        lambda q: monkeypatch.setattr(IsoRegistry, layer, lambda self, ids: (None,) * len(ids)),
+    )
     code, out, _ = run(capsys, ["verify", "--preset", "a-path:3"])
     assert code == 1
     flagged = [line for line in out.splitlines() if line.endswith("is not the labels of its arrows")]
@@ -193,7 +190,7 @@ def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
 def test_verify_reports_the_duality(capsys, monkeypatch):
     from taumut import cli
 
-    monkeypatch.setattr(cli, "duality_report", lambda pair: {"ok": False})
+    monkeypatch.setattr(cli, "duality_report", lambda quiver, i: {"ok": False})
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == [f"FAIL: duality fails at vertex {i}" for i in range(6)]

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from taumut import cli, modules, tautilt
 from taumut.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -41,6 +42,26 @@ def test_stdout_matches_the_stored_copy(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["smc-cyclic44", "smc-preproj-a3", "gvectors-cyclic44", "gvectors-preproj-a3"]
+)
+def test_smc_and_gvectors_take_no_dual_route(name, capsys, monkeypatch):
+    # Both verbs read each collection off the arrows; only verify builds a
+    # dual pair, a translate or socle components.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verb took the dual route")
+
+    for namespace, attr in (
+        (tautilt, "dual_pair"),
+        (cli, "dual_pair"),
+        (modules, "socle_components"),
+        (modules, "nakayama_functor_map"),
+        (modules.IsoRegistry, "tau_id"),
+    ):
+        monkeypatch.setattr(namespace, attr, refuse)
+    test_stdout_matches_the_stored_copy(name, capsys)
 
 
 def _digests() -> dict:

@@ -2,9 +2,10 @@
 
 The registry's translate is checked against the uncached translate, the
 Ext^1 representatives and the registry's cached Ext^1 dimension against
-the Ext^1 dimension formula, the shifted columns of the SMC against the
-co-semibrick of the dual pair, and the exchange quiver's adjacency lists
-against a scan of its arrows.  The End(M) structure constants read off
+the Ext^1 dimension formula, the shifted columns of the SMC read off the
+arrows in against the co-semibrick of the dual pair, each column against
+the socle pairing through the dual pair, and the exchange quiver's
+adjacency lists against a scan of its arrows.  The End(M) structure constants read off
 the free columns are checked against solved ones, and Hom(N, tau M) from
 the registry's translate against the g-vector pairing, which needs no
 translate (AIR Prop. 2.4), and pair rigidity read off that pairing against
@@ -19,8 +20,8 @@ derived by duality, against their own definitions; and explorations over
 Q against explorations over several primes.  The registry's Fac test is
 checked against in_fac of the summands, kernels that keep their echelon
 basis against the reduced left kernel, maps built without the commutation
-check against that check, and the two parts of each vertex's SMC against
-the labels of its arrows out and in.
+check against that check, and the top components of each pair and the
+co-semibrick of its dual pair against the labels of its arrows out and in.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from taumut.presets import build_preset
 from taumut.smc import (
     check_label_coincidence,
     paired_columns,
-    smc_of_vertex,
 )
 from taumut.tautilt import (
     SupportPair,
@@ -74,6 +74,7 @@ from taumut.tautilt import (
     left_mutate,
     mutable_positions,
     pair_is_tau_rigid,
+    semibrick_ids_of,
 )
 
 from conftest import (
@@ -141,8 +142,8 @@ def test_adjacency_lists_match_a_scan_of_the_arrows(quiver):
 
 def test_negative_columns_are_the_dual_cosemibrick(quiver):
     reg = quiver.registry
-    for pair in quiver.pairs:
-        negative = Counter(c.brick_id for c in paired_columns(pair) if c.sign < 0)
+    for i, pair in enumerate(quiver.pairs):
+        negative = Counter(c.brick_id for c in paired_columns(quiver, i) if c.sign < 0)
         dual = Counter(reg.register(m) for m in cosemibrick_of(dual_pair(pair)))
         assert negative == dual
 
@@ -626,7 +627,7 @@ def test_maps_made_by_construction_commute(preset, field, monkeypatch):
     # built; here every one that an exploration, its collections and its
     # label-coincidence check build must pass it.  The universal extensions
     # of the SMC mutation are the quotients whose spans are not coordinate
-    # subspaces; the collections' dual pairs build nu f.
+    # subspaces; the dual pairs' translates build nu f.
     made = {}
 
     def record(namespace, name, kind, pick):
@@ -645,7 +646,7 @@ def test_maps_made_by_construction_commute(preset, field, monkeypatch):
     record(modules, "nakayama_functor_map", "nu f", lambda out: out[2])
     quiver = explore(IsoRegistry(build_preset(preset, field)))
     for pair in quiver.pairs:
-        smc_of_vertex(pair, check=False)
+        cosemibrick_of(dual_pair(pair))
     assert check_label_coincidence(quiver)["ok"]
     reg = quiver.registry
     made["Hom(P0, N)"] = [
@@ -675,13 +676,39 @@ LABELLED = [
 ]
 
 
-@pytest.mark.parametrize("preset,field", LABELLED, ids=str)
-def test_smc_parts_are_the_labels_of_the_arrows_out_and_in(preset, field):
-    # The degree-0 part is read off top components and the shifted part off
-    # socle components of the dual pair; the arrows' labels are the top
-    # components of their source pairs.
-    quiver = explore(IsoRegistry(build_preset(preset, field)))
-    for i, pair in enumerate(quiver.pairs):
-        x = smc_of_vertex(pair, check=False)
-        assert x.degree0 == tuple(sorted(lab for _, _, lab in quiver.out_arrows(i)))
-        assert x.degree_minus1 == tuple(sorted(lab for _, _, lab in quiver.in_arrows(i)))
+@pytest.fixture(scope="module", params=LABELLED, ids=lambda c: f"{c[0]}-{c[1]}")
+def labelled(request):
+    preset, field = request.param
+    return explore(IsoRegistry(build_preset(preset, field)))
+
+
+def test_smc_parts_are_the_labels_of_the_arrows_out_and_in(labelled):
+    # The top components of a pair and the socle components of its dual
+    # pair, against the labels of the arrows out of and into its vertex.
+    reg = labelled.registry
+    for i, pair in enumerate(labelled.pairs):
+        dual = sorted(reg.register(m) for m in cosemibrick_of(dual_pair(pair)))
+        assert sorted(semibrick_ids_of(pair)) == sorted(lab for _, _, lab in labelled.out_arrows(i))
+        assert dual == sorted(lab for _, _, lab in labelled.in_arrows(i))
+
+
+def test_columns_read_off_the_arrows_are_the_dual_pairing(labelled):
+    # Column by column, brick ids included: a degree-0 column holds its
+    # summand's top component; a shifted summand column U the socle
+    # component that the dual pair gives tau U; a missing vertex v that of
+    # the injective I_v.
+    reg = labelled.registry
+    for i, pair in enumerate(labelled.pairs):
+        tops = reg.pair_top_ids(pair.summand_ids)
+        dual_ids = dual_pair(pair).summand_ids
+        socle_of = dict(zip(dual_ids, reg.pair_socle_ids(dual_ids)))
+        cols = paired_columns(labelled, i)
+        expected = []
+        for pos, sid in enumerate(pair.summand_ids):
+            if tops[pos] is not None:
+                expected.append(("summand", pos, 1, tops[pos]))
+            else:
+                expected.append(("summand", pos, -1, socle_of[reg.tau_id(sid)]))
+        for v in pair.support_complement:
+            expected.append(("support", v, -1, socle_of[reg.injective_id(v)]))
+        assert [(c.kind, c.index, c.sign, c.brick_id) for c in cols] == expected

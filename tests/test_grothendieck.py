@@ -33,23 +33,23 @@ def _identity(n):
 def test_initial_pair_gives_identity_matrices(a3_quiver):
     init = a3_quiver.pairs[0]
     assert g_matrix(init) == _identity(3)
-    assert c_matrix(init) == _identity(3)
-    data = grothendieck_data(init)
+    assert c_matrix(a3_quiver, 0) == _identity(3)
+    data = grothendieck_data(a3_quiver, 0)
     assert data.d == (1, 1, 1)
     assert data.d_prime == (1, 1, 1)
 
 
 def test_zero_pair_gives_negated_identities(a3_quiver):
     zero_idx = vertex_by_summands(a3_quiver, [])
-    data = grothendieck_data(a3_quiver.pairs[zero_idx])
+    data = grothendieck_data(a3_quiver, zero_idx)
     neg = tuple(tuple(-x for x in row) for row in _identity(3))
     assert data.g == neg
     assert data.c == neg
 
 
 def test_duality_at_every_a3_vertex(a3_quiver):
-    for pair in a3_quiver.pairs:
-        report = duality_report(pair)
+    for i in range(a3_quiver.n_vertices):
+        report = duality_report(a3_quiver, i)
         assert report["ok"], report
         assert abs(report["det_g"]) == 1
         assert abs(report["det_c"]) == 1
@@ -57,8 +57,8 @@ def test_duality_at_every_a3_vertex(a3_quiver):
 
 def test_matrix_identity_recomputed_by_hand(a3_quiver):
     """Multiply the matrices out independently of check_duality."""
-    for pair in a3_quiver.pairs:
-        data = grothendieck_data(pair)
+    for i in range(a3_quiver.n_vertices):
+        data = grothendieck_data(a3_quiver, i)
         n = len(data.d)
         # rows index vertices, columns index pair positions
         lhs = [
@@ -79,8 +79,8 @@ def test_matrix_identity_recomputed_by_hand(a3_quiver):
 
 def test_columns_are_sign_coherent(a3_quiver, preproj_quiver):
     for quiver in (a3_quiver, preproj_quiver):
-        for pair in quiver.pairs:
-            data = grothendieck_data(pair)
+        for i in range(quiver.n_vertices):
+            data = grothendieck_data(quiver, i)
             for l in range(len(data.d)):
                 col = [data.c[v][l] for v in range(len(data.d))]
                 assert all(x >= 0 for x in col) or all(x <= 0 for x in col)
@@ -88,11 +88,11 @@ def test_columns_are_sign_coherent(a3_quiver, preproj_quiver):
 
 
 def test_duality_on_preprojective_and_prime_field(preproj_quiver):
-    for pair in preproj_quiver.pairs:
-        assert duality_report(pair)["ok"]
+    for i in range(preproj_quiver.n_vertices):
+        assert duality_report(preproj_quiver, i)["ok"]
     q5 = explore(IsoRegistry(build_preset("preproj-a:2", PrimeField(5))))
-    for pair in q5.pairs:
-        assert duality_report(pair)["ok"]
+    for i in range(q5.n_vertices):
+        assert duality_report(q5, i)["ok"]
 
 
 def test_simple_end_dims_are_one_over_a_field():
@@ -165,7 +165,7 @@ def test_int_det_agrees_with_rational_det():
 
 
 def test_check_duality_report_keys(a3_quiver):
-    report = check_duality(grothendieck_data(a3_quiver.pairs[0]))
+    report = check_duality(grothendieck_data(a3_quiver, 0))
     for key in (
         "gtdc_equals_dprime",
         "det_g",
@@ -190,7 +190,7 @@ def test_g_columns_track_supports(a3_quiver):
     # a support column is the negated unit vector of its missing vertex
     idx = vertex_by_summands(a3_quiver, [(0, 0, 1)])
     pair = a3_quiver.pairs[idx]
-    data = grothendieck_data(pair)
+    data = grothendieck_data(a3_quiver, idx)
     missing = set(pair.support_complement)
     negated_units = {
         tuple(-1 if v == m else 0 for v in range(3)) for m in missing

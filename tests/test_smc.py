@@ -14,6 +14,7 @@ from taumut.errors import (
     SelfExtensionError,
     TaumutError,
 )
+from taumut.grothendieck import grothendieck_data
 from taumut.linalg import PrimeField
 from taumut.presets import build_preset
 from taumut.smc import (
@@ -24,7 +25,7 @@ from taumut.smc import (
     smc_left_mutate,
     smc_of_vertex,
 )
-from taumut.tautilt import explore
+from taumut.tautilt import ExchangeQuiver, explore
 
 from conftest import A3_PAIRS, A3_SMC, vertex_by_summands
 
@@ -39,13 +40,13 @@ def _expected(name):
 
 
 def test_smc_of_initial_and_zero_pairs(a3_quiver):
-    init = smc_of_vertex(a3_quiver.pairs[0])
+    init = smc_of_vertex(a3_quiver, 0)
     assert init.signature() == (
         ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
         (),
     )
     zero_idx = vertex_by_summands(a3_quiver, [])
-    final = smc_of_vertex(a3_quiver.pairs[zero_idx])
+    final = smc_of_vertex(a3_quiver, zero_idx)
     assert final.signature() == (
         (),
         ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
@@ -54,18 +55,18 @@ def test_smc_of_initial_and_zero_pairs(a3_quiver):
 
 def test_smc_matches_frozen_collections(a3_quiver):
     for name, dims in A3_PAIRS.items():
-        pair = a3_quiver.pairs[vertex_by_summands(a3_quiver, dims)]
-        assert smc_of_vertex(pair).signature() == _expected(name), name
+        i = vertex_by_summands(a3_quiver, dims)
+        assert smc_of_vertex(a3_quiver, i).signature() == _expected(name), name
 
 
 def test_axioms_hold_at_every_a2_vertex(a2_quiver):
-    for pair in a2_quiver.pairs:
-        report = check_smc_axioms(smc_of_vertex(pair, check=False))
+    for i in range(a2_quiver.n_vertices):
+        report = check_smc_axioms(smc_of_vertex(a2_quiver, i, check=False))
         assert report.ok, report.violations
 
 
 def test_axiom_checker_rejects_wrong_cardinality(a3_quiver):
-    x = smc_of_vertex(a3_quiver.pairs[0])
+    x = smc_of_vertex(a3_quiver, 0)
     broken = TwoTermSMC(x.registry, x.degree0[:2], ())
     report = check_smc_axioms(broken)
     assert not report.ok
@@ -110,10 +111,10 @@ def test_axiom_checker_names_each_violation(a3_quiver, preproj_quiver):
 
 def test_paired_columns_structure(a3_quiver):
     n = a3_quiver.algebra.n_vertices
-    for pair in a3_quiver.pairs:
-        cols = paired_columns(pair)
+    for i, pair in enumerate(a3_quiver.pairs):
+        cols = paired_columns(a3_quiver, i)
         assert len(cols) == n
-        x = smc_of_vertex(pair)
+        x = smc_of_vertex(a3_quiver, i)
         plus = sorted(c.brick_id for c in cols if c.sign > 0)
         minus = sorted(c.brick_id for c in cols if c.sign < 0)
         assert tuple(plus) == x.degree0
@@ -130,10 +131,12 @@ def test_a_column_that_does_not_pair_names_the_pair_and_the_column(a3_quiver, mo
     # With Hom(S, tau U) forced to zero, the first degree -1 summand column
     # fails: on a-path:3 that is the immutable simple S_1 at column 2.
     reg = a3_quiver.registry
-    pair = next(p for p in a3_quiver.pairs if None in reg.pair_top_ids(p.summand_ids))
+    i = next(
+        i for i, p in enumerate(a3_quiver.pairs) if None in reg.pair_top_ids(p.summand_ids)
+    )
     monkeypatch.setattr(IsoRegistry, "tau_hom_dim", lambda self, i, j: 0)
     with pytest.raises(TaumutError) as err:
-        paired_columns(pair)
+        paired_columns(a3_quiver, i)
     assert str(err.value) == (
         "column 2 of the pair with summand dims [[1, 1, 1], [0, 0, 1], [1, 0, 0]] "
         "and missing vertices []: degree -1 column does not pair with its summand"
@@ -143,16 +146,15 @@ def test_a_column_that_does_not_pair_names_the_pair_and_the_column(a3_quiver, mo
 def test_mutation_follows_every_label(a3_quiver):
     reg = a3_quiver.registry
     for s, t, lab in a3_quiver.arrows:
-        x = smc_of_vertex(a3_quiver.pairs[s])
-        y = smc_of_vertex(a3_quiver.pairs[t])
+        x = smc_of_vertex(a3_quiver, s)
+        y = smc_of_vertex(a3_quiver, t)
         assert smc_left_mutate(x, reg.module(lab)).key == y.key
 
 
 def test_mutation_exercises_the_injective_branch(a3_quiver):
     # mutating ({M12}, {M123, S2}[1]) at M12: S2 embeds into M12, and the
     # cokernel S1 must land in degree 0
-    src = a3_quiver.pairs[vertex_by_summands(a3_quiver, [(1, 1, 0), (1, 0, 0)])]
-    x = smc_of_vertex(src)
+    x = smc_of_vertex(a3_quiver, vertex_by_summands(a3_quiver, [(1, 1, 0), (1, 0, 0)]))
     brick = next(
         a3_quiver.registry.module(i)
         for i in x.degree0
@@ -166,7 +168,7 @@ def test_mutation_exercises_the_injective_branch(a3_quiver):
 
 
 def test_mutation_at_a_module_outside_the_collection(a3_quiver):
-    x = smc_of_vertex(a3_quiver.pairs[0])
+    x = smc_of_vertex(a3_quiver, 0)
     outsider = a3_quiver.registry.module(a3_quiver.registry.projective_ids[0])
     with pytest.raises(MutationError):
         smc_left_mutate(x, outsider)
@@ -176,7 +178,7 @@ def test_mutation_guard_on_self_extension():
     # one loop with square zero: the unique brick extends itself
     q = explore(IsoRegistry(build_preset("nakayama:cyclic:1:2")))
     assert (q.n_vertices, q.n_arrows) == (2, 1)
-    x = smc_of_vertex(q.pairs[0])
+    x = smc_of_vertex(q, 0)
     brick = q.registry.module(q.arrows[0][2])
     with pytest.raises(SelfExtensionError):
         smc_left_mutate(x, brick)
@@ -207,8 +209,8 @@ def test_label_coincidence_reads_the_collections_off_the_quiver(
     def refuse(*args, **kwargs):
         raise AssertionError("the check took the dual route")
 
+    assert not hasattr(smc, "dual_pair")
     for namespace, name in (
-        (smc, "dual_pair"),
         (tautilt, "dual_pair"),
         (modules, "socle_components"),
         (modules, "nakayama_functor_map"),
@@ -234,6 +236,39 @@ def test_label_coincidence_needs_a_complete_quiver():
         check_label_coincidence(q)
 
 
+@pytest.mark.parametrize("read", [paired_columns, smc_of_vertex, grothendieck_data], ids=lambda f: f.__name__)
+def test_reading_a_vertex_off_its_arrows_needs_a_complete_quiver(read):
+    q = explore(IsoRegistry(build_preset("a-path:3")), max_depth=2)
+    assert not q.complete
+    with pytest.raises(IncompleteExplorationError):
+        read(q, 0)
+
+
+def test_a_column_that_no_arrow_pairs_with_names_the_pair_and_the_column(a3_quiver):
+    # Dropping the arrow 0 -> 1 of a-path:3 (it mutates P1 away, and the
+    # cokernel is zero) leaves P1's column at vertex 0 and the new missing
+    # vertex 0 at vertex 1 without a label.
+    q = a3_quiver
+    assert q.arrows[0][:2] == (0, 1)
+    dropped = ExchangeQuiver(q.algebra, q.registry, q.pairs, q.arrows[1:], True, None, q.depths)
+    with pytest.raises(TaumutError) as err:
+        paired_columns(dropped, 0)
+    assert str(err.value) == (
+        "column 0 of the pair with summand dims [[1, 1, 1], [0, 1, 1], [0, 0, 1]] "
+        "and missing vertices []: no arrow in or out pairs with this column"
+    )
+    with pytest.raises(TaumutError) as err:
+        smc_of_vertex(dropped, 1)
+    assert str(err.value) == (
+        "column 2 of the pair with summand dims [[0, 1, 1], [0, 0, 1]] "
+        "and missing vertices [0]: no arrow in or out pairs with this column"
+    )
+    # the same arrow twice gives one column two labels
+    doubled = ExchangeQuiver(q.algebra, q.registry, q.pairs, q.arrows + q.arrows[:1], True, None, q.depths)
+    with pytest.raises(TaumutError, match="the arrow 0 -> 1 does not exchange a column of its own"):
+        paired_columns(doubled, 0)
+
+
 def test_label_coincidence_over_a_prime_field():
     q = explore(IsoRegistry(build_preset("a-path:2", PrimeField(5))))
     report = check_label_coincidence(q)
@@ -241,13 +276,13 @@ def test_label_coincidence_over_a_prime_field():
 
 
 def test_smc_keys_are_all_distinct(a3_quiver):
-    keys = {smc_of_vertex(p).key for p in a3_quiver.pairs}
+    keys = {smc_of_vertex(a3_quiver, i).key for i in range(a3_quiver.n_vertices)}
     assert len(keys) == 14
 
 
 @settings(derandomize=True, max_examples=24, deadline=None)
 @given(st.integers(0, 23))
 def test_axioms_on_preprojective_vertices(preproj_quiver, vertex):
-    pair = preproj_quiver.pairs[vertex % preproj_quiver.n_vertices]
-    report = check_smc_axioms(smc_of_vertex(pair, check=False))
+    i = vertex % preproj_quiver.n_vertices
+    report = check_smc_axioms(smc_of_vertex(preproj_quiver, i, check=False))
     assert report.ok, report.violations
