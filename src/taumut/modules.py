@@ -1113,6 +1113,8 @@ class IsoRegistry:
         self._tau_hom: Dict[Tuple[int, int], int] = {}
         self._pair_top: Dict[tuple, tuple] = {}
         self._pair_socle: Dict[tuple, tuple] = {}
+        # (element, brick, degree) -> (new degree, new id): smc._mutate_element
+        self.element_mutations: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         self.projective_ids: List[int] = []
         self._projective_vertex: Dict[int, int] = {}
         self._injective_ids: Dict[int, int] = {}

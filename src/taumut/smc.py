@@ -13,7 +13,7 @@ shifted part, the socle components of the dual pair, is taken only by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ApproximationDichotomyError,
@@ -250,15 +250,90 @@ def _universal_extension(pres, chosen: Sequence[ModuleHom], S0: Module) -> Modul
     return Y
 
 
-def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
-    """Left mutation of a collection at one of its degree-0 bricks.
+def _element_at(reg: IsoRegistry, sid: int, s0: int, degree: int) -> str:
+    """The element and brick a mutation error is about, for its message."""
+    return (
+        f"mutating the element with dims {list(reg.module(sid).dims)} in degree "
+        f"{degree} at the brick with dims {list(reg.module(s0).dims)}"
+    )
 
-    Requires the chosen brick to have no self-extensions; each other
-    element is replaced by a universal extension, a cokernel, or a kernel
-    depending on how it interacts with the chosen brick.
+
+def _extend(reg: IsoRegistry, sid: int, s0: int) -> Tuple[int, int]:
+    """A degree-0 element stays unless it extends S0; then it becomes the
+    universal extension by S0, over a basis of Ext^1 over End(S0)."""
+    if reg.ext1_dim(sid, s0) == 0:
+        return 0, sid
+    S0 = reg.module(s0)
+    end_s0 = reg.hom(s0, s0)
+
+    def end_orbit(h: ModuleHom) -> List[tuple]:
+        # h composed with End(S0): picking modulo these rows gives a basis
+        # over the division ring End(S0)
+        return [h.compose(u).flatten() for u in end_s0]
+
+    pres = reg.presentation(sid)
+    reps, coboundaries = ext1_basis(reg.module(sid), S0, pres)
+    chosen = greedy_span_pick(reg.algebra.field, coboundaries, reps, end_orbit)
+    if len(chosen) * len(end_s0) != len(reps):
+        raise TaumutError(
+            f"{_element_at(reg, sid, s0, 0)}: extension space dimension is not "
+            "divisible by the brick's endomorphism ring"
+        )
+    return 0, reg.register_component(_universal_extension(pres, chosen, S0))
+
+
+def _approximate(reg: IsoRegistry, tid: int, s0: int) -> Tuple[int, int]:
+    """A shifted element stays unless it maps to S0; then its minimal left
+    add(S0)-approximation is injective, and the cokernel moves to degree 0,
+    or surjective, and the kernel stays shifted."""
+    homs = reg.hom(tid, s0)
+    if not homs:
+        return -1, tid
+    f = reg.left_approximation(tid, [s0])
+    if f.target.dim_total * reg.end_dim(s0) != len(homs) * reg.module(s0).dim_total:
+        raise TaumutError(
+            f"{_element_at(reg, tid, s0, -1)}: hom space dimension is not "
+            "divisible by the brick's endomorphism ring"
+        )
+    ker, _ = kernel(f)
+    injective = ker.is_zero
+    surjective = all(
+        s - k == t for s, k, t in zip(f.source.dims, ker.dims, f.target.dims)
+    )
+    if injective and not surjective:
+        return 0, reg.register_component(cokernel(f)[0])
+    if surjective and not injective:
+        return -1, reg.register_component(ker)
+    raise ApproximationDichotomyError(
+        f"{_element_at(reg, tid, s0, -1)}: universal map is neither injective "
+        "nor surjective"
+    )
+
+
+def _mutate_element(reg: IsoRegistry, sid: int, s0: int, degree: int) -> Tuple[int, int]:
+    """(new degree, new id) of the element sid, in degree 0 or -1, when its
+    collection is left-mutated at the degree-0 brick s0.  The answer depends
+    on nothing else, so it is built once per registry and triple; a triple
+    that raises is not cached and raises again."""
+    key = (sid, s0, degree)
+    if key not in reg.element_mutations:
+        build = _extend if degree == 0 else _approximate
+        reg.element_mutations[key] = build(reg, sid, s0)
+    return reg.element_mutations[key]
+
+
+def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
+    """Left mutation of a collection at one of its degree-0 bricks S0
+    (Koenig-Yang, "Silting objects, simple-minded collections, t-structures
+    and co-t-structures", Doc. Math. 19 (2014)).
+
+    Requires S0 to have no self-extensions.  S0 moves to degree -1; each
+    other element is replaced by a universal extension, a cokernel, or a
+    kernel depending on how it interacts with S0 (`_mutate_element`, cached
+    on the registry by element, brick and degree).  The new collection's
+    axioms are checked at every call.
     """
     reg = x.registry
-    field = reg.algebra.field
     if isinstance(brick, Module):
         parts = decompose(brick)
         if len(parts) != 1:
@@ -268,63 +343,21 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
         s0 = brick
     if s0 not in x.degree0:
         raise MutationError("mutation brick is not in the degree-0 part")
-    S0 = reg.module(s0)
     if reg.ext1_dim(s0, s0) != 0:
         raise SelfExtensionError(
             "mutation at a brick with self-extensions is not defined here"
         )
-    end_s0 = list(reg.hom(s0, s0))
-
-    def end_orbit(h: ModuleHom) -> List[tuple]:
-        # h composed with End(S0): picking modulo these rows gives a basis
-        # over the division ring End(S0)
-        return [h.compose(u).flatten() for u in end_s0]
-
-    new0: List[int] = []
-    new1: List[int] = [s0]
-    for sid in x.degree0:
-        if sid == s0:
-            continue
-        if reg.ext1_dim(sid, s0) == 0:
-            new0.append(sid)
-            continue
-        pres = reg.presentation(sid)
-        reps, coboundaries = ext1_basis(reg.module(sid), S0, pres)
-        chosen = greedy_span_pick(field, coboundaries, reps, end_orbit)
-        if len(chosen) * len(end_s0) != len(reps):
-            raise TaumutError(
-                "extension space dimension is not divisible by the brick's "
-                "endomorphism ring"
-            )
-        new0.append(reg.register_component(_universal_extension(pres, chosen, S0)))
-    for tid in x.degree_minus1:
-        homs = list(reg.hom(tid, s0))
-        if not homs:
-            new1.append(tid)
-            continue
-        f = reg.left_approximation(tid, [s0])
-        if f.target.dim_total * len(end_s0) != len(homs) * S0.dim_total:
-            raise TaumutError(
-                "hom space dimension is not divisible by the brick's "
-                "endomorphism ring"
-            )
-        ker, _ = kernel(f)
-        injective = ker.is_zero
-        surjective = all(
-            s - k == t for s, k, t in zip(f.source.dims, ker.dims, f.target.dims)
-        )
-        if injective and not surjective:
-            new0.append(reg.register_component(cokernel(f)[0]))
-        elif surjective and not injective:
-            new1.append(reg.register_component(ker))
-        else:
-            raise ApproximationDichotomyError(
-                "universal map is neither injective nor surjective"
-            )
-    out = TwoTermSMC(reg, new0, new1)
+    new: dict = {0: [], -1: [s0]}
+    for degree, part in ((0, x.degree0), (-1, x.degree_minus1)):
+        for sid in part:
+            if sid != s0:
+                d, i = _mutate_element(reg, sid, s0, degree)
+                new[d].append(i)
+    out = TwoTermSMC(reg, new[0], new[-1])
     report = check_smc_axioms(out)
     if not report.ok:
         raise TaumutError(
+            f"mutating at the brick with dims {list(reg.module(s0).dims)}: "
             "mutated collection failed its axioms: "
             + "; ".join(report.violations)
         )

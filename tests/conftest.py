@@ -269,6 +269,63 @@ def reference_left_mutate(pair, position):
     return SupportPair(reg, new_ids, missing), reg.pair_top_ids(ids)[position]
 
 
+def reference_smc_left_mutate(x, brick):
+    """Koenig-Yang left mutation of a collection at its degree-0 brick, with
+    every element mutated afresh and nothing cached: a universal extension
+    for a degree-0 element that extends the brick, and the cokernel or the
+    kernel of the left approximation for a shifted one that maps to it."""
+    from taumut.errors import ApproximationDichotomyError, TaumutError
+    from taumut.modules import cokernel, ext1_basis, greedy_span_pick, kernel
+    from taumut.smc import TwoTermSMC, _universal_extension, check_smc_axioms
+
+    reg = x.registry
+    s0 = brick
+    assert s0 in x.degree0 and reg.ext1_dim(s0, s0) == 0
+    S0 = reg.module(s0)
+    end_s0 = list(reg.hom(s0, s0))
+    new0, new1 = [], [s0]
+    for sid in x.degree0:
+        if sid == s0:
+            continue
+        if reg.ext1_dim(sid, s0) == 0:
+            new0.append(sid)
+            continue
+        pres = reg.presentation(sid)
+        reps, coboundaries = ext1_basis(reg.module(sid), S0, pres)
+        chosen = greedy_span_pick(
+            reg.algebra.field,
+            coboundaries,
+            reps,
+            lambda h: [h.compose(u).flatten() for u in end_s0],
+        )
+        if len(chosen) * len(end_s0) != len(reps):
+            raise TaumutError("extension space dimension is not divisible")
+        new0.append(reg.register_component(_universal_extension(pres, chosen, S0)))
+    for tid in x.degree_minus1:
+        homs = list(reg.hom(tid, s0))
+        if not homs:
+            new1.append(tid)
+            continue
+        f = reg.left_approximation(tid, [s0])
+        if f.target.dim_total * len(end_s0) != len(homs) * S0.dim_total:
+            raise TaumutError("hom space dimension is not divisible")
+        ker, _ = kernel(f)
+        injective = ker.is_zero
+        surjective = all(
+            s - k == t for s, k, t in zip(f.source.dims, ker.dims, f.target.dims)
+        )
+        if injective and not surjective:
+            new0.append(reg.register_component(cokernel(f)[0]))
+        elif surjective and not injective:
+            new1.append(reg.register_component(ker))
+        else:
+            raise ApproximationDichotomyError("universal map is neither injective nor surjective")
+    out = TwoTermSMC(reg, new0, new1)
+    report = check_smc_axioms(out)
+    assert report.ok, report.violations
+    return out
+
+
 def det(m):
     """Determinant of a square matrix by fraction-free-enough elimination."""
     from taumut.errors import DimensionMismatchError

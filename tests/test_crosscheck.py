@@ -64,6 +64,8 @@ from taumut.presets import build_preset
 from taumut.smc import (
     check_label_coincidence,
     paired_columns,
+    smc_left_mutate,
+    smc_of_vertex,
 )
 from taumut.tautilt import (
     SupportPair,
@@ -84,6 +86,7 @@ from conftest import (
     reference_kernel,
     reference_left_mutate,
     reference_nakayama_map,
+    reference_smc_left_mutate,
     solve,
     solved_end_constants,
 )
@@ -712,3 +715,27 @@ def test_columns_read_off_the_arrows_are_the_dual_pairing(labelled):
         for v in pair.support_complement:
             expected.append(("support", v, -1, socle_of[reg.injective_id(v)]))
         assert [(c.kind, c.index, c.sign, c.brick_id) for c in cols] == expected
+
+
+@pytest.mark.parametrize(
+    "preset,field",
+    [(preset, field) for preset, field in LABELLED if field.characteristic() != 3],
+    ids=lambda c: str(c) if isinstance(c, str) else f"char{c.characteristic()}",
+)
+def test_cached_element_mutations_match_the_uncached_mutation(preset, field):
+    # Every arrow of a fresh quiver, first with the element cache emptied
+    # before each mutation, then with it full.
+    q = explore(IsoRegistry(build_preset(preset, field)))
+    reg = q.registry
+    arrows = [(s, t, lab) for s, t, lab in q.arrows if reg.ext1_dim(lab, lab) == 0]
+    assert arrows
+    collections = [smc_of_vertex(q, i) for i in range(q.n_vertices)]
+    expected = [reference_smc_left_mutate(collections[s], lab).key for s, _, lab in arrows]
+    emptied = []
+    for s, _, lab in arrows:
+        reg.element_mutations.clear()
+        emptied.append(smc_left_mutate(collections[s], lab).key)
+    assert emptied == expected
+    # the first pass fills the cache, the second reads every element from it
+    for _ in range(2):
+        assert [smc_left_mutate(collections[s], lab).key for s, _, lab in arrows] == expected

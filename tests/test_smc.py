@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from taumut import IsoRegistry, modules, smc, tautilt
 from taumut.errors import (
+    ApproximationDichotomyError,
     IncompleteExplorationError,
     MutationError,
     SelfExtensionError,
@@ -197,13 +198,14 @@ def test_label_coincidence_on_the_whole_a3_quiver(a3_quiver):
 
 @pytest.mark.parametrize(
     "preset,checked,bases",
-    [("nakayama:cyclic:4:4", 140, 60), ("a-path:4", 84, 28), ("preproj-a:3", 36, 16)],
+    [("nakayama:cyclic:4:4", 140, 24), ("a-path:4", 84, 10), ("preproj-a:3", 36, 12)],
 )
 def test_label_coincidence_reads_the_collections_off_the_quiver(
     preset, checked, bases, monkeypatch
 ):
     # Asai's labels give each collection, so no dual pair, socle or nu f is
-    # built; Ext^1 bases are built only for universal extensions.
+    # built; Ext^1 bases are built only for universal extensions, once per
+    # element and brick.
     q = explore(IsoRegistry(build_preset(preset)))
 
     def refuse(*args, **kwargs):
@@ -227,6 +229,106 @@ def test_label_coincidence_reads_the_collections_off_the_quiver(
     report = check_label_coincidence(q)
     assert (report["checked"], report["skipped"], report["failures"]) == (checked, [], [])
     assert len(calls) == bases
+
+
+@pytest.mark.parametrize(
+    "preset,built", [("nakayama:cyclic:4:4", 72), ("a-path:4", 30), ("preproj-a:3", 36)]
+)
+def test_each_element_mutation_is_built_once(preset, built, monkeypatch):
+    # An element mutation builds an Ext^1 basis (degree 0) or a left
+    # approximation (degree -1) once per (element, brick, degree): on
+    # nakayama:cyclic:4:4, 24 + 48 builds serve 180 element mutations.
+    q = explore(IsoRegistry(build_preset(preset)))
+    calls = []
+    real_ext1, real_approx = smc.ext1_basis, IsoRegistry.left_approximation
+
+    def ext1_counted(*args):
+        calls.append("ext1")
+        return real_ext1(*args)
+
+    def approx_counted(self, *args):
+        calls.append("approximation")
+        return real_approx(self, *args)
+
+    monkeypatch.setattr(smc, "ext1_basis", ext1_counted)
+    monkeypatch.setattr(IsoRegistry, "left_approximation", approx_counted)
+    assert check_label_coincidence(q)["ok"]
+    assert len(calls) == built
+    calls.clear()
+    assert check_label_coincidence(q)["ok"]
+    assert calls == []
+
+
+def _a3_arrow(s, t, label):
+    """A fresh a-path:3 quiver (so no element mutation is cached yet), the
+    collection at s and the label of the arrow s -> t."""
+    q = explore(IsoRegistry(build_preset("a-path:3")))
+    (lab,) = [lab for a, b, lab in q.arrows if (a, b) == (s, t)]
+    assert q.registry.module(lab).dims == label
+    return q.registry, smc_of_vertex(q, s), lab
+
+
+def test_an_extension_that_does_not_divide_names_its_element_and_raises_again(monkeypatch):
+    # At the simples of a-path:3, mutating at S2 extends S1; with no
+    # extension picked the count cannot match Ext^1(S1, S2).
+    reg, x, lab = _a3_arrow(0, 2, (0, 1, 0))
+    monkeypatch.setattr(smc, "greedy_span_pick", lambda *args: [])
+    for _ in range(2):
+        with pytest.raises(TaumutError) as err:
+            smc_left_mutate(x, lab)
+        assert str(err.value) == (
+            "mutating the element with dims [1, 0, 0] in degree 0 at the brick "
+            "with dims [0, 1, 0]: extension space dimension is not divisible "
+            "by the brick's endomorphism ring"
+        )
+    (s1,) = [sid for sid in x.degree0 if reg.module(sid).dims == (1, 0, 0)]
+    assert (s1, lab, 0) not in reg.element_mutations
+
+
+def test_an_approximation_that_does_not_divide_names_its_element(monkeypatch):
+    # ({S3, M12}, {S2}[1]) mutated at M12, with two copies of M12 in the
+    # approximation of S2: twice the Hom space's share
+    _, x, lab = _a3_arrow(2, 6, (1, 1, 0))
+    real = IsoRegistry.left_approximation
+    monkeypatch.setattr(
+        IsoRegistry, "left_approximation", lambda self, i, ids: real(self, i, list(ids) * 2)
+    )
+    with pytest.raises(TaumutError) as err:
+        smc_left_mutate(x, lab)
+    assert str(err.value) == (
+        "mutating the element with dims [0, 1, 0] in degree -1 at the brick "
+        "with dims [1, 1, 0]: hom space dimension is not divisible by the "
+        "brick's endomorphism ring"
+    )
+
+
+def test_an_approximation_that_is_neither_mono_nor_epi_names_its_element(monkeypatch):
+    _, x, lab = _a3_arrow(2, 6, (1, 1, 0))
+    real = IsoRegistry.left_approximation
+
+    def zero(self, i, ids):
+        f = real(self, i, ids)
+        return modules.zero_hom(f.source, f.target)
+
+    monkeypatch.setattr(IsoRegistry, "left_approximation", zero)
+    with pytest.raises(ApproximationDichotomyError) as err:
+        smc_left_mutate(x, lab)
+    assert str(err.value) == (
+        "mutating the element with dims [0, 1, 0] in degree -1 at the brick "
+        "with dims [1, 1, 0]: universal map is neither injective nor surjective"
+    )
+
+
+def test_a_mutated_collection_that_fails_its_axioms_names_the_brick(monkeypatch):
+    # every element kept in place: S1 still extends S2, now shifted
+    reg, x, lab = _a3_arrow(0, 2, (0, 1, 0))
+    monkeypatch.setattr(smc, "_mutate_element", lambda reg, sid, s0, degree: (degree, sid))
+    with pytest.raises(TaumutError) as err:
+        smc_left_mutate(x, lab)
+    assert str(err.value) == (
+        "mutating at the brick with dims [0, 1, 0]: mutated collection failed "
+        "its axioms: Ext1 across degrees: (1, 0, 0) -> (0, 1, 0)"
+    )
 
 
 def test_label_coincidence_needs_a_complete_quiver():
