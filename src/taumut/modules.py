@@ -1029,41 +1029,35 @@ def _rad_homs(end_space: HomSpace) -> List[ModuleHom]:
     return end_data(end_space.source, end_space).rad_homs
 
 
+def _radical_maps(summands: Sequence[Module], i: int, into: bool) -> List[ModuleHom]:
+    """Hom(M_j, M_i) (into) or Hom(M_i, M_j) for each j != i, then rad End(M_i)."""
+    Mi = summands[i]
+    pairs = [(Mj, Mi) if into else (Mi, Mj) for j, Mj in enumerate(summands) if j != i]
+    return [h for M, N in pairs for h in hom_basis(M, N).basis] + _rad_homs(hom_basis(Mi, Mi))
+
+
 def top_components(
-    summands: Sequence[Module],
-    hom_fn: Optional[Callable[[int, int], Sequence[ModuleHom]]] = None,
-    rad_fn: Optional[Callable[[int], Sequence[ModuleHom]]] = None,
+    summands: Sequence[Module], maps: Optional[Sequence[Sequence[ModuleHom]]] = None
 ) -> List[Module]:
-    """The i-th entry is M_i modulo the trace of radical maps into it."""
-    if hom_fn is None:
-        hom_fn = lambda j, i: hom_basis(summands[j], summands[i]).basis
-    if rad_fn is None:
-        rad_fn = lambda i: _rad_homs(hom_basis(summands[i], summands[i]))
-    out = []
-    for i, Mi in enumerate(summands):
-        maps = [h for j in range(len(summands)) if j != i for h in hom_fn(j, i)]
-        maps += rad_fn(i)
-        out.append(quotient_by_rows(Mi, _image_rows(Mi, maps))[0])
-    return out
+    """The i-th entry is M_i modulo the images of maps[i], by default of
+    every radical map into M_i from the summands."""
+    if maps is None:
+        maps = [_radical_maps(summands, i, True) for i in range(len(summands))]
+    return [quotient_by_rows(Mi, _image_rows(Mi, hs))[0] for Mi, hs in zip(summands, maps)]
 
 
 def socle_components(
-    summands: Sequence[Module],
-    hom_fn: Optional[Callable[[int, int], Sequence[ModuleHom]]] = None,
-    rad_fn: Optional[Callable[[int], Sequence[ModuleHom]]] = None,
+    summands: Sequence[Module], maps: Optional[Sequence[Sequence[ModuleHom]]] = None
 ) -> List[Module]:
-    """The i-th entry is the common kernel of radical maps out of M_i."""
-    if hom_fn is None:
-        hom_fn = lambda i, j: hom_basis(summands[i], summands[j]).basis
-    if rad_fn is None:
-        rad_fn = lambda i: _rad_homs(hom_basis(summands[i], summands[i]))
+    """The i-th entry is the common kernel of maps[i], by default of every
+    radical map out of M_i to the summands."""
+    if maps is None:
+        maps = [_radical_maps(summands, i, False) for i in range(len(summands))]
     out = []
-    for i, Mi in enumerate(summands):
-        maps = [h for j in range(len(summands)) if j != i for h in hom_fn(i, j)]
-        maps += rad_fn(i)
+    for Mi, hs in zip(summands, maps):
         # the common kernel at v is the left kernel of the maps side by side
         joints = [
-            hstack(Mi.algebra.field, [h.mats[v] for h in maps], nrows=d)
+            hstack(Mi.algebra.field, [h.mats[v] for h in hs], nrows=d)
             for v, d in enumerate(Mi.dims)
         ]
         out.append(submodule_from_rows(Mi, [kernel_basis(m.transpose()) for m in joints])[0])
@@ -1111,8 +1105,13 @@ class IsoRegistry:
         self._rad: Dict[int, List[ModuleHom]] = {}
         self._ext1: Dict[Tuple[int, int], int] = {}
         self._tau_hom: Dict[Tuple[int, int], int] = {}
-        self._pair_top: Dict[tuple, tuple] = {}
-        self._pair_socle: Dict[tuple, tuple] = {}
+        # (i, the other summands with a nonzero Hom into / out of M_i) ->
+        # id of M_i's top / socle component, None if it vanishes: _layer_ids
+        self.tops: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
+        self.socles: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
+        # (X, the other summands that X maps to) -> new summand id, None if
+        # the cokernel vanishes: tautilt.left_mutate
+        self.exchanges: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
         # (element, brick, degree) -> (new degree, new id): smc._mutate_element
         self.element_mutations: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         self.projective_ids: List[int] = []
@@ -1223,24 +1222,26 @@ class IsoRegistry:
 
     def pair_top_ids(self, ids: Tuple[int, ...]) -> tuple:
         """Top components of a summand tuple; None marks a vanishing one."""
-        return self._layer_ids(self._pair_top, top_components, ids)
+        return self._layer_ids(self.tops, top_components, ids, True)
 
     def pair_socle_ids(self, ids: Tuple[int, ...]) -> tuple:
         """Socle components of a summand tuple; None marks a vanishing one."""
-        return self._layer_ids(self._pair_socle, socle_components, ids)
+        return self._layer_ids(self.socles, socle_components, ids, False)
 
-    def _layer_ids(self, cache: Dict[tuple, tuple], components, ids: Tuple[int, ...]) -> tuple:
-        if ids not in cache:
-            comps = components(
-                [self._mods[i] for i in ids],
-                hom_fn=lambda i, j: self.hom(ids[i], ids[j]),
-                rad_fn=lambda i: self.rad_end(ids[i]),
-            )
-            cache[ids] = tuple(
-                None if comp.is_zero else self.register_component(comp)
-                for comp in comps
-            )
-        return cache[ids]
+    def _layer_ids(self, cache: Dict[tuple, Optional[int]], components, ids, into: bool) -> tuple:
+        """Each summand's component, built once per (i, others): the j != i
+        whose Hom(M_j, M_i) (into) or Hom(M_i, M_j) is nonzero.  The component
+        reads only those Hom spaces and rad End(M_i), so the key is complete."""
+        out = []
+        for i in ids:
+            hom = (lambda j: self.hom(j, i)) if into else (lambda j: self.hom(i, j))
+            key = (i, tuple(j for j in ids if j != i and hom(j)))
+            if key not in cache:
+                maps = [h for j in key[1] for h in hom(j)] + self.rad_end(i)
+                (comp,) = components([self._mods[i]], [maps])
+                cache[key] = None if comp.is_zero else self.register_component(comp)
+            out.append(cache[key])
+        return tuple(out)
 
     def in_fac(self, i: int, ids: Sequence[int]) -> bool:
         """Is module i generated by the modules ids?  The images of the

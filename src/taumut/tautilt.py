@@ -197,11 +197,17 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
             f"summand at position {position} is generated by the others"
         )
     others = [sid for k, sid in enumerate(ids) if k != position]
-    coker, _ = cokernel(reg.left_approximation(ids[position], others))
+    # The approximation reads only the summands that X maps to, so the new
+    # summand is built once per registry and key; a failing key raises again.
+    key = (ids[position], tuple(u for u in others if reg.hom(ids[position], u)))
     try:
-        extras = [] if coker.is_zero else [reg.register_component(coker)]
+        if key not in reg.exchanges:
+            coker, _ = cokernel(reg.left_approximation(*key))
+            reg.exchanges[key] = None if coker.is_zero else reg.register_component(coker)
+        extras = [] if reg.exchanges[key] is None else [reg.exchanges[key]]
         if set(extras) & set(others):
-            raise NotTauRigidError(f"the cokernel with dims {coker.dims} is a kept summand")
+            dims = reg.module(extras[0]).dims
+            raise NotTauRigidError(f"the cokernel with dims {dims} is a kept summand")
     except (IndeterminateDecompositionError, NotTauRigidError) as err:
         if pair_is_tau_rigid(pair):
             raise

@@ -234,6 +234,16 @@ def reference_indec_iso(M, N):
     )
 
 
+def reference_components(reg, ids, into=True):
+    """The top (into) or socle components of the summands ids, built afresh
+    from every Hom basis between them and rad End, as registry ids; None
+    marks a vanishing one."""
+    from taumut.modules import socle_components, top_components
+
+    build = top_components if into else socle_components
+    return tuple(None if c.is_zero else reg.register(c) for c in build([reg.module(i) for i in ids]))
+
+
 def reference_left_mutate(pair, position):
     """Left mutation through a non-minimal approximation: X maps into every
     Hom-basis copy of the other summands, the cokernel is decomposed, and
@@ -266,7 +276,7 @@ def reference_left_mutate(pair, position):
         v for v in range(A.n_vertices)
         if all(reg.module(i).dims[v] == 0 for i in new_ids)
     ]
-    return SupportPair(reg, new_ids, missing), reg.pair_top_ids(ids)[position]
+    return SupportPair(reg, new_ids, missing), reference_components(reg, ids)[position]
 
 
 def reference_smc_left_mutate(x, brick):

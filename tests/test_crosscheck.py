@@ -13,7 +13,10 @@ the translate of the direct sum.  The registry's identification by a bijective
 basis map is checked against the composite-outside-the-radical test, on
 registered modules and on random changes of their bases.  Left mutation
 through the minimal approximation is checked against mutation through the
-full Hom basis with a decomposed cokernel.  Injectives and
+full Hom basis with a decomposed cokernel, and the registry's cached
+exchanges, top components and socle components, each built once per
+(summand, summands it sees), against that mutation and against the
+components over every Hom basis of the pair.  Injectives and
 nu f, derived from the opposite algebra's projectives, are checked against
 direct constructions on the dual path basis; in_sub and tau^-1-rigidity,
 derived by duality, against their own definitions; and explorations over
@@ -81,6 +84,7 @@ from taumut.tautilt import (
 
 from conftest import (
     det,
+    reference_components,
     reference_indec_iso,
     reference_injective,
     reference_kernel,
@@ -561,16 +565,23 @@ def test_left_approximation_skips_maps_through_the_end_radical(field):
     ids=["split", "kept"],
 )
 def test_mutation_of_a_non_rigid_pair_is_a_typed_error(ids, position, reason):
+    # Twice: a cokernel that splits is not cached, so it is built and fails
+    # again; a kept one is cached, and the second error reads its dims off
+    # the registry.
     reg = explore(IsoRegistry(build_preset("preproj-a:3"))).registry
     pair = SupportPair(reg, ids, ())
     assert not pair_is_tau_rigid(pair)
     dims = [list(reg.module(i).dims) for i in ids]
-    with pytest.raises(MutationError) as err:
-        left_mutate(pair, position)
-    assert str(err.value) == (
-        f"mutation at position {position} of the pair with summand dims "
-        f"{dims}: {reason}; the input pair cannot have been tau-rigid"
-    )
+    for _ in range(2):
+        with pytest.raises(MutationError) as err:
+            left_mutate(pair, position)
+        assert str(err.value) == (
+            f"mutation at position {position} of the pair with summand dims "
+            f"{dims}: {reason}; the input pair cannot have been tau-rigid"
+        )
+    x = ids[position]
+    key = (x, tuple(u for u in ids if u != x and reg.hom(x, u)))
+    assert (key in reg.exchanges) == ("kept summand" in reason)
 
 
 # -- spans and maps built once -------------------------------------------------
@@ -739,3 +750,57 @@ def test_cached_element_mutations_match_the_uncached_mutation(preset, field):
     # the first pass fills the cache, the second reads every element from it
     for _ in range(2):
         assert [smc_left_mutate(collections[s], lab).key for s, _, lab in arrows] == expected
+
+
+# -- components and exchanges built once per (summand, summands it sees) -------
+
+Q_AND_F5 = [(preset, field) for preset, field in LABELLED if field.characteristic() != 3]
+
+
+@pytest.mark.parametrize(
+    "preset,field", Q_AND_F5, ids=lambda c: str(c) if isinstance(c, str) else f"char{c.characteristic()}"
+)
+def test_cached_components_match_the_components_of_the_whole_pair(preset, field):
+    # The top and socle components of every pair and of its dual pair,
+    # against the components over every Hom basis between the summands:
+    # first with the caches emptied before each tuple, then with them full.
+    q = explore(IsoRegistry(build_preset(preset, field)))
+    reg = q.registry
+    tuples = [p.summand_ids for p in q.pairs] + [dual_pair(p).summand_ids for p in q.pairs]
+    expected = [
+        (reference_components(reg, ids), reference_components(reg, ids, into=False))
+        for ids in tuples
+    ]
+    emptied = []
+    for ids in tuples:
+        reg.tops.clear()
+        reg.socles.clear()
+        emptied.append((reg.pair_top_ids(ids), reg.pair_socle_ids(ids)))
+    assert emptied == expected
+    for _ in range(2):
+        assert [(reg.pair_top_ids(ids), reg.pair_socle_ids(ids)) for ids in tuples] == expected
+
+
+@pytest.mark.parametrize(
+    "preset,field", Q_AND_F5, ids=lambda c: str(c) if isinstance(c, str) else f"char{c.characteristic()}"
+)
+def test_cached_exchanges_match_the_decomposing_mutation(preset, field):
+    # Every arrow of a fresh quiver, first with the top and exchange caches
+    # emptied before each mutation, then with them full.  Over F_5 the
+    # decomposing mutation cannot split the cokernels of two presets (dim
+    # End >= 5), so there the arrows are checked against the quiver only.
+    q = explore(IsoRegistry(build_preset(preset, field)))
+    reg = q.registry
+    steps = [(pair, pos) for pair in q.pairs for pos in mutable_positions(pair)]
+    expected = [(q.pairs[t].key, lab) for _, t, lab in q.arrows]
+    if field == QQ or preset not in ("nakayama:cyclic:3:5", "nakayama:linear:5:3"):
+        assert [(new.key, lab) for new, lab in (reference_left_mutate(p, k) for p, k in steps)] == expected
+    emptied = []
+    for pair, pos in steps:
+        reg.tops.clear()
+        reg.exchanges.clear()
+        new, lab = left_mutate(pair, pos)
+        emptied.append((new.key, lab))
+    assert emptied == expected
+    for _ in range(2):
+        assert [(new.key, lab) for new, lab in (left_mutate(p, k) for p, k in steps)] == expected

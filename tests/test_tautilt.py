@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumut import IsoRegistry
+from taumut import IsoRegistry, modules
 from taumut.errors import (
     IncompleteExplorationError,
+    IndeterminateDecompositionError,
     NotTauRigidError,
     TaumutError,
     TauTiltingInfiniteError,
@@ -44,6 +45,7 @@ from conftest import (
     A3_S2_SINK,
     A3_S2_SOURCE,
     arrow_dims,
+    reference_left_mutate,
     relabeled_arrows,
     summand_dims,
     vertex_by_summands,
@@ -289,3 +291,85 @@ def test_mutation_lands_inside_the_quiver(a3_quiver, vertex, pos):
     j = a3_quiver.find(child)
     assert j is not None
     assert (vertex, j, brick_id) in a3_quiver.arrows
+
+
+# -- components and exchanges built once per key -------------------------------
+
+
+def _counted(monkeypatch, calls, owner, name):
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize(
+    "preset,field,built",
+    [
+        # before the caches: 330 approximations, 825 quotients, 485 iso tests
+        ("a-path:5", PrimeField(32003), (129, 258, 119)),
+        # before: 140 approximations, 364 quotients, 248 iso tests
+        ("nakayama:cyclic:4:4", QQ, (96, 224, 112)),
+    ],
+    ids=["a-path:5-fp32003", "nakayama:cyclic:4:4-Q"],
+)
+def test_each_component_and_exchange_is_built_once(preset, field, built, monkeypatch):
+    # A top component is a quotient and an exchange an approximation plus a
+    # cokernel (a quotient), each built once per (summand, summands it
+    # sees); a second exploration over the same registry builds neither.
+    calls = dict.fromkeys(("left_approximation", "quotient_by_rows", "_indec_iso"), 0)
+    _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
+    _counted(monkeypatch, calls, modules, "quotient_by_rows")
+    _counted(monkeypatch, calls, modules, "_indec_iso")
+    reg = IsoRegistry(build_preset(preset, field))
+    first = explore(reg)
+    assert tuple(calls.values()) == built
+    calls.update(dict.fromkeys(calls, 0))
+    again = explore(reg)
+    assert tuple(calls.values()) == (0, 0, 0)
+    assert (again.arrows, [p.key for p in again.pairs]) == (first.arrows, [p.key for p in first.pairs])
+
+
+def _raise_once(monkeypatch, owner, name):
+    real = getattr(owner, name)
+    calls = []
+
+    def once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise IndeterminateDecompositionError("the first registration fails")
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, once)
+
+
+def test_a_component_that_fails_to_register_is_built_again(monkeypatch):
+    reg = IsoRegistry(build_preset("a-path:3"))
+    ids = tuple(reg.projective_ids)
+    _raise_once(monkeypatch, IsoRegistry, "register_component")
+    with pytest.raises(IndeterminateDecompositionError):
+        reg.pair_top_ids(ids)
+    assert reg.tops == {}
+    tops = reg.pair_top_ids(ids)
+    assert sorted(reg.module(t).dims for t in tops) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert len(reg.tops) == 3
+
+
+def test_an_exchange_that_fails_to_register_is_built_again(monkeypatch):
+    # At (A, 0) of a-path:3, a mutation whose cokernel is a new summand
+    pair = initial_pair(build_preset("a-path:3"))
+    reg = pair.registry
+    steps = [(pos, reference_left_mutate(pair, pos)) for pos in mutable_positions(pair)]
+    pos, (want, label) = next(
+        (pos, ref) for pos, ref in steps if len(ref[0].summand_ids) == len(pair.summand_ids)
+    )
+    _raise_once(monkeypatch, IsoRegistry, "register_component")
+    with pytest.raises(IndeterminateDecompositionError):
+        left_mutate(pair, pos)
+    assert reg.exchanges == {}
+    new, got = left_mutate(pair, pos)
+    assert (new.key, got) == (want.key, label)
+    assert len(reg.exchanges) == 1
