@@ -13,6 +13,7 @@ from .algebra import (
 from .errors import (
     ApproximationDichotomyError,
     CharacteristicError,
+    CompletionError,
     DimensionMismatchError,
     FieldMismatchError,
     GuardExceededError,

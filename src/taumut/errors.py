@@ -38,6 +38,10 @@ class TauTiltingInfiniteError(TaumutError):
     unbounded exploration would never finish."""
 
 
+class CompletionError(TaumutError):
+    """An almost-complete support pair lies in more than two found pairs."""
+
+
 class MutationError(TaumutError):
     """Mutation was requested at a summand that is not mutable."""
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Algebra, Arrow
 from .errors import (
+    CompletionError,
     IncompleteExplorationError,
     IndeterminateDecompositionError,
     MutationError,
@@ -295,6 +296,16 @@ def kronecker_witness(algebra: Algebra) -> Optional[Tuple[Arrow, Arrow]]:
     return None
 
 
+def _faces(pair: SupportPair):
+    """The almost-complete pairs in `pair`: one summand or one missing
+    vertex left out, keyed like `SupportPair.key`."""
+    ids, supp = pair.key
+    for k in range(len(ids)):
+        yield ids[:k] + ids[k + 1:], supp
+    for k in range(len(supp)):
+        yield ids, supp[:k] + supp[k + 1:]
+
+
 def explore(
     source: Union[Algebra, IsoRegistry, SupportPair],
     max_depth: Optional[int] = None,
@@ -306,10 +317,20 @@ def explore(
     mutable summands.  Without it, an exploration from (A, 0) of an
     algebra with a `kronecker_witness` raises TauTiltingInfiniteError
     instead of running forever.
+
+    Each almost-complete support tau-tilting pair (a face) lies in exactly
+    two support tau-tilting pairs (Adachi-Iyama-Reiten, Thm 2.18), and
+    left mutation at X moves across the face that leaves X out.  So an
+    arrow whose face already lies in another found pair goes to that pair,
+    and only an arrow into a new pair runs the mutation, with its exchange
+    build, kept-summand test and rigidity test.  A given root is checked
+    for tau-rigidity first, since the faces decide arrows only between
+    support tau-tilting pairs.
     """
     if isinstance(source, SupportPair):
         root = source
-        registry = root.registry
+        if not pair_is_tau_rigid(root):
+            raise NotTauRigidError(f"explore needs a tau-rigid root; {root!r} is not")
     else:
         algebra = source if isinstance(source, Algebra) else source.algebra
         witness = kronecker_witness(algebra) if max_depth is None else None
@@ -322,34 +343,52 @@ def explore(
                 "bound the exploration with --max-depth"
             )
         root = initial_pair(source)
-        registry = root.registry
-    algebra = registry.algebra
-    pairs = [root]
-    depths = [0]
-    index = {root.key: 0}
+    registry = root.registry
+    pairs: List[SupportPair] = []
+    depths: List[int] = []
+    faces: Dict[tuple, List[int]] = {}
     arrows: List[Tuple[int, int, int]] = []
     complete = True
-    queue = deque([0])
+    queue = deque()
+
+    def meet(pair: SupportPair, depth: int) -> int:
+        vi = len(pairs)
+        pairs.append(pair)
+        depths.append(depth)
+        for face in _faces(pair):
+            faces.setdefault(face, []).append(vi)
+        queue.append(vi)
+        return vi
+
+    meet(root, 0)
     while queue:
         vi = queue.popleft()
         pair = pairs[vi]
-        positions = mutable_positions(pair)
+        ids, supp = pair.key
+        tops = registry.pair_top_ids(ids)
+        positions = [k for k, t in enumerate(tops) if t is not None]
         if max_depth is not None and depths[vi] >= max_depth:
             if positions:
                 complete = False
             continue
         for pos in positions:
-            new_pair, label = left_mutate(pair, pos)
-            key = new_pair.key
-            ti = index.get(key)
-            if ti is None:
-                ti = len(pairs)
-                pairs.append(new_pair)
-                depths.append(depths[vi] + 1)
-                index[key] = ti
-                queue.append(ti)
-            arrows.append((vi, ti, label))
-    return ExchangeQuiver(algebra, registry, pairs, arrows, complete, max_depth, depths)
+            face = (ids[:pos] + ids[pos + 1:], supp)
+            known = [w for w in faces[face] if w != vi]
+            if len(known) > 1:
+                dims = [list(registry.module(i).dims) for i in face[0]]
+                raise CompletionError(
+                    f"the almost-complete pair with summand dims {dims} and "
+                    f"missing vertices {list(supp)} lies in vertices "
+                    f"{faces[face]}, but it has exactly two completions "
+                    "(Adachi-Iyama-Reiten, Thm 2.18)"
+                )
+            if known:
+                ti = known[0]
+            else:
+                new_pair, _ = left_mutate(pair, pos)
+                ti = meet(new_pair, depths[vi] + 1)
+            arrows.append((vi, ti, tops[pos]))
+    return ExchangeQuiver(registry.algebra, registry, pairs, arrows, complete, max_depth, depths)
 
 
 # -- completion and restriction ----------------------------------------------

@@ -69,17 +69,28 @@ def _digests() -> dict:
     return {name: digest for digest, name in (line.split() for line in lines)}
 
 
-EXPORT_RUNS = {"preproj-a3": "preproj-a:3", "cyclic44": "nakayama:cyclic:4:4"}
+# tag -> (explore arguments, exit code); a depth-bounded exploration of the
+# tau-tilting infinite msex is incomplete, which exits 3.  These files pin
+# every arrow's target and label, most of which the face index supplies.
+EXPORT_RUNS = {
+    "preproj-a3": (["--preset", "preproj-a:3"], 0),
+    "cyclic44": (["--preset", "nakayama:cyclic:4:4"], 0),
+    "apath5-fp": (["--preset", "a-path:5", "--field", "fp:32003"], 0),
+    "msex6": (["--preset", "msex", "--max-depth", "6"], 3),
+}
+GVECTOR_RUNS = ("preproj-a3", "cyclic44")
 
 
 def test_exported_files_match_the_stored_digests(tmp_path, capsys):
     got = {}
-    for tag, preset in EXPORT_RUNS.items():
+    for tag, (args, code) in EXPORT_RUNS.items():
         json_out, dot_out = tmp_path / f"explore-{tag}.json", tmp_path / f"explore-{tag}.dot"
-        gvec_out = tmp_path / f"gvectors-{tag}.json"
-        assert main(["explore", "--preset", preset, "--out", str(json_out), "--dot", str(dot_out)]) == 0
-        assert main(["gvectors", "--preset", preset, "--out", str(gvec_out)]) == 0
-        for path in (json_out, dot_out, gvec_out):
+        assert main(["explore", *args, "--out", str(json_out), "--dot", str(dot_out)]) == code
+        outputs = [json_out, dot_out]
+        if tag in GVECTOR_RUNS:
+            outputs.append(tmp_path / f"gvectors-{tag}.json")
+            assert main(["gvectors", *args, "--out", str(outputs[-1])]) == 0
+        for path in outputs:
             got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     capsys.readouterr()
     assert got == _digests()

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumut import IsoRegistry, modules
+from taumut import IsoRegistry, modules, tautilt
 from taumut.errors import (
+    CompletionError,
     IncompleteExplorationError,
     IndeterminateDecompositionError,
     NotTauRigidError,
@@ -33,6 +34,7 @@ from taumut.tautilt import (
     kronecker_witness,
     left_mutate,
     mutable_positions,
+    pair_is_tau_rigid,
     restrict_quiver,
     semibrick_of,
     semibrick_ids_of,
@@ -307,30 +309,71 @@ def _counted(monkeypatch, calls, owner, name):
 
 
 @pytest.mark.parametrize(
-    "preset,field,built",
+    "preset,field,built,vertices",
     [
-        # before the caches: 330 approximations, 825 quotients, 485 iso tests
-        ("a-path:5", PrimeField(32003), (129, 258, 119)),
-        # before: 140 approximations, 364 quotients, 248 iso tests
-        ("nakayama:cyclic:4:4", QQ, (96, 224, 112)),
+        # before the caches: 330 approximations, 825 quotients, 485 iso tests;
+        # before the face index: 129, 258, 119 and 330 mutations
+        ("a-path:5", PrimeField(32003), (80, 209, 96), 132),
+        # before: 140 approximations, 364 quotients, 248 iso tests;
+        # before the face index: 96, 224, 112 and 140 mutations
+        ("nakayama:cyclic:4:4", QQ, (59, 187, 90), 70),
     ],
     ids=["a-path:5-fp32003", "nakayama:cyclic:4:4-Q"],
 )
-def test_each_component_and_exchange_is_built_once(preset, field, built, monkeypatch):
+def test_each_component_and_exchange_is_built_once(preset, field, built, vertices, monkeypatch):
     # A top component is a quotient and an exchange an approximation plus a
     # cokernel (a quotient), each built once per (summand, summands it
     # sees); a second exploration over the same registry builds neither.
+    # An arrow into a found pair is read off the face index, so mutation
+    # and its rigidity test run once per new vertex; the top components are
+    # looked up once per vertex and again inside each mutation.
     calls = dict.fromkeys(("left_approximation", "quotient_by_rows", "_indec_iso"), 0)
     _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
     _counted(monkeypatch, calls, modules, "quotient_by_rows")
     _counted(monkeypatch, calls, modules, "_indec_iso")
+    per_vertex = dict.fromkeys(("left_mutate", "pair_is_tau_rigid", "_layer_ids"), 0)
+    _counted(monkeypatch, per_vertex, tautilt, "left_mutate")
+    _counted(monkeypatch, per_vertex, tautilt, "pair_is_tau_rigid")
+    _counted(monkeypatch, per_vertex, IsoRegistry, "_layer_ids")
     reg = IsoRegistry(build_preset(preset, field))
     first = explore(reg)
+    assert first.n_vertices == vertices
     assert tuple(calls.values()) == built
+    new = vertices - 1
+    assert tuple(per_vertex.values()) == (new, new, vertices + new)
     calls.update(dict.fromkeys(calls, 0))
     again = explore(reg)
     assert tuple(calls.values()) == (0, 0, 0)
     assert (again.arrows, [p.key for p in again.pairs]) == (first.arrows, [p.key for p in first.pairs])
+
+
+def test_a_face_with_a_third_completion_is_refused(monkeypatch):
+    # A mutation that returns the root again puts a second copy of (A, 0)
+    # into the index; the copy's first face then lies in three vertices.
+    real = tautilt.left_mutate
+    calls = []
+
+    def third(pair, position):
+        calls.append(position)
+        return (pair, None) if len(calls) == 2 else real(pair, position)
+
+    monkeypatch.setattr(tautilt, "left_mutate", third)
+    with pytest.raises(CompletionError) as err:
+        explore(IsoRegistry(build_preset("a-path:3")))
+    assert str(err.value) == (
+        "the almost-complete pair with summand dims [[0, 1, 1], [0, 0, 1]] and "
+        "missing vertices [] lies in vertices [0, 1, 2], but it has exactly two "
+        "completions (Adachi-Iyama-Reiten, Thm 2.18)"
+    )
+
+
+def test_explore_refuses_a_root_that_is_not_tau_rigid():
+    # Over a-path:2, (S_0 + S_1, 0) has Hom(S_1, tau S_0) = Hom(S_1, S_1) != 0.
+    reg = IsoRegistry(build_preset("a-path:2"))
+    root = SupportPair(reg, [reg.register(simple_module(reg.algebra, v)) for v in (0, 1)], [])
+    assert not pair_is_tau_rigid(root)
+    with pytest.raises(NotTauRigidError, match="explore needs a tau-rigid root"):
+        explore(root)
 
 
 def _raise_once(monkeypatch, owner, name):
