@@ -564,10 +564,11 @@ def row_space(m: Mat):
 
     Basis row k has a 1 at pivot k and 0 at the other pivots, so the
     coordinates of any vector of the span are its entries at the pivots,
-    and len(pivots) is the rank.
+    and len(pivots) is the rank.  A zero matrix has the empty basis, with
+    no elimination.
     """
-    if not m.nrows:
-        return m, ()
+    if m.is_zero():
+        return Mat.zeros(m.field, 0, m.ncols), ()
     rank, rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
     return Mat(m.field, rows[:rank], ncols=m.ncols, _raw=True), pivots
 
@@ -578,12 +579,11 @@ def kernel_basis(m: Mat):
 
     The basis is the canonical one read off the rref: row k has a 1 at
     free column k and 0 at the other free columns, so the coordinates of
-    any kernel vector are its entries at the free columns.
+    any kernel vector are its entries at the free columns.  A zero matrix
+    has every column free, with no elimination.
     """
     field = m.field
-    if m.ncols == 0:
-        return Mat.zeros(field, 0, 0), ()
-    if not m.nrows:
+    if m.is_zero():
         return Mat.identity(field, m.ncols), tuple(range(m.ncols))
     _, rows, pivots = _rref_rows(field, [list(r) for r in m.rows])
     pivot_set = set(pivots)

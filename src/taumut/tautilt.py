@@ -10,7 +10,7 @@ component of the summand being removed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .algebra import Algebra, Arrow
 from .errors import (
@@ -306,6 +306,39 @@ def _faces(pair: SupportPair):
         yield ids, supp[:k] + supp[k + 1:]
 
 
+def _complete_face(
+    registry: IsoRegistry,
+    face: tuple,
+    x: int,
+    label: int,
+    known: Set[int],
+) -> Optional[SupportPair]:
+    """The pair across the face (U, P) from the pair that holds x, when it
+    needs no construction: (U, P + v), or U + M_z for a summand z in
+    `known`.  None means that only the mutation can build it (see
+    `explore` for why the pair found is the right one).
+
+    The label B is the top component of x, so the new summand Y has
+    Hom(Y, B) = 0 and Hom(B, tau Y) != 0, hence <g(Y), dim B> =
+    -dim Hom(B, tau Y) < 0 (Adachi-Iyama-Reiten, Prop. 2.4).  That test
+    needs no Hom space and skips most wrong candidates.
+    """
+    u_ids, supp = face
+    dims = [registry.module(u).dims for u in u_ids]
+    for v in range(registry.algebra.n_vertices):
+        if v not in supp and not any(d[v] for d in dims):
+            return SupportPair(registry, u_ids, supp + (v,))
+    b_dims = registry.module(label).dims
+    for z in sorted(known):
+        if z == x or z in u_ids or any(registry.module(z).dims[v] for v in supp):
+            continue
+        if sum(g * d for g, d in zip(registry.g_vector(z), b_dims)) >= 0:
+            continue
+        if all(registry.tau_hom_dim(u, z) == 0 == registry.tau_hom_dim(z, u) for u in u_ids):
+            return SupportPair(registry, u_ids + (z,), supp)
+    return None
+
+
 def explore(
     source: Union[Algebra, IsoRegistry, SupportPair],
     max_depth: Optional[int] = None,
@@ -320,12 +353,21 @@ def explore(
 
     Each almost-complete support tau-tilting pair (a face) lies in exactly
     two support tau-tilting pairs (Adachi-Iyama-Reiten, Thm 2.18), and
-    left mutation at X moves across the face that leaves X out.  So an
-    arrow whose face already lies in another found pair goes to that pair,
-    and only an arrow into a new pair runs the mutation, with its exchange
-    build, kept-summand test and rigidity test.  A given root is checked
-    for tau-rigidity first, since the faces decide arrows only between
-    support tau-tilting pairs.
+    left mutation at X moves across the face (U, P) that leaves X out.
+    So an arrow whose face already lies in another found pair goes to that
+    pair.  An arrow into a new pair takes the first of three branches that
+    applies:
+      1. (U, P + v), if U vanishes at a vertex v outside P;
+      2. U + M_z, for the first summand z of a found pair, other than X
+         and not in U, that vanishes on P, pairs negatively with the
+         label's dimension vector, and is tau-rigid with U;
+      3. otherwise the mutation, with its exchange build, kept-summand
+         test and rigidity test.
+    Branches 1 and 2 build nothing: a tau-rigid pair with n terms is
+    support tau-tilting (Prop. 2.3), the registry's g-vector pairing
+    decides tau-rigidity (Prop. 2.4), and Thm 2.18 leaves only one pair
+    that it can be.  A given root is checked for tau-rigidity first, since
+    the faces decide arrows only between support tau-tilting pairs.
     """
     if isinstance(source, SupportPair):
         root = source
@@ -347,6 +389,7 @@ def explore(
     pairs: List[SupportPair] = []
     depths: List[int] = []
     faces: Dict[tuple, List[int]] = {}
+    known: Set[int] = set()
     arrows: List[Tuple[int, int, int]] = []
     complete = True
     queue = deque()
@@ -355,6 +398,7 @@ def explore(
         vi = len(pairs)
         pairs.append(pair)
         depths.append(depth)
+        known.update(pair.summand_ids)
         for face in _faces(pair):
             faces.setdefault(face, []).append(vi)
         queue.append(vi)
@@ -373,8 +417,8 @@ def explore(
             continue
         for pos in positions:
             face = (ids[:pos] + ids[pos + 1:], supp)
-            known = [w for w in faces[face] if w != vi]
-            if len(known) > 1:
+            found = [w for w in faces[face] if w != vi]
+            if len(found) > 1:
                 dims = [list(registry.module(i).dims) for i in face[0]]
                 raise CompletionError(
                     f"the almost-complete pair with summand dims {dims} and "
@@ -382,10 +426,12 @@ def explore(
                     f"{faces[face]}, but it has exactly two completions "
                     "(Adachi-Iyama-Reiten, Thm 2.18)"
                 )
-            if known:
-                ti = known[0]
+            if found:
+                ti = found[0]
             else:
-                new_pair, _ = left_mutate(pair, pos)
+                new_pair = _complete_face(registry, face, ids[pos], tops[pos], known)
+                if new_pair is None:
+                    new_pair, _ = left_mutate(pair, pos)
                 ti = meet(new_pair, depths[vi] + 1)
             arrows.append((vi, ti, tops[pos]))
     return ExchangeQuiver(registry.algebra, registry, pairs, arrows, complete, max_depth, depths)

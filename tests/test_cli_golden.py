@@ -71,11 +71,14 @@ def _digests() -> dict:
 
 # tag -> (explore arguments, exit code); a depth-bounded exploration of the
 # tau-tilting infinite msex is incomplete, which exits 3.  These files pin
-# every arrow's target and label, most of which the face index supplies.
+# every arrow's target and label, most of which the face index supplies,
+# and every new pair, most of which a face completes from known summands.
 EXPORT_RUNS = {
     "preproj-a3": (["--preset", "preproj-a:3"], 0),
+    "preproj-a4": (["--preset", "preproj-a:4"], 0),
     "cyclic44": (["--preset", "nakayama:cyclic:4:4"], 0),
     "apath5-fp": (["--preset", "a-path:5", "--field", "fp:32003"], 0),
+    "apath6-fp": (["--preset", "a-path:6", "--field", "fp:32003"], 0),
     "msex6": (["--preset", "msex", "--max-depth", "6"], 3),
 }
 GVECTOR_RUNS = ("preproj-a3", "cyclic44")

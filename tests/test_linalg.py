@@ -427,6 +427,30 @@ def test_row_less_eliminations_are_not_run(field, monkeypatch):
         assert kernel_basis(m) == (Mat.identity(field, ncols), tuple(range(ncols)))
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_zero_matrices_are_not_eliminated(field, monkeypatch):
+    # The answers read off the elimination of an all-zero matrix, then the
+    # same answers with no elimination.
+    shapes = [(1, 1), (2, 3), (4, 2), (3, 5)]
+    eliminated = []
+    for nrows, ncols in shapes:
+        rank_, reduced, pivots = _reduced(Mat.zeros(field, nrows, ncols))
+        assert (rank_, pivots) == (0, ())
+        basis = Mat(field, reduced.rows[:rank_], ncols=ncols, _raw=True)
+        free = tuple(c for c in range(ncols) if c not in pivots)
+        ker = Mat(field, [[int(c == fc) for c in range(ncols)] for fc in free], ncols=ncols)
+        eliminated.append(((basis, pivots), (ker, free)))
+
+    def refuse(field, rows):
+        raise AssertionError("eliminated an all-zero matrix")
+
+    monkeypatch.setattr(linalg, "_rref_rows", refuse)
+    for (nrows, ncols), (span, ker) in zip(shapes, eliminated):
+        m = Mat.zeros(field, nrows, ncols)
+        assert row_space(m) == span
+        assert kernel_basis(m) == ker
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_kernel_edge_cases(field):
     one = field.one()

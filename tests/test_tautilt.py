@@ -309,38 +309,43 @@ def _counted(monkeypatch, calls, owner, name):
 
 
 @pytest.mark.parametrize(
-    "preset,field,built,vertices",
+    "preset,field,built,vertices,mutations",
     [
         # before the caches: 330 approximations, 825 quotients, 485 iso tests;
-        # before the face index: 129, 258, 119 and 330 mutations
-        ("a-path:5", PrimeField(32003), (80, 209, 96), 132),
+        # before the face index: 129, 258, 119 and 330 mutations;
+        # before the face completion: 80, 209, 96 and 131 mutations
+        ("a-path:5", PrimeField(32003), (10, 139, 57), 132, 10),
         # before: 140 approximations, 364 quotients, 248 iso tests;
-        # before the face index: 96, 224, 112 and 140 mutations
-        ("nakayama:cyclic:4:4", QQ, (59, 187, 90), 70),
+        # before the face index: 96, 224, 112 and 140 mutations;
+        # before the face completion: 59, 187, 90 and 69 mutations
+        ("nakayama:cyclic:4:4", QQ, (12, 140, 72), 70, 12),
     ],
     ids=["a-path:5-fp32003", "nakayama:cyclic:4:4-Q"],
 )
-def test_each_component_and_exchange_is_built_once(preset, field, built, vertices, monkeypatch):
+def test_each_component_and_exchange_is_built_once(preset, field, built, vertices, mutations, monkeypatch):
     # A top component is a quotient and an exchange an approximation plus a
     # cokernel (a quotient), each built once per (summand, summands it
     # sees); a second exploration over the same registry builds neither.
-    # An arrow into a found pair is read off the face index, so mutation
-    # and its rigidity test run once per new vertex; the top components are
-    # looked up once per vertex and again inside each mutation.
+    # An arrow into a found pair is read off the face index, and a new pair
+    # whose new summand is known or zero is completed from the face, so
+    # mutation and its rigidity test run once per summand never seen before;
+    # the top components are looked up once per vertex and again inside
+    # each mutation.
     calls = dict.fromkeys(("left_approximation", "quotient_by_rows", "_indec_iso"), 0)
     _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
     _counted(monkeypatch, calls, modules, "quotient_by_rows")
     _counted(monkeypatch, calls, modules, "_indec_iso")
-    per_vertex = dict.fromkeys(("left_mutate", "pair_is_tau_rigid", "_layer_ids"), 0)
-    _counted(monkeypatch, per_vertex, tautilt, "left_mutate")
-    _counted(monkeypatch, per_vertex, tautilt, "pair_is_tau_rigid")
-    _counted(monkeypatch, per_vertex, IsoRegistry, "_layer_ids")
+    mutating = dict.fromkeys(("left_mutate", "pair_is_tau_rigid", "_layer_ids"), 0)
+    _counted(monkeypatch, mutating, tautilt, "left_mutate")
+    _counted(monkeypatch, mutating, tautilt, "pair_is_tau_rigid")
+    _counted(monkeypatch, mutating, IsoRegistry, "_layer_ids")
     reg = IsoRegistry(build_preset(preset, field))
     first = explore(reg)
     assert first.n_vertices == vertices
     assert tuple(calls.values()) == built
-    new = vertices - 1
-    assert tuple(per_vertex.values()) == (new, new, vertices + new)
+    assert tuple(mutating.values()) == (mutations, mutations, vertices + mutations)
+    summands = {s for p in first.pairs for s in p.summand_ids}
+    assert mutations == len(summands) - len(reg.projective_ids)
     calls.update(dict.fromkeys(calls, 0))
     again = explore(reg)
     assert tuple(calls.values()) == (0, 0, 0)
@@ -350,12 +355,15 @@ def test_each_component_and_exchange_is_built_once(preset, field, built, vertice
 def test_a_face_with_a_third_completion_is_refused(monkeypatch):
     # A mutation that returns the root again puts a second copy of (A, 0)
     # into the index; the copy's first face then lies in three vertices.
+    # The root's first arrow trades P_0 for vertex 0 in the support
+    # complement, a pair the face completes with no mutation, so the first
+    # mutation is the root's second arrow.
     real = tautilt.left_mutate
     calls = []
 
     def third(pair, position):
         calls.append(position)
-        return (pair, None) if len(calls) == 2 else real(pair, position)
+        return (pair, None) if len(calls) == 1 else real(pair, position)
 
     monkeypatch.setattr(tautilt, "left_mutate", third)
     with pytest.raises(CompletionError) as err:
@@ -365,6 +373,7 @@ def test_a_face_with_a_third_completion_is_refused(monkeypatch):
         "missing vertices [] lies in vertices [0, 1, 2], but it has exactly two "
         "completions (Adachi-Iyama-Reiten, Thm 2.18)"
     )
+    assert calls[0] == 1
 
 
 def test_explore_refuses_a_root_that_is_not_tau_rigid():
@@ -416,3 +425,67 @@ def test_an_exchange_that_fails_to_register_is_built_again(monkeypatch):
     new, got = left_mutate(pair, pos)
     assert (new.key, got) == (want.key, label)
     assert len(reg.exchanges) == 1
+
+
+# -- new pairs completed from the face --------------------------------------
+
+
+def _root_face(preset, position):
+    """(A, 0) of a preset, and the face, removed summand and label of the
+    arrow out of it at a position."""
+    pair = initial_pair(IsoRegistry(build_preset(preset)))
+    ids = pair.summand_ids
+    label = pair.registry.pair_top_ids(ids)[position]
+    return pair, (ids[:position] + ids[position + 1:], ()), ids[position], label
+
+
+def test_a_face_missing_a_vertex_completes_with_a_shifted_projective():
+    # Over a-path:3, P_1 + P_2 vanishes at vertex 0: mutating P_0 away
+    # leaves the cokernel zero and puts vertex 0 into the support complement.
+    pair, face, x, label = _root_face("a-path:3", 0)
+    got = tautilt._complete_face(pair.registry, face, x, label, set(pair.summand_ids))
+    assert got.key == ((1, 2), (0,))
+    assert got == left_mutate(pair, 0)[0]
+
+
+def test_an_unseen_new_summand_is_left_to_mutation():
+    # Mutating P_1 away gives P_0 / P_1 = S_0, which no pair has held yet.
+    pair, face, x, label = _root_face("a-path:3", 1)
+    reg = pair.registry
+    assert tautilt._complete_face(reg, face, x, label, set(pair.summand_ids)) is None
+    new, _ = left_mutate(pair, 1)
+    (y,) = set(new.summand_ids) - set(pair.summand_ids)
+    assert reg.module(y).dims == (1, 0, 0)
+    # once S_0 is known, the same face completes with it
+    assert tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, y}) == new
+
+
+def test_a_candidate_failing_the_pairing_costs_no_hom_space():
+    # I_1 = (1, 1, 0) has g = e_0 - e_2, so <g(I_1), dim S_1> = 0: it cannot
+    # be the new summand, and is refused before any Hom space is built.
+    pair, face, x, label = _root_face("a-path:3", 1)
+    reg = pair.registry
+    assert reg.module(label).dims == (0, 1, 0)
+    i1 = reg.injective_id(1)
+    assert (reg.module(i1).dims, reg.g_vector(i1)) == ((1, 1, 0), (1, 0, -1))
+    before = set(reg._hom)
+    assert tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, i1}) is None
+    assert set(reg._hom) == before
+
+
+@pytest.mark.parametrize("preset", ["a-path:4", "preproj-a:3", "nakayama:cyclic:3:3"])
+def test_every_arrow_completes_from_the_summands_of_its_quiver(preset):
+    # With every summand known, each arrow's target is recognised from its
+    # face, by a shifted projective or by a known summand, both of which occur.
+    q = explore(IsoRegistry(build_preset(preset)))
+    reg = q.registry
+    known = {s for p in q.pairs for s in p.summand_ids}
+    branches = set()
+    for s, t, lab in q.arrows:
+        ids, supp = q.pairs[s].key
+        (pos,) = [k for k, top in enumerate(reg.pair_top_ids(ids)) if top == lab]
+        face = (ids[:pos] + ids[pos + 1:], supp)
+        got = tautilt._complete_face(reg, face, ids[pos], lab, known)
+        assert got == q.pairs[t]
+        branches.add(got.support_complement == supp)
+    assert branches == {True, False}
