@@ -22,7 +22,7 @@ from .errors import (
 from .grothendieck import check_duality, duality_report, grothendieck_data
 from .linalg import QQ, Field, PrimeField
 from .modules import IsoRegistry
-from .nakayama import count_value, format_count_table
+from .nakayama import NakayamaShape, count_value, format_count_table
 from .presets import PRESET_HELP
 from .quotient import central_ideal, verify_ejr
 from .smc import check_label_coincidence, check_smc_axioms, smc_of_vertex
@@ -201,8 +201,7 @@ def cmd_gvectors(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.kind not in ("linear", "cyclic"):
-        raise SpecError("count needs --kind linear or cyclic")
+    NakayamaShape(args.kind, args.n, args.l)  # raises SpecError before any output
     table = format_count_table(args.kind, args.n, args.l)
     print(table)
     letter = "a" if args.kind == "linear" else "b"
@@ -369,6 +368,12 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def depth(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
     def add_algebra_options(p):
         p.add_argument("--preset", help="named preset algebra")
         p.add_argument("--algebra", help="algebra file (JSON)")
@@ -376,7 +381,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
             "--field",
             help="ground field: q or fp:<p> (overrides TAUMUT_FIELD)",
         )
-        p.add_argument("--max-depth", type=int, default=None)
+        p.add_argument("--max-depth", type=depth, default=None)
 
     for verb, fn in (
         ("explore", cmd_explore),

@@ -1109,9 +1109,6 @@ class IsoRegistry:
         # id of M_i's top / socle component, None if it vanishes: _layer_ids
         self.tops: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
         self.socles: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
-        # (X, the other summands that X maps to) -> new summand id, None if
-        # the cokernel vanishes: tautilt.left_mutate
-        self.exchanges: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
         # (element, brick, degree) -> (new degree, new id): smc._mutate_element
         self.element_mutations: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         self.projective_ids: List[int] = []

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 from .algebra import Algebra, AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
 from .errors import GuardExceededError, IntervalError, SpecError
 from .linalg import QQ, Field, Mat
-from .modules import Module, hom_dim, is_brick, projective_module, quotient_by_rows
+from .modules import Module, hom_dim, projective_module, quotient_by_rows
 
 
 @dataclass(frozen=True)
@@ -122,20 +122,10 @@ def interval_module(algebra: Algebra, u: int, v: int) -> Module:
 
 
 def enumerate_bricks(algebra: Algebra) -> List[Module]:
-    """All interval modules that pass is_brick, ordered by (top, length)."""
-    shape = _shape_of(algebra)
-    n, l = shape.n, shape.l
-    out = []
-    for u in range(1, n + 1):
-        if shape.kind == "linear":
-            lengths = range(1, min(l, n - u + 1) + 1)
-        else:
-            lengths = range(1, min(l, n) + 1)
-        for k in lengths:
-            candidate = uniserial_module(algebra, u, k)
-            if is_brick(candidate):
-                out.append(candidate)
-    return out
+    """The uniserials that are bricks, ordered by (top, length).  A
+    uniserial has a simple top, so End/rad = k and it is a brick exactly
+    when dim End = 1."""
+    return [M for M in enumerate_indecomposables(algebra) if hom_dim(M, M) == 1]
 
 
 def enumerate_indecomposables(algebra: Algebra) -> List[Module]:

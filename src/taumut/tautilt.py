@@ -185,7 +185,8 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
     The label is the top component of the removed summand; mutation is
     only defined where that component is nonzero.  The new summand is the
     cokernel of the removed summand's minimal left approximation by the
-    others; one that splits or is kept means the pair was not tau-rigid.
+    others, built on every call; one that splits or is kept means the pair
+    was not tau-rigid.
     """
     reg = pair.registry
     ids = pair.summand_ids
@@ -198,17 +199,11 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
             f"summand at position {position} is generated by the others"
         )
     others = [sid for k, sid in enumerate(ids) if k != position]
-    # The approximation reads only the summands that X maps to, so the new
-    # summand is built once per registry and key; a failing key raises again.
-    key = (ids[position], tuple(u for u in others if reg.hom(ids[position], u)))
     try:
-        if key not in reg.exchanges:
-            coker, _ = cokernel(reg.left_approximation(*key))
-            reg.exchanges[key] = None if coker.is_zero else reg.register_component(coker)
-        extras = [] if reg.exchanges[key] is None else [reg.exchanges[key]]
+        coker, _ = cokernel(reg.left_approximation(ids[position], others))
+        extras = [] if coker.is_zero else [reg.register_component(coker)]
         if set(extras) & set(others):
-            dims = reg.module(extras[0]).dims
-            raise NotTauRigidError(f"the cokernel with dims {dims} is a kept summand")
+            raise NotTauRigidError(f"the cokernel with dims {coker.dims} is a kept summand")
     except (IndeterminateDecompositionError, NotTauRigidError) as err:
         if pair_is_tau_rigid(pair):
             raise

@@ -69,6 +69,32 @@ def test_smc_and_restrict_refuse_incomplete(capsys):
     ) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--preset", "a-path:3", "--max-depth", "-1"],
+        ["quotient", "--preset", "preproj-a:3", "--generator", "a1*b1", "--max-depth", "-1"],
+    ],
+    ids=["explore", "quotient"],
+)
+def test_a_negative_max_depth_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --max-depth: must be >= 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind,n,l", [("cyclic", "3", "0"), ("linear", "0", "2"), ("linear", "-1", "2")]
+)
+def test_count_checks_its_parameters_before_it_prints(capsys, kind, n, l):
+    code, out, err = run(capsys, ["count", "--kind", kind, "--n", n, "--l", l])
+    assert (code, out) == (2, "")
+    assert err == "error: Nakayama parameters must be >= 1\n"
+
+
 def test_count_cyclic(capsys):
     code, out, _ = run(capsys, ["count", "--kind", "cyclic", "--n", "4", "--l", "4"])
     assert code == 0

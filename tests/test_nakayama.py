@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from taumut import IsoRegistry
 from taumut.errors import GuardExceededError, IntervalError, SpecError
 from taumut.linalg import QQ, PrimeField
+from taumut.modules import is_brick
 from taumut.nakayama import (
     NakayamaShape,
     a_count,
@@ -85,6 +86,22 @@ def test_brick_enumeration_counts():
     # bricks cap at length min(l, n) even when l exceeds n
     assert len(enumerate_bricks(build_nakayama(NakayamaShape("cyclic", 2, 3)))) == 4
     assert len(enumerate_bricks(build_nakayama(NakayamaShape("cyclic", 1, 3)))) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "F2"])
+def test_the_bricks_are_the_thin_uniserials(field):
+    # A uniserial is a brick exactly when no composition factor repeats.
+    # is_brick is compared over Q only: over F_2 its trace form needs
+    # p > dim End, which k[x]/x^2 (cyclic:1:2) already breaks.
+    for kind in ("linear", "cyclic"):
+        for n in range(1, 6):
+            for l in range(1, 8):
+                algebra = build_nakayama(NakayamaShape(kind, n, l), field)
+                indecs = enumerate_indecomposables(algebra)
+                thin = [M for M in indecs if max(M.dims) == 1]
+                assert enumerate_bricks(algebra) == thin
+                if field == QQ:
+                    assert [is_brick(M) for M in indecs] == [M in thin for M in indecs]
 
 
 def test_indecomposables_of_the_path_algebra_case():

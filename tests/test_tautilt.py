@@ -295,7 +295,7 @@ def test_mutation_lands_inside_the_quiver(a3_quiver, vertex, pos):
     assert (vertex, j, brick_id) in a3_quiver.arrows
 
 
-# -- components and exchanges built once per key -------------------------------
+# -- components built once per key, exchanges once per new summand ----------
 
 
 def _counted(monkeypatch, calls, owner, name):
@@ -309,28 +309,38 @@ def _counted(monkeypatch, calls, owner, name):
 
 
 @pytest.mark.parametrize(
-    "preset,field,built,vertices,mutations",
+    "preset,field,depth,built,vertices,mutations,rebuilt_isos",
     [
         # before the caches: 330 approximations, 825 quotients, 485 iso tests;
         # before the face index: 129, 258, 119 and 330 mutations;
         # before the face completion: 80, 209, 96 and 131 mutations
-        ("a-path:5", PrimeField(32003), (10, 139, 57), 132, 10),
+        ("a-path:5", PrimeField(32003), None, (10, 139, 57), 132, 10, 10),
         # before: 140 approximations, 364 quotients, 248 iso tests;
         # before the face index: 96, 224, 112 and 140 mutations;
         # before the face completion: 59, 187, 90 and 69 mutations
-        ("nakayama:cyclic:4:4", QQ, (12, 140, 72), 70, 12),
+        ("nakayama:cyclic:4:4", QQ, None, (12, 140, 72), 70, 12, 12),
+        ("preproj-a:4", QQ, None, (22, 342, 314), 120, 22, 38),
+        ("nakayama:linear:5:3", QQ, None, (7, 70, 47), 98, 7, 7),
+        ("msex", QQ, 6, (12, 64, 24), 27, 12, 12),
+        ("msex", PrimeField(5), 6, (12, 64, 24), 27, 12, 12),
     ],
-    ids=["a-path:5-fp32003", "nakayama:cyclic:4:4-Q"],
+    ids=[
+        "a-path:5-fp32003", "nakayama:cyclic:4:4-Q", "preproj-a:4-Q",
+        "nakayama:linear:5:3-Q", "msex-depth6-Q", "msex-depth6-fp5",
+    ],
 )
-def test_each_component_and_exchange_is_built_once(preset, field, built, vertices, mutations, monkeypatch):
-    # A top component is a quotient and an exchange an approximation plus a
-    # cokernel (a quotient), each built once per (summand, summands it
-    # sees); a second exploration over the same registry builds neither.
-    # An arrow into a found pair is read off the face index, and a new pair
-    # whose new summand is known or zero is completed from the face, so
-    # mutation and its rigidity test run once per summand never seen before;
-    # the top components are looked up once per vertex and again inside
-    # each mutation.
+def test_each_component_and_exchange_is_built_once(
+    preset, field, depth, built, vertices, mutations, rebuilt_isos, monkeypatch
+):
+    # A top component is a quotient, built once per (summand, summands it
+    # sees). An arrow into a found pair is read off the face index, and a
+    # new pair whose new summand is known or zero is completed from the
+    # face, so mutation (an approximation plus a cokernel, a quotient) and
+    # its rigidity test run once per summand never seen before; the top
+    # components are looked up once per vertex and again inside each
+    # mutation. A second exploration over the same registry builds no top
+    # component but rebuilds each exchange once, and finds its cokernel
+    # among the registered classes with the same dims.
     calls = dict.fromkeys(("left_approximation", "quotient_by_rows", "_indec_iso"), 0)
     _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
     _counted(monkeypatch, calls, modules, "quotient_by_rows")
@@ -340,15 +350,15 @@ def test_each_component_and_exchange_is_built_once(preset, field, built, vertice
     _counted(monkeypatch, mutating, tautilt, "pair_is_tau_rigid")
     _counted(monkeypatch, mutating, IsoRegistry, "_layer_ids")
     reg = IsoRegistry(build_preset(preset, field))
-    first = explore(reg)
+    first = explore(reg, max_depth=depth)
     assert first.n_vertices == vertices
     assert tuple(calls.values()) == built
     assert tuple(mutating.values()) == (mutations, mutations, vertices + mutations)
     summands = {s for p in first.pairs for s in p.summand_ids}
     assert mutations == len(summands) - len(reg.projective_ids)
     calls.update(dict.fromkeys(calls, 0))
-    again = explore(reg)
-    assert tuple(calls.values()) == (0, 0, 0)
+    again = explore(reg, max_depth=depth)
+    assert tuple(calls.values()) == (mutations, mutations, rebuilt_isos)
     assert (again.arrows, [p.key for p in again.pairs]) == (first.arrows, [p.key for p in first.pairs])
 
 
@@ -421,10 +431,8 @@ def test_an_exchange_that_fails_to_register_is_built_again(monkeypatch):
     _raise_once(monkeypatch, IsoRegistry, "register_component")
     with pytest.raises(IndeterminateDecompositionError):
         left_mutate(pair, pos)
-    assert reg.exchanges == {}
     new, got = left_mutate(pair, pos)
     assert (new.key, got) == (want.key, label)
-    assert len(reg.exchanges) == 1
 
 
 # -- new pairs completed from the face --------------------------------------
