@@ -246,8 +246,9 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
             failures.append(
                 f"smc axioms fail at vertex {i}: {report.violations[0]}"
             )
-        # Asai, by the dual route: the pair's top components label the
-        # arrows out and the socle components of its dual pair those in
+        # Asai, by a second route: the pair's top components label the
+        # arrows out, which explore read off the known bricks of each face,
+        # and the socle components of its dual pair those in
         tops = reg.pair_top_ids(pair.summand_ids)
         socles = reg.pair_socle_ids(dual_pair(pair).summand_ids)
         dual_route = [sorted(b for b in part if b is not None) for part in (tops, socles)]

@@ -1102,6 +1102,7 @@ class IsoRegistry:
         self._hom: Dict[Tuple[int, int], HomSpace] = {}
         self._tau: Dict[int, Optional[int]] = {}
         self._pres: Dict[int, Presentation] = {}
+        self._g: Dict[int, Tuple[int, ...]] = {}
         self._rad: Dict[int, List[ModuleHom]] = {}
         self._ext1: Dict[Tuple[int, int], int] = {}
         self._tau_hom: Dict[Tuple[int, int], int] = {}
@@ -1181,9 +1182,15 @@ class IsoRegistry:
 
     def g_vector(self, i: int) -> Tuple[int, ...]:
         """[P0] - [P1] of the minimal presentation, by vertex."""
-        pres = self.presentation(i)
-        p0, p1 = pres.p0_vertices, pres.p1_vertices
-        return tuple(p0.count(v) - p1.count(v) for v in range(self.algebra.n_vertices))
+        if i not in self._g:
+            pres = self.presentation(i)
+            p0, p1 = pres.p0_vertices, pres.p1_vertices
+            self._g[i] = tuple(p0.count(v) - p1.count(v) for v in range(self.algebra.n_vertices))
+        return self._g[i]
+
+    def pairing(self, i: int, j: int) -> int:
+        """<g(M_i), dim M_j> = dim Hom(M_i, M_j) - dim Hom(M_j, tau M_i)."""
+        return sum(g * d for g, d in zip(self.g_vector(i), self._mods[j].dims))
 
     def tau_hom_dim(self, i: int, j: int) -> int:
         """dim Hom(M_j, tau M_i) = dim Hom(M_i, M_j) - <g(M_i), dim M_j>, with
@@ -1193,8 +1200,7 @@ class IsoRegistry:
         Hom(P_w, N) = N_w."""
         key = (i, j)
         if key not in self._tau_hom:
-            pairing = sum(g * d for g, d in zip(self.g_vector(i), self._mods[j].dims))
-            self._tau_hom[key] = self.hom_dim(i, j) - pairing
+            self._tau_hom[key] = self.hom_dim(i, j) - self.pairing(i, j)
         return self._tau_hom[key]
 
     def tau_id(self, i: int) -> Optional[int]:

@@ -334,6 +334,90 @@ def _complete_face(
     return None
 
 
+class _FaceBricks:
+    """Bitmasks over the bricks that `explore` knows, from which it reads
+    the label of each face (U, P) and the direction of its arrow.
+
+    The wide subcategory W(U, P) = U^perp cap ^perp(tau U) cap P^perp of a
+    face holds exactly one brick, the label of the face's one arrow (Jasso
+    reduction, arXiv:1302.2709; Demonet-Iyama-Reading-Reiten-Thomas,
+    arXiv:1711.01785).  `wmask[u]` holds the known bricks in W(u, 0) and
+    `vanish[v]` those that vanish at vertex v, so the known bricks in
+    W(U, P) are an AND of masks.  Each summand met brings its brick, M
+    modulo the image of rad End(M), since that map is a bijection from the
+    tau-rigid indecomposables onto the bricks (Demonet-Iyama-Jasso,
+    arXiv:1503.00285).
+    """
+
+    def __init__(self, registry: IsoRegistry):
+        self.registry = registry
+        self.bricks: List[int] = []
+        self.wmask: Dict[int, int] = {}
+        self.vanish = [0] * registry.algebra.n_vertices
+
+    def _in_w(self, u: int, b: int) -> bool:
+        # Hom(M_u, B) and Hom(B, tau M_u) are both >= 0 and differ by the
+        # pairing, so a nonzero pairing rules B out with no Hom space built.
+        reg = self.registry
+        return reg.pairing(u, b) == 0 and reg.hom_dim(u, b) == 0
+
+    def add_summand(self, z: int) -> None:
+        if z in self.wmask:
+            return
+        self.wmask[z] = sum(1 << k for k, b in enumerate(self.bricks) if self._in_w(z, b))
+        self.add_brick(self.registry.pair_top_ids((z,))[0])
+
+    def add_brick(self, b: int) -> None:
+        if b in self.bricks:
+            return
+        bit = 1 << len(self.bricks)
+        self.bricks.append(b)
+        for u in self.wmask:
+            if self._in_w(u, b):
+                self.wmask[u] |= bit
+        for v, d in enumerate(self.registry.module(b).dims):
+            if not d:
+                self.vanish[v] |= bit
+
+    def labels(self, ids: Tuple[int, ...], supp: Tuple[int, ...]) -> tuple:
+        """Like `pair_top_ids(ids)`: the label of the arrow out at each
+        position, None where the arrow comes in.  The arrow across the face
+        without M_x leaves the pair exactly when its brick B lies in Fac of
+        the pair, that is when Hom(B, tau M_x) = 0.  Where some face has no
+        known brick, the top components are built and their bricks added."""
+        reg = self.registry
+        base = (1 << len(self.bricks)) - 1
+        for v in supp:
+            base &= self.vanish[v]
+        cands = []
+        for x in ids:
+            cand = base
+            for u in ids:
+                if u != x:
+                    cand &= self.wmask[u]
+            if cand & (cand - 1):
+                dims = [list(reg.module(u).dims) for u in ids if u != x]
+                bdims = [list(reg.module(b).dims) for k, b in enumerate(self.bricks) if cand >> k & 1]
+                raise CompletionError(
+                    f"the almost-complete pair with summand dims {dims} and "
+                    f"missing vertices {list(supp)} has bricks with dims {bdims} "
+                    "in its wide subcategory, which holds exactly one brick "
+                    "(Jasso reduction)"
+                )
+            cands.append(cand)
+        if not all(cands):
+            tops = reg.pair_top_ids(ids)
+            for t in tops:
+                if t is not None:
+                    self.add_brick(t)
+            return tops
+        out = []
+        for x, cand in zip(ids, cands):
+            b = self.bricks[cand.bit_length() - 1]
+            out.append(b if reg.tau_hom_dim(x, b) == 0 else None)
+        return tuple(out)
+
+
 def explore(
     source: Union[Algebra, IsoRegistry, SupportPair],
     max_depth: Optional[int] = None,
@@ -349,9 +433,13 @@ def explore(
     Each almost-complete support tau-tilting pair (a face) lies in exactly
     two support tau-tilting pairs (Adachi-Iyama-Reiten, Thm 2.18), and
     left mutation at X moves across the face (U, P) that leaves X out.
-    So an arrow whose face already lies in another found pair goes to that
-    pair.  An arrow into a new pair takes the first of three branches that
-    applies:
+    The face's one arrow is labelled by the one brick B in its wide
+    subcategory, and leaves the pair exactly when Hom(B, tau X) = 0.  So
+    each arrow's label and direction are read off bitmasks of the known
+    bricks (`_FaceBricks`); top components are built only at a pair where
+    some face has no known brick.  An arrow whose face already lies in
+    another found pair goes to that pair.  An arrow into a new pair takes
+    the first of three branches that applies:
       1. (U, P + v), if U vanishes at a vertex v outside P;
       2. U + M_z, for the first summand z of a found pair, other than X
          and not in U, that vanishes on P, pairs negatively with the
@@ -385,6 +473,7 @@ def explore(
     depths: List[int] = []
     faces: Dict[tuple, List[int]] = {}
     known: Set[int] = set()
+    masks = _FaceBricks(registry)
     arrows: List[Tuple[int, int, int]] = []
     complete = True
     queue = deque()
@@ -394,6 +483,8 @@ def explore(
         pairs.append(pair)
         depths.append(depth)
         known.update(pair.summand_ids)
+        for z in pair.summand_ids:
+            masks.add_summand(z)
         for face in _faces(pair):
             faces.setdefault(face, []).append(vi)
         queue.append(vi)
@@ -404,7 +495,7 @@ def explore(
         vi = queue.popleft()
         pair = pairs[vi]
         ids, supp = pair.key
-        tops = registry.pair_top_ids(ids)
+        tops = masks.labels(ids, supp)
         positions = [k for k, t in enumerate(tops) if t is not None]
         if max_depth is not None and depths[vi] >= max_depth:
             if positions:

@@ -2,10 +2,11 @@
 
 The verbs number vertices in breadth-first order, which follows registry
 ids, so these files also pin the order in which modules are registered.
-While exploring, the registry holds only the projectives, the arrow
-labels (top components) and the new summands of mutation, in the order
-the breadth-first search meets them; no translate is registered, since
-rigidity is read off the g-vector pairing.  `nakayama:cyclic:4:4` is
+While exploring, the registry holds only the projectives, the brick of
+each summand met, the top components built where a face has no known
+brick, and the new summands of mutation, in the order the breadth-first
+search meets them; no translate is registered, since rigidity is read off
+the g-vector pairing.  `nakayama:cyclic:4:4` is
 here because the relative ids of its summands and labels depend on
 whether translates are registered too.
 Each `.stdout` file under `golden/` is the stdout of one run; `SHA256SUMS`
@@ -71,14 +72,16 @@ def _digests() -> dict:
 
 # tag -> (explore arguments, exit code); a depth-bounded exploration of the
 # tau-tilting infinite msex is incomplete, which exits 3.  These files pin
-# every arrow's target and label, most of which the face index supplies,
-# and every new pair, most of which a face completes from known summands.
+# every arrow's target, most of which the face index supplies, its label,
+# most of which the known bricks supply, and every new pair, most of which
+# a face completes from known summands.
 EXPORT_RUNS = {
     "preproj-a3": (["--preset", "preproj-a:3"], 0),
     "preproj-a4": (["--preset", "preproj-a:4"], 0),
     "cyclic44": (["--preset", "nakayama:cyclic:4:4"], 0),
     "apath5-fp": (["--preset", "a-path:5", "--field", "fp:32003"], 0),
     "apath6-fp": (["--preset", "a-path:6", "--field", "fp:32003"], 0),
+    "apath7-fp": (["--preset", "a-path:7", "--field", "fp:32003"], 0),
     "msex6": (["--preset", "msex", "--max-depth", "6"], 3),
 }
 GVECTOR_RUNS = ("preproj-a3", "cyclic44")

@@ -26,6 +26,10 @@ checked against in_fac of the summands, kernels that keep their echelon
 basis against the reduced left kernel, maps built without the commutation
 check against that check, and the top components of each pair and the
 co-semibrick of its dual pair against the labels of its arrows out and in.
+The label and direction of each arrow, which explore reads off the known
+bricks in each face's wide subcategory, are checked against the top
+components of every pair, and the known bricks against the bricks of the
+tau-rigid summands, one each.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from collections import Counter
 
 import pytest
 
-from taumut import IsoRegistry, modules, smc
+from taumut import IsoRegistry, modules, smc, tautilt
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
 from taumut.errors import CharacteristicError, IndeterminateDecompositionError, MutationError
 from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, kernel_basis, row_space
@@ -62,6 +66,8 @@ from taumut.modules import (
     is_tau_rigid_pair,
     kernel,
     nakayama_functor_map,
+    projective_module,
+    simple_module,
 )
 from taumut.nakayama import uniserial_module
 from taumut.presets import build_preset
@@ -557,20 +563,36 @@ def test_left_approximation_skips_maps_through_the_end_radical(field):
     assert cokernel(f)[0].is_zero
 
 
+def _p2_s1_and_its_inverse_translate(A):
+    return [projective_module(A, 2), simple_module(A, 1), ar_translate_inverse(simple_module(A, 1))]
+
+
+def _s0_s1_and_the_inverse_translate_of_s2(A):
+    return [simple_module(A, 0), simple_module(A, 1), ar_translate_inverse(simple_module(A, 2))]
+
+
 @pytest.mark.parametrize(
-    "ids,position,reason",
+    "build,at,reason",
     [
-        ((2, 4, 7), 1, "expected an indecomposable module, but the one with dims (1, 0, 1) has 2 summands"),
-        ((3, 4, 8), 0, "the cokernel with dims (0, 1, 0) is a kept summand"),
+        # dims (1, 1, 1), (0, 1, 0), (1, 1, 1), mutated at S_1
+        (_p2_s1_and_its_inverse_translate, 1,
+         "expected an indecomposable module, but the one with dims (1, 0, 1) has 2 summands"),
+        # dims (1, 0, 0), (0, 1, 0), (1, 1, 0), mutated at S_0
+        (_s0_s1_and_the_inverse_translate_of_s2, 0, "the cokernel with dims (0, 1, 0) is a kept summand"),
     ],
     ids=["split", "kept"],
 )
-def test_mutation_of_a_non_rigid_pair_is_a_typed_error(ids, position, reason):
-    # Twice: no cokernel is cached, so each one is built and fails again.
+def test_mutation_of_a_non_rigid_pair_is_a_typed_error(build, at, reason):
+    # The summands are built, not named by registry id, since exploration
+    # numbers the modules it meets.  preproj-a:3 has two classes with dims
+    # (1, 1, 1), P_2 and tau^-1 S_1.  Twice: no cokernel is cached, so each
+    # one is built and fails again.
     reg = explore(IsoRegistry(build_preset("preproj-a:3"))).registry
+    ids = [reg.register(M) for M in build(reg.algebra)]
     pair = SupportPair(reg, ids, ())
     assert not pair_is_tau_rigid(pair)
-    dims = [list(reg.module(i).dims) for i in ids]
+    position = pair.summand_ids.index(ids[at])
+    dims = [list(reg.module(i).dims) for i in pair.summand_ids]
     for _ in range(2):
         with pytest.raises(MutationError) as err:
             left_mutate(pair, position)
@@ -749,6 +771,40 @@ def test_cached_element_mutations_match_the_uncached_mutation(preset, field):
 
 
 # -- components built once per (summand, summands it sees) ---------------------
+
+@pytest.mark.parametrize(
+    "preset,bricks",
+    [("a-path:5", 15), ("preproj-a:4", 26), ("nakayama:cyclic:4:4", 16), ("nakayama:cyclic:5:5", 25)],
+)
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(32003)], ids=str)
+def test_face_brick_labels_are_the_top_components(preset, bricks, field, monkeypatch):
+    # At every vertex, the label of the arrow out at each position, None
+    # where the arrow comes in, against the pair's top components.  Each
+    # summand brings its brick M / rad End(M) M, and that is a bijection
+    # from the tau-rigid indecomposables onto the bricks, which are the
+    # labels (Demonet-Iyama-Jasso).
+    made = []
+
+    class Recorded(tautilt._FaceBricks):
+        def __init__(self, registry):
+            super().__init__(registry)
+            made.append(self)
+
+    monkeypatch.setattr(tautilt, "_FaceBricks", Recorded)
+    q = explore(IsoRegistry(build_preset(preset, field)))
+    reg = q.registry
+    for i, pair in enumerate(q.pairs):
+        out = {}
+        for _, t, lab in q.out_arrows(i):
+            (x,) = set(pair.summand_ids) - set(q.pairs[t].summand_ids)
+            out[x] = lab
+        assert tuple(out.get(x) for x in pair.summand_ids) == reg.pair_top_ids(pair.summand_ids)
+    (masks,) = made
+    summands = {s for p in q.pairs for s in p.summand_ids}
+    brick_of = {reg.pair_top_ids((z,))[0] for z in summands}
+    assert len(masks.bricks) == len(summands) == len(brick_of) == bricks
+    assert set(masks.bricks) == brick_of == {lab for _, _, lab in q.arrows}
+
 
 Q_AND_F5 = [(preset, field) for preset, field in LABELLED if field.characteristic() != 3]
 

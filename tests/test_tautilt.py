@@ -309,20 +309,24 @@ def _counted(monkeypatch, calls, owner, name):
 
 
 @pytest.mark.parametrize(
-    "preset,field,depth,built,vertices,mutations,rebuilt_isos",
+    "preset,field,depth,built,vertices,mutations,fell_back,rebuilt_isos",
     [
         # before the caches: 330 approximations, 825 quotients, 485 iso tests;
         # before the face index: 129, 258, 119 and 330 mutations;
-        # before the face completion: 80, 209, 96 and 131 mutations
-        ("a-path:5", PrimeField(32003), None, (10, 139, 57), 132, 10, 10),
+        # before the face completion: 80, 209, 96 and 131 mutations;
+        # before the face bricks: 10, 139, 57, with tops at all 132 vertices
+        ("a-path:5", PrimeField(32003), None, (10, 49, 29), 132, 10, 7, 10),
         # before: 140 approximations, 364 quotients, 248 iso tests;
         # before the face index: 96, 224, 112 and 140 mutations;
-        # before the face completion: 59, 187, 90 and 69 mutations
-        ("nakayama:cyclic:4:4", QQ, None, (12, 140, 72), 70, 12, 12),
-        ("preproj-a:4", QQ, None, (22, 342, 314), 120, 22, 38),
-        ("nakayama:linear:5:3", QQ, None, (7, 70, 47), 98, 7, 7),
-        ("msex", QQ, 6, (12, 64, 24), 27, 12, 12),
-        ("msex", PrimeField(5), 6, (12, 64, 24), 27, 12, 12),
+        # before the face completion: 59, 187, 90 and 69 mutations;
+        # before the face bricks: 12, 140, 72, with tops at all 70 vertices
+        ("nakayama:cyclic:4:4", QQ, None, (12, 54, 47), 70, 12, 6, 12),
+        # before the face bricks: 22, 342, 314 and 38 iso tests again
+        ("preproj-a:4", QQ, None, (22, 116, 174), 120, 22, 5, 48),
+        ("nakayama:linear:5:3", QQ, None, (7, 32, 22), 98, 7, 4, 7),
+        # before the face bricks: 12, 64, 24
+        ("msex", QQ, 6, (12, 49, 21), 27, 12, 5, 12),
+        ("msex", PrimeField(5), 6, (12, 49, 21), 27, 12, 5, 12),
     ],
     ids=[
         "a-path:5-fp32003", "nakayama:cyclic:4:4-Q", "preproj-a:4-Q",
@@ -330,17 +334,19 @@ def _counted(monkeypatch, calls, owner, name):
     ],
 )
 def test_each_component_and_exchange_is_built_once(
-    preset, field, depth, built, vertices, mutations, rebuilt_isos, monkeypatch
+    preset, field, depth, built, vertices, mutations, fell_back, rebuilt_isos, monkeypatch
 ):
     # A top component is a quotient, built once per (summand, summands it
     # sees). An arrow into a found pair is read off the face index, and a
     # new pair whose new summand is known or zero is completed from the
     # face, so mutation (an approximation plus a cokernel, a quotient) and
-    # its rigidity test run once per summand never seen before; the top
-    # components are looked up once per vertex and again inside each
-    # mutation. A second exploration over the same registry builds no top
-    # component but rebuilds each exchange once, and finds its cokernel
-    # among the registered classes with the same dims.
+    # its rigidity test run once per summand never seen before. Each
+    # arrow's label and direction are read off the known bricks, so the top
+    # components are looked up once per summand met (its brick), once per
+    # vertex where some face has no known brick (fell_back), and once
+    # inside each mutation. A second exploration over the same registry
+    # builds no top component but rebuilds each exchange once, and finds
+    # its cokernel among the registered classes with the same dims.
     calls = dict.fromkeys(("left_approximation", "quotient_by_rows", "_indec_iso"), 0)
     _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
     _counted(monkeypatch, calls, modules, "quotient_by_rows")
@@ -351,15 +357,49 @@ def test_each_component_and_exchange_is_built_once(
     _counted(monkeypatch, mutating, IsoRegistry, "_layer_ids")
     reg = IsoRegistry(build_preset(preset, field))
     first = explore(reg, max_depth=depth)
+    summands = {s for p in first.pairs for s in p.summand_ids}
     assert first.n_vertices == vertices
     assert tuple(calls.values()) == built
-    assert tuple(mutating.values()) == (mutations, mutations, vertices + mutations)
-    summands = {s for p in first.pairs for s in p.summand_ids}
+    assert tuple(mutating.values()) == (mutations, mutations, len(summands) + fell_back + mutations)
     assert mutations == len(summands) - len(reg.projective_ids)
     calls.update(dict.fromkeys(calls, 0))
     again = explore(reg, max_depth=depth)
     assert tuple(calls.values()) == (mutations, mutations, rebuilt_isos)
     assert (again.arrows, [p.key for p in again.pairs]) == (first.arrows, [p.key for p in first.pairs])
+
+
+def test_a_face_with_two_known_bricks_is_refused(monkeypatch):
+    # Over a-path:3 each projective is a brick, so at the root
+    # (P_0 + P_1 + P_2, 0) the known bricks are the three projectives, and
+    # W(P_i) holds those that vanish at i: W(P_0) = {P_1, P_2} and
+    # W(P_1) = {P_2}.  The face that leaves out P_2 sees P_2 alone.  One
+    # wrong bit, P_1 in W(P_1), gives that face a second brick.
+    reg = IsoRegistry(build_preset("a-path:3"))
+    p1 = reg.projective_ids[1]
+    real = tautilt._FaceBricks.labels
+
+    def perturbed(self, ids, supp):
+        self.wmask[p1] |= 1 << self.bricks.index(p1)
+        return real(self, ids, supp)
+
+    monkeypatch.setattr(tautilt._FaceBricks, "labels", perturbed)
+    with pytest.raises(CompletionError) as err:
+        explore(reg)
+    assert str(err.value) == (
+        "the almost-complete pair with summand dims [[1, 1, 1], [0, 1, 1]] and "
+        "missing vertices [] has bricks with dims [[0, 1, 1], [0, 0, 1]] in its "
+        "wide subcategory, which holds exactly one brick (Jasso reduction)"
+    )
+
+
+@pytest.mark.parametrize("kind", ["linear", "cyclic"])
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_one_vertex_explores_across_the_empty_face(kind, length):
+    # With one vertex the root's only face is (0, 0), whose wide
+    # subcategory is every module: all the known bricks, here the simple.
+    q = explore(IsoRegistry(build_preset(f"nakayama:{kind}:1:{length}")))
+    assert (q.n_vertices, q.n_arrows, q.complete) == (2, 1, True)
+    assert [q.registry.module(lab).dims for _, _, lab in q.arrows] == [(1,)]
 
 
 def test_a_face_with_a_third_completion_is_refused(monkeypatch):
