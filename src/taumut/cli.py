@@ -228,7 +228,8 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
     failures: List[str] = []
     seen_semibricks = {}
     for i, pair in enumerate(quiver.pairs):
-        sb = tuple(sorted(semibrick_ids_of(pair)))
+        tops = reg.pair_top_ids(pair.summand_ids)
+        sb = tuple(sorted(t for t in tops if t is not None))
         out_deg = len(quiver.out_arrows(i))
         if len(quiver.in_arrows(i)) + out_deg != n:
             failures.append(f"degree law fails at vertex {i}")
@@ -249,12 +250,11 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
         # Asai, by a second route: the pair's top components label the
         # arrows out, which explore read off the known bricks of each face,
         # and the socle components of its dual pair those in
-        tops = reg.pair_top_ids(pair.summand_ids)
         socles = reg.pair_socle_ids(dual_pair(pair).summand_ids)
-        dual_route = [sorted(b for b in part if b is not None) for part in (tops, socles)]
+        cosb = sorted(b for b in socles if b is not None)
         outs = sorted(lab for _, _, lab in quiver.out_arrows(i))
         ins = sorted(lab for _, _, lab in quiver.in_arrows(i))
-        if dual_route != [outs, ins]:
+        if [list(sb), cosb] != [outs, ins]:
             failures.append(f"smc of vertex {i} is not the labels of its arrows")
         dual = duality_report(quiver, i)
         if not dual["ok"]:

@@ -1204,10 +1204,12 @@ class IsoRegistry:
         return self._tau_hom[key]
 
     def tau_id(self, i: int) -> Optional[int]:
-        """Registry id of the translate, or None when it vanishes."""
+        """Registry id of the translate, or None when it vanishes.  The
+        translate of an indecomposable non-projective module is
+        indecomposable (Auslander-Reiten), so it is registered undecomposed."""
         if i not in self._tau:
             t = _translate(self.presentation(i))
-            self._tau[i] = None if t.is_zero else self.register_component(t)
+            self._tau[i] = None if t.is_zero else self.register(t)
         return self._tau[i]
 
     def is_brick_id(self, i: int) -> bool:

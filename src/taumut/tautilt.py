@@ -10,13 +10,12 @@ component of the summand being removed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import Algebra, Arrow
 from .errors import (
     CompletionError,
     IncompleteExplorationError,
-    IndeterminateDecompositionError,
     MutationError,
     NotTauRigidError,
     TauTiltingInfiniteError,
@@ -182,38 +181,32 @@ def cosemibrick_of(co: CoPair) -> List[Module]:
 def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
     """Mutate at one summand; returns the new pair and the label's id.
 
-    The label is the top component of the removed summand; mutation is
-    only defined where that component is nonzero.  The new summand is the
-    cokernel of the removed summand's minimal left approximation by the
-    others, built on every call; one that splits or is kept means the pair
-    was not tau-rigid.
+    The label is the top component of the removed summand X.  Left mutation
+    needs a support tau-tilting pair (U + X, P) with X not in Fac U, so both
+    are checked before anything is built: tau-rigidity by the g-vector
+    pairing (Adachi-Iyama-Reiten, "tau-tilting theory", Prop. 2.4), and a
+    nonzero label.  The cokernel of the minimal left add(U)-approximation of
+    X is then zero or the one new indecomposable summand (Thm 2.30), so it
+    is registered with no decomposition.
     """
     reg = pair.registry
     ids = pair.summand_ids
-    tops = reg.pair_top_ids(ids)
     if position < 0 or position >= len(ids):
         raise MutationError(f"no summand at position {position}")
-    label = tops[position]
+    if not pair_is_tau_rigid(pair):
+        dims = [list(reg.module(i).dims) for i in ids]
+        raise MutationError(
+            f"mutation at position {position} of the pair with summand dims "
+            f"{dims}: the pair is not tau-rigid"
+        )
+    label = reg.pair_top_ids(ids)[position]
     if label is None:
         raise MutationError(
             f"summand at position {position} is generated by the others"
         )
     others = [sid for k, sid in enumerate(ids) if k != position]
-    try:
-        coker, _ = cokernel(reg.left_approximation(ids[position], others))
-        extras = [] if coker.is_zero else [reg.register_component(coker)]
-        if set(extras) & set(others):
-            raise NotTauRigidError(f"the cokernel with dims {coker.dims} is a kept summand")
-    except (IndeterminateDecompositionError, NotTauRigidError) as err:
-        if pair_is_tau_rigid(pair):
-            raise
-        dims = [list(reg.module(i).dims) for i in ids]
-        raise MutationError(
-            f"mutation at position {position} of the pair with summand dims "
-            f"{dims}: {err}; the input pair cannot have been tau-rigid"
-        ) from err
-
-    new_ids = others + extras
+    coker, _ = cokernel(reg.left_approximation(ids[position], others))
+    new_ids = others if coker.is_zero else others + [reg.register(coker)]
     new_supp = [
         v for v in range(reg.algebra.n_vertices)
         if all(reg.module(i).dims[v] == 0 for i in new_ids)
@@ -306,7 +299,7 @@ def _complete_face(
     face: tuple,
     x: int,
     label: int,
-    known: Set[int],
+    known: Iterable[int],
 ) -> Optional[SupportPair]:
     """The pair across the face (U, P) from the pair that holds x, when it
     needs no construction: (U, P + v), or U + M_z for a summand z in
@@ -444,8 +437,8 @@ def explore(
       2. U + M_z, for the first summand z of a found pair, other than X
          and not in U, that vanishes on P, pairs negatively with the
          label's dimension vector, and is tau-rigid with U;
-      3. otherwise the mutation, with its exchange build, kept-summand
-         test and rigidity test.
+      3. otherwise the mutation, which checks its hypotheses, builds the
+         exchange and tests the new pair for rigidity.
     Branches 1 and 2 build nothing: a tau-rigid pair with n terms is
     support tau-tilting (Prop. 2.3), the registry's g-vector pairing
     decides tau-rigidity (Prop. 2.4), and Thm 2.18 leaves only one pair
@@ -472,7 +465,6 @@ def explore(
     pairs: List[SupportPair] = []
     depths: List[int] = []
     faces: Dict[tuple, List[int]] = {}
-    known: Set[int] = set()
     masks = _FaceBricks(registry)
     arrows: List[Tuple[int, int, int]] = []
     complete = True
@@ -482,7 +474,6 @@ def explore(
         vi = len(pairs)
         pairs.append(pair)
         depths.append(depth)
-        known.update(pair.summand_ids)
         for z in pair.summand_ids:
             masks.add_summand(z)
         for face in _faces(pair):
@@ -515,7 +506,8 @@ def explore(
             if found:
                 ti = found[0]
             else:
-                new_pair = _complete_face(registry, face, ids[pos], tops[pos], known)
+                # the keys of wmask are the summands met so far
+                new_pair = _complete_face(registry, face, ids[pos], tops[pos], masks.wmask)
                 if new_pair is None:
                     new_pair, _ = left_mutate(pair, pos)
                 ti = meet(new_pair, depths[vi] + 1)
@@ -700,7 +692,8 @@ def export_records(quiver: ExchangeQuiver) -> dict:
 
 def export_dot(quiver: ExchangeQuiver) -> str:
     reg = quiver.registry
-    names = quiver.algebra.quiver.vertices
+    # vertex names come from the algebra file; quote them for a DOT string
+    names = [v.replace("\\", "\\\\").replace('"', '\\"') for v in quiver.algebra.quiver.vertices]
     lines = ["digraph exchange_quiver {", "  rankdir=LR;"]
     for i, p in enumerate(quiver.pairs):
         parts = [_dim_string(reg.module(s).dims) for s in p.summand_ids]

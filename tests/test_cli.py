@@ -184,32 +184,58 @@ def test_verify_reports_the_degree_law(capsys, monkeypatch):
 
 
 def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
-    from taumut import cli
+    # verify reads each vertex's top components once; `change` perturbs
+    # them.  Each perturbation also breaks the cross-check of the tops
+    # against the labels of the arrows out.
+    change = None
 
-    real = cli.semibrick_ids_of
+    def perturb(quiver):
+        reg = quiver.registry
+        real = reg.pair_top_ids
+        reg.pair_top_ids = lambda ids: change(real(ids))
+
+    _after_exploring(monkeypatch, perturb)
+
+    def doubled(size):
+        def change(tops):
+            bricks = tuple(t for t in tops if t is not None)
+            return tops + bricks if len(bricks) == size else tops
+        return change
+
     # one-brick semibricks counted twice: out-degree 1 against size 2
-    monkeypatch.setattr(cli, "semibrick_ids_of", lambda p: real(p) * (1 + (len(real(p)) == 1)))
+    change = doubled(1)
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == [
-        f"FAIL: out-degree != semibrick size at vertex {i}" for i in (1, 2, 3, 4)
+        line
+        for i in (1, 2, 3, 4)
+        for line in (
+            f"FAIL: out-degree != semibrick size at vertex {i}",
+            f"FAIL: smc of vertex {i} is not the labels of its arrows",
+        )
     ]
     # the simples counted twice at (A, 0): larger than n as well
-    monkeypatch.setattr(cli, "semibrick_ids_of", lambda p: real(p) * (1 + (len(real(p)) == 2)))
+    change = doubled(2)
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == [
         "FAIL: out-degree != semibrick size at vertex 0",
         "FAIL: semibrick larger than 2 at vertex 0",
+        "FAIL: smc of vertex 0 is not the labels of its arrows",
     ]
-    # every brick renamed to one id: semibricks of one size coincide
-    monkeypatch.setattr(cli, "semibrick_ids_of", lambda p: [0] * len(real(p)))
+    # every brick renamed to id 0: semibricks of one size coincide, and
+    # only the arrow out of vertex 2, labelled by brick 0, still matches
+    change = lambda tops: tuple(t if t is None else 0 for t in tops)
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == [
+        "FAIL: smc of vertex 0 is not the labels of its arrows",
+        "FAIL: smc of vertex 1 is not the labels of its arrows",
         "FAIL: semibrick of vertex 2 repeats vertex 1",
         "FAIL: semibrick of vertex 3 repeats vertex 2",
+        "FAIL: smc of vertex 3 is not the labels of its arrows",
         "FAIL: semibrick of vertex 4 repeats vertex 3",
+        "FAIL: smc of vertex 4 is not the labels of its arrows",
     ]
 
 
@@ -411,6 +437,30 @@ def test_records_export_deterministic(capsys, tmp_path):
     assert records["complete"]
     assert len(records["vertices"]) == 14
     assert len(records["arrows"]) == 21
+
+
+def test_dot_export_escapes_vertex_names(capsys, tmp_path):
+    # A vertex name from an algebra file may hold a quote or a backslash;
+    # inside a DOT string both are escaped with a backslash.
+    spec_file = tmp_path / "algebra.json"
+    spec_file.write_text(json.dumps({
+        "vertices": ['x"y', "a\\b"],
+        "arrows": [{"name": "a1", "source": 'x"y', "target": "a\\b"}],
+        "relations": [],
+        "nilpotency": 2,
+        "field": {"kind": "Q"},
+    }))
+    dot_file = tmp_path / "q.dot"
+    code, _, _ = run(capsys, ["explore", "--algebra", str(spec_file), "--dot", str(dot_file)])
+    assert code == 0
+    lines = dot_file.read_text().splitlines()
+    assert [line for line in lines if line.startswith("  v") and "->" not in line] == [
+        '  v0 [label="11 01"];',
+        '  v1 [label="01 | x\\"y"];',
+        '  v2 [label="11 10"];',
+        '  v3 [label="0 | x\\"y a\\\\b"];',
+        '  v4 [label="10 | a\\\\b"];',
+    ]
 
 
 def test_algebra_file_source(capsys, tmp_path):

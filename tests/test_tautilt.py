@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from taumut.errors import (
     CompletionError,
     IncompleteExplorationError,
     IndeterminateDecompositionError,
+    MutationError,
     NotTauRigidError,
     TaumutError,
     TauTiltingInfiniteError,
@@ -340,7 +342,8 @@ def test_each_component_and_exchange_is_built_once(
     # sees). An arrow into a found pair is read off the face index, and a
     # new pair whose new summand is known or zero is completed from the
     # face, so mutation (an approximation plus a cokernel, a quotient) and
-    # its rigidity test run once per summand never seen before. Each
+    # its two rigidity tests, of the pair it is given and of the pair it
+    # makes, run once per summand never seen before. Each
     # arrow's label and direction are read off the known bricks, so the top
     # components are looked up once per summand met (its brick), once per
     # vertex where some face has no known brick (fell_back), and once
@@ -360,7 +363,7 @@ def test_each_component_and_exchange_is_built_once(
     summands = {s for p in first.pairs for s in p.summand_ids}
     assert first.n_vertices == vertices
     assert tuple(calls.values()) == built
-    assert tuple(mutating.values()) == (mutations, mutations, len(summands) + fell_back + mutations)
+    assert tuple(mutating.values()) == (mutations, 2 * mutations, len(summands) + fell_back + mutations)
     assert mutations == len(summands) - len(reg.projective_ids)
     calls.update(dict.fromkeys(calls, 0))
     again = explore(reg, max_depth=depth)
@@ -461,18 +464,62 @@ def test_a_component_that_fails_to_register_is_built_again(monkeypatch):
 
 
 def test_an_exchange_that_fails_to_register_is_built_again(monkeypatch):
-    # At (A, 0) of a-path:3, a mutation whose cokernel is a new summand
+    # At (A, 0) of a-path:3, a mutation whose cokernel is a new summand;
+    # the cokernel is registered by theorem, with no decomposition
     pair = initial_pair(build_preset("a-path:3"))
     reg = pair.registry
     steps = [(pos, reference_left_mutate(pair, pos)) for pos in mutable_positions(pair)]
     pos, (want, label) = next(
         (pos, ref) for pos, ref in steps if len(ref[0].summand_ids) == len(pair.summand_ids)
     )
-    _raise_once(monkeypatch, IsoRegistry, "register_component")
+    _raise_once(monkeypatch, IsoRegistry, "register")
     with pytest.raises(IndeterminateDecompositionError):
         left_mutate(pair, pos)
     new, got = left_mutate(pair, pos)
     assert (new.key, got) == (want.key, label)
+
+
+def test_a_non_rigid_pair_is_refused_before_anything_is_built(monkeypatch):
+    # Over a-path:2, (S_0 + S_1, 0) has Hom(S_1, tau S_0) != 0, and neither
+    # simple is generated by the other: only the rigidity test stops the
+    # mutation.
+    reg = IsoRegistry(build_preset("a-path:2"))
+    pair = SupportPair(reg, [reg.register(simple_module(reg.algebra, v)) for v in (0, 1)], [])
+    calls = dict.fromkeys(("left_approximation", "quotient_by_rows"), 0)
+    _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
+    _counted(monkeypatch, calls, modules, "quotient_by_rows")
+    with pytest.raises(MutationError, match="the pair is not tau-rigid"):
+        left_mutate(pair, 0)
+    assert calls == {"left_approximation": 0, "quotient_by_rows": 0}
+
+
+@pytest.mark.parametrize("verb", ["explore", "verify"])
+@pytest.mark.parametrize("preset", ["preproj-a:4", "nakayama:cyclic:5:5"])
+def test_cokernels_and_translates_are_registered_undecomposed(verb, preset, monkeypatch, capsys):
+    # A mutation cokernel is zero or one indecomposable (Adachi-Iyama-
+    # Reiten, Thm 2.30), and so is the translate of an indecomposable
+    # (Auslander-Reiten): neither goes through register_component, the
+    # only registration that decomposes.  Top components still do.
+    from taumut import cli
+
+    callers = {"register_component": set(), "decompose": set()}
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def recorded(*args):
+            callers[name].add(sys._getframe(1).f_code.co_name)  # the immediate caller
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(IsoRegistry, "register_component")
+    record(modules, "decompose")
+    assert cli.main([verb, "--preset", preset]) == 0
+    capsys.readouterr()
+    assert "_layer_ids" in callers["register_component"]
+    assert not callers["register_component"] & {"left_mutate", "tau_id"}
+    assert callers["decompose"] <= {"register_component"}
 
 
 # -- new pairs completed from the face --------------------------------------
