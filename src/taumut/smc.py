@@ -5,9 +5,9 @@ bijection the collection at a vertex is read off its arrows: the labels
 of the arrows out (top components of its summands) in degree 0, the
 labels of the arrows in shifted.  Each label is paired with the column of
 the summand or missing vertex that its arrow exchanges, and the
-Grothendieck matrices reuse that pairing.  The second route to the
-shifted part, the socle components of the dual pair, is taken only by
-`verify`'s cross-check.
+Grothendieck matrices reuse that pairing.  `check_silting_table` checks
+the collection against the vertex's two-term silting complex entry by
+entry (Koenig-Yang), from cached Hom dimensions alone.
 """
 
 from __future__ import annotations
@@ -223,6 +223,62 @@ def check_smc_axioms(x: TwoTermSMC) -> SmcReport:
                     f"Ext1 across degrees: {reg.module(a).dims} -> "
                     f"{reg.module(b).dims}"
                 )
+    return SmcReport(violations)
+
+
+def _term(reg: IsoRegistry, pair: SupportPair, col: PairedColumn) -> str:
+    """T's term at a column, for a violation message."""
+    if col.kind == "support":
+        return f"P_{col.index}[1]"
+    return f"P{reg.module(pair.summand_ids[col.index]).dims}"
+
+
+def check_silting_table(quiver: ExchangeQuiver, i: int) -> SmcReport:
+    """Check Hom(T_k, X_j[m]) = 0 unless m = 0 and k = j, where its
+    dimension is dim End(X_j), for T = the two-term silting complex of
+    vertex i (P_M for each summand M, P_v[1] for each missing vertex v) and
+    X = the collection read off its arrows by `paired_columns`.
+
+    Every entry is a cached integer.  For a module B, Hom(P_M, B) = Hom(M, B),
+    Hom(P_M, B[1]) = D Hom(B, tau M) (`tau_hom_dim`), Hom(P_v[1], B[1]) = B_v
+    and Hom(P_v[1], B) = 0; no other shift is nonzero between two-term
+    complexes and modules.  A shifted element S[1] reads these at m - 1, so
+    its m = -1 entry is Hom(M_k, S).
+
+    The check is complete when X passes `check_smc_axioms`.  The m != 0
+    entries put each X_j in the heart of the t-structure of T.  By
+    Koenig-Yang ("Silting objects, simple-minded collections, t-structures
+    and co-t-structures", Doc. Math. 19 (2014)), Hom(T, -) is an
+    equivalence from that heart to mod End(T), and the collection of T is
+    the heart's simples.  The m = 0 row makes Hom(T, X_j) nonzero with every
+    composition factor the simple at j, and its End is End(X_j), a division
+    ring because X_j is a brick.  Such a module N is simple: otherwise
+    N -> top N -> S_j -> soc N -> N is a nonzero endomorphism that is not
+    invertible.  So X_j is the simple of the heart at j, and X is the
+    collection of T.
+    """
+    pair = quiver.pairs[i]
+    reg = pair.registry
+    columns = paired_columns(quiver, i)
+    violations: List[str] = []
+    for j, x in enumerate(columns):
+        b = x.brick_id
+        dims = reg.module(b).dims
+        # X_j[m] = B[m - lift]: B[m] in degree 0, B[m + 1] shifted
+        lift = 0 if x.sign > 0 else -1
+        for k, t in enumerate(columns):
+            if t.kind == "support":
+                entries = ((1 + lift, dims[t.index]),)
+            else:
+                sid = pair.summand_ids[t.index]
+                entries = ((lift, reg.hom_dim(sid, b)), (1 + lift, reg.tau_hom_dim(sid, b)))
+            for m, value in entries:
+                want = reg.end_dim(b) if m == 0 and k == j else 0
+                if value != want:
+                    shift = f"[{m - lift}]" if m != lift else ""
+                    violations.append(
+                        f"Hom({_term(reg, pair, t)}, {dims}{shift}) = {value}, not {want}"
+                    )
     return SmcReport(violations)
 
 

@@ -134,21 +134,31 @@ def test_verify_nakayama_checks_recurrence(capsys):
 @pytest.mark.parametrize("emptied", ["degree0", "shifted"])
 def test_verify_reports_an_smc_that_is_not_the_arrow_labels(emptied, capsys, monkeypatch):
     # a-path:3 has 14 vertices: the source has no arrows in and the sink no
-    # arrows out.  verify reaches each collection by the dual route, the
-    # top components of the pair and the socle components of its dual
-    # pair; emptying one part leaves it unequal to the labels at the other
-    # 13.
+    # arrows out.  verify reaches the degree-0 part by a second route, the
+    # top components of the pair; emptying them leaves them unequal to the
+    # labels out at the other 13.  The shifted part is checked against the
+    # Koenig-Yang table: doubling Hom(S, tau M) keeps every column paired
+    # (a nonzero entry stays nonzero) but breaks the diagonal entry
+    # Hom(P_M, S[1]) = dim End(S) at the 6 vertices with a shifted summand
+    # column.
     from taumut.modules import IsoRegistry
 
-    layer = "pair_top_ids" if emptied == "degree0" else "pair_socle_ids"
-    _after_exploring(
-        monkeypatch,
-        lambda q: monkeypatch.setattr(IsoRegistry, layer, lambda self, ids: (None,) * len(ids)),
-    )
+    if emptied == "degree0":
+        change = lambda q: monkeypatch.setattr(IsoRegistry, "pair_top_ids", lambda self, ids: (None,) * len(ids))
+    else:
+        real = IsoRegistry.tau_hom_dim
+        change = lambda q: monkeypatch.setattr(IsoRegistry, "tau_hom_dim", lambda self, i, j: 2 * real(self, i, j))
+    _after_exploring(monkeypatch, change)
     code, out, _ = run(capsys, ["verify", "--preset", "a-path:3"])
     assert code == 1
-    flagged = [line for line in out.splitlines() if line.endswith("is not the labels of its arrows")]
-    assert len(flagged) == 13
+    if emptied == "degree0":
+        flagged = [line for line in out.splitlines() if line.endswith("is not the labels of its arrows")]
+        assert len(flagged) == 13
+    else:
+        fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
+        assert [int(line.split("at vertex ")[1].split(":")[0]) for line in fails] == [2, 3, 5, 7, 8, 12]
+        assert all(line.startswith("FAIL: Koenig-Yang table fails at vertex ") for line in fails)
+        assert all(line.endswith("[1]) = 2, not 1") for line in fails)
 
 
 def _verify_failures(capsys, preset):
@@ -263,7 +273,8 @@ def test_verify_reports_a_label_outside_fac_of_the_source(capsys, monkeypatch):
 def test_verify_reports_hom_from_the_target(capsys, monkeypatch):
     # On a-path:3 the arrow 3->8 is labelled M23 and its target has the
     # summand M12.  Claiming Hom(M12, M23) != 0 once the quiver is explored
-    # flags that arrow and touches no collection.
+    # breaks one entry of vertex 8's Koenig-Yang table: the shifted M23 must
+    # receive no map from a summand, Hom(P_M12, M23[1][-1]) = 0.
     from taumut.modules import IsoRegistry
 
     def claim(quiver):
@@ -278,7 +289,7 @@ def test_verify_reports_hom_from_the_target(capsys, monkeypatch):
     _after_exploring(monkeypatch, claim)
     code, fails = _verify_failures(capsys, "a-path:3")
     assert code == 1
-    assert fails == ["FAIL: label on 3->8 receives Hom from the target"]
+    assert fails == ["FAIL: Koenig-Yang table fails at vertex 8: Hom(P(1, 1, 0), (0, 1, 1)) = 1, not 0"]
 
 
 def test_verify_reports_the_nakayama_recurrence(capsys, monkeypatch):
@@ -326,15 +337,34 @@ def test_the_verbs_build_no_map_that_needs_a_commutation_check(argv, capsys, mon
     assert code == 0
 
 
-@pytest.mark.parametrize("preset", ["preproj-a:3", "nakayama:cyclic:3:3"])
-def test_explore_builds_no_translate(preset, capsys, monkeypatch):
-    # Rigidity is read off the g-vector pairing, so only the dual pair
-    # (verify, smc, gvectors) needs a translate module.
-    def refuse(pres):
-        raise AssertionError(f"built the translate of {pres.module!r}")
+NO_TRANSLATE_RUNS = [
+    [verb, "--preset", preset]
+    for verb in ("explore", "semibricks", "smc", "gvectors", "verify")
+    for preset in ("preproj-a:3", "nakayama:cyclic:3:3")
+] + [
+    ["quotient", "--preset", "preproj-a:3", "--generator", "a1*b1"],
+    ["restrict", "--preset", "preproj-a:3", "--summand", "0,1,0"],
+    ["count", "--kind", "cyclic", "--n", "4", "--l", "4"],
+]
 
-    monkeypatch.setattr(taumut.modules, "_translate", refuse)
-    code, _, _ = run(capsys, ["explore", "--preset", preset])
+
+@pytest.mark.parametrize("argv", NO_TRANSLATE_RUNS, ids=lambda argv: " ".join(argv[:3]))
+def test_the_verbs_build_no_translate(argv, capsys, monkeypatch):
+    # Rigidity is read off the g-vector pairing, the collection's columns
+    # and its Koenig-Yang table off Hom dimensions, so no verb builds a
+    # translate module, a dual pair or a socle component.
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"built {what}")
+
+        return call
+
+    monkeypatch.setattr(taumut.modules, "_translate", refuse("a translate"))
+    monkeypatch.setattr(taumut.modules, "nakayama_functor_map", refuse("a Nakayama functor map"))
+    monkeypatch.setattr(taumut.modules.IsoRegistry, "tau_id", refuse("a translate"))
+    monkeypatch.setattr(taumut.tautilt, "dual_pair", refuse("a dual pair"))
+    monkeypatch.setattr(taumut.modules, "socle_components", refuse("a socle component"))
+    code, _, _ = run(capsys, argv)
     assert code == 0
 
 

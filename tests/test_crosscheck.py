@@ -25,7 +25,10 @@ Q against explorations over several primes.  The registry's Fac test is
 checked against in_fac of the summands, kernels that keep their echelon
 basis against the reduced left kernel, maps built without the commutation
 check against that check, and the top components of each pair and the
-co-semibrick of its dual pair against the labels of its arrows out and in.
+co-semibrick of its dual pair against the labels of its arrows out and in;
+the collection read off the arrows must also pass the Koenig-Yang Hom
+table, which must fail at a vertex whose arrow in has its label swapped,
+or whose degree-0 label is swapped for one nonzero at a missing vertex.
 The label and direction of each arrow, which explore reads off the known
 bricks in each face's wide subcategory, are checked against the top
 components of every pair, and the known bricks against the bricks of the
@@ -73,11 +76,13 @@ from taumut.nakayama import uniserial_module
 from taumut.presets import build_preset
 from taumut.smc import (
     check_label_coincidence,
+    check_silting_table,
     paired_columns,
     smc_left_mutate,
     smc_of_vertex,
 )
 from taumut.tautilt import (
+    ExchangeQuiver,
     SupportPair,
     cosemibrick_of,
     dual_pair,
@@ -745,6 +750,90 @@ def test_columns_read_off_the_arrows_are_the_dual_pairing(labelled):
         for v in pair.support_complement:
             expected.append(("support", v, -1, socle_of[reg.injective_id(v)]))
         assert [(c.kind, c.index, c.sign, c.brick_id) for c in cols] == expected
+
+
+def test_the_koenig_yang_table_holds_at_every_vertex(labelled):
+    for i in range(labelled.n_vertices):
+        assert check_silting_table(labelled, i).violations == [], i
+
+
+def _swappable_in_label(quiver):
+    """(vertex, arrow in, brick): the first arrow in whose label can be
+    swapped for another arrow label outside the vertex's collection with
+    `paired_columns` still passing, which certifies only that the brick is
+    nonzero at its column's vertex or maps into its summand's translate."""
+    reg = quiver.registry
+    labels = sorted({lab for _, _, lab in quiver.arrows})
+    for i, pair in enumerate(quiver.pairs):
+        cols = paired_columns(quiver, i)
+        mine = {c.brick_id for c in cols}
+        for c in cols:
+            if c.sign > 0:
+                continue
+            arrow = next(a for a in quiver.in_arrows(i) if a[2] == c.brick_id)
+            for b in labels:
+                if c.kind == "support":
+                    pairs = reg.module(b).dims[c.index] != 0
+                else:
+                    pairs = reg.tau_hom_dim(pair.summand_ids[c.index], b) != 0
+                if b not in mine and pairs:
+                    return i, arrow, b
+    return None
+
+
+def _swap_label(quiver, arrow, b):
+    """The quiver with the label of one arrow replaced by brick b."""
+    q = quiver
+    arrows = [(s, t, b) if (s, t, lab) == arrow else (s, t, lab) for s, t, lab in q.arrows]
+    return ExchangeQuiver(q.algebra, q.registry, q.pairs, arrows, q.complete, q.max_depth, q.depths)
+
+
+def test_the_table_names_the_vertex_of_a_swapped_in_label(labelled):
+    found = _swappable_in_label(labelled)
+    assert found is not None
+    i, arrow, b = found
+    swapped = _swap_label(labelled, arrow, b)
+    assert b in [c.brick_id for c in paired_columns(swapped, i)]
+    # the arrow's source sees the swap as a degree-0 label, which
+    # paired_columns may refuse; every other vertex keeps its collection
+    flagged = [
+        v for v in range(labelled.n_vertices) if v != arrow[0] and not check_silting_table(swapped, v).ok
+    ]
+    assert flagged == [i]
+
+
+def _degree0_label_on_a_missing_vertex(quiver):
+    """(vertex, arrow out, brick, missing vertex v): the first arrow out
+    whose label can be swapped for another arrow label that its summand
+    maps to, so that `paired_columns` still passes, but that is nonzero
+    at v."""
+    reg = quiver.registry
+    labels = sorted({lab for _, _, lab in quiver.arrows})
+    for i, pair in enumerate(quiver.pairs):
+        cols = paired_columns(quiver, i)
+        mine = {c.brick_id for c in cols}
+        for c in cols:
+            if c.sign < 0:
+                continue
+            arrow = next(a for a in quiver.out_arrows(i) if a[2] == c.brick_id)
+            for b in labels:
+                for v in pair.support_complement:
+                    if b not in mine and reg.module(b).dims[v] and reg.hom_dim(pair.summand_ids[c.index], b):
+                        return i, arrow, b, v
+    return None
+
+
+def test_the_table_sees_a_degree0_label_nonzero_at_a_missing_vertex(labelled):
+    # A degree-0 element B must vanish where T has P_v[1]: Hom(P_v[1], B[1])
+    # is B_v.
+    found = _degree0_label_on_a_missing_vertex(labelled)
+    assert found is not None
+    i, arrow, b, v = found
+    swapped = _swap_label(labelled, arrow, b)
+    assert b in [c.brick_id for c in paired_columns(swapped, i)]
+    dims = labelled.registry.module(b).dims
+    want = f"Hom(P_{v}[1], {dims}[1]) = {dims[v]}, not 0"
+    assert want in check_silting_table(swapped, i).violations
 
 
 @pytest.mark.parametrize(
