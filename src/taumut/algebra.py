@@ -113,6 +113,17 @@ def normalize_relation(quiver: Quiver, terms, *, min_length: int = 2) -> Relatio
     return tuple(out)
 
 
+def field_coefficient(field: Field, coeff, term: str):
+    """coeff as a scalar of the field; a SpecError naming it and the term
+    it came from when it has no value there (1/p over F_p, or 1/0)."""
+    try:
+        return field.coerce(coeff)
+    except ZeroDivisionError:
+        raise SpecError(
+            f"coefficient {coeff} in {term!r} has no value in {field.name}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Serializable presentation: quiver, relations, nilpotency, field."""
@@ -126,7 +137,8 @@ class AlgebraSpec:
         if not isinstance(self.nilpotency, int) or self.nilpotency < 2:
             raise SpecError(f"nilpotency must be an int >= 2, got {self.nilpotency!r}")
         for rel in self.relations:
-            normalize_relation(self.quiver, rel, min_length=2)
+            for coeff, path in normalize_relation(self.quiver, rel, min_length=2):
+                field_coefficient(self.field, coeff, "*".join(path))
 
     def to_json_dict(self) -> dict:
         if self.field == QQ:
@@ -181,7 +193,7 @@ class AlgebraSpec:
                 field = PrimeField(int(fj["p"]))
             else:
                 raise SpecError(f"unknown field spec {fj!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"malformed algebra spec: {exc}") from exc
         spec = AlgebraSpec(quiver, relations, nilpotency, field)
         spec.validate()

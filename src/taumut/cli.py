@@ -312,34 +312,40 @@ def cmd_quotient(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_dims(text: str) -> tuple:
+def _parse_dims(text: str, n: int) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(","))
+        dims = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise SpecError(f"bad dimension vector {text!r}") from None
+    if len(dims) != n:
+        raise SpecError(
+            f"dim vector {text} has {len(dims)} entries, but the algebra has {n} vertices"
+        )
+    return dims
 
 
 def cmd_restrict(args) -> int:
-    quiver = _explore(args)
+    algebra = _load_algebra(args)
+    if not args.summand:
+        raise SpecError("restrict needs at least one --summand dim vector")
+    wanted = [_parse_dims(text, algebra.n_vertices) for text in args.summand]
+    quiver = explore(IsoRegistry(algebra), args.max_depth)
     if not quiver.complete:
         print(_status(quiver))
         return 3
-    if not args.summand:
-        raise SpecError("restrict needs at least one --summand dim vector")
     reg = quiver.registry
     summand_ids = sorted(
         {i for pair in quiver.pairs for i in pair.summand_ids}
     )
-    u_modules = []
-    for text in args.summand:
-        dims = _parse_dims(text)
+    u_ids = []
+    for text, dims in zip(args.summand, wanted):
         matches = [i for i in summand_ids if reg.module(i).dims == dims]
         if len(matches) != 1:
             raise SpecError(
                 f"dim vector {text} matches {len(matches)} explored summands"
             )
-        u_modules.append(reg.module(matches[0]))
-    restriction = restrict_quiver(quiver, u_modules)
+        u_ids.append(matches[0])
+    restriction = restrict_quiver(quiver, u_ids)
     rep = restriction.report
     print(
         f"restriction: {rep['n_vertices']} vertices, {rep['n_arrows']} arrows"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, normalize_relation
+from .algebra import Algebra, field_coefficient, normalize_relation
 from .errors import IncompleteExplorationError, SpecError
 from .linalg import Mat, vstack
 from .modules import IsoRegistry, Module, quotient_by_rows
@@ -45,10 +45,10 @@ def parse_element(algebra: Algebra, text: str) -> Element:
         tokens = [t.strip() for t in chunk.split("*") if t.strip()]
         if not tokens:
             raise SpecError(f"empty term in {text!r}")
-        coeff = Fraction(sign)
-        if tokens and tokens[0] not in algebra.quiver.arrow_index:
+        coeff = field.coerce(sign)
+        if tokens[0] not in algebra.quiver.arrow_index:
             try:
-                coeff *= Fraction(tokens[0])
+                coeff = field.mul(coeff, field_coefficient(field, tokens[0], text))
             except ValueError:
                 raise SpecError(f"unknown arrow {tokens[0]!r}") from None
             tokens = tokens[1:]
@@ -63,7 +63,7 @@ def parse_element(algebra: Algebra, text: str) -> Element:
             algebra.quiver.arrows[arrows[0]].source
         ]
         for k, c in algebra.path_class(src, tuple(arrows)):
-            vec[k] = field.add(vec[k], field.mul(field.coerce(coeff), c))
+            vec[k] = field.add(vec[k], field.mul(coeff, c))
     return tuple(vec)
 
 

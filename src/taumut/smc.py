@@ -13,7 +13,7 @@ entry (Koenig-Yang), from cached Hom dimensions alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     ApproximationDichotomyError,
@@ -28,7 +28,6 @@ from .modules import (
     Module,
     ModuleHom,
     cokernel,
-    decompose,
     direct_sum,
     ext1_basis,
     greedy_span_pick,
@@ -378,10 +377,10 @@ def _mutate_element(reg: IsoRegistry, sid: int, s0: int, degree: int) -> Tuple[i
     return reg.element_mutations[key]
 
 
-def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
-    """Left mutation of a collection at one of its degree-0 bricks S0
-    (Koenig-Yang, "Silting objects, simple-minded collections, t-structures
-    and co-t-structures", Doc. Math. 19 (2014)).
+def smc_left_mutate(x: TwoTermSMC, s0: int) -> TwoTermSMC:
+    """Left mutation of a collection at one of its degree-0 bricks S0, by
+    registry id (Koenig-Yang, "Silting objects, simple-minded collections,
+    t-structures and co-t-structures", Doc. Math. 19 (2014)).
 
     Requires S0 to have no self-extensions.  S0 moves to degree -1; each
     other element is replaced by a universal extension, a cokernel, or a
@@ -390,13 +389,6 @@ def smc_left_mutate(x: TwoTermSMC, brick: Union[Module, int]) -> TwoTermSMC:
     axioms are checked at every call.
     """
     reg = x.registry
-    if isinstance(brick, Module):
-        parts = decompose(brick)
-        if len(parts) != 1:
-            raise MutationError("mutation brick must be indecomposable")
-        s0 = reg.register(parts[0])
-    else:
-        s0 = brick
     if s0 not in x.degree0:
         raise MutationError("mutation brick is not in the degree-0 part")
     if reg.ext1_dim(s0, s0) != 0:

@@ -316,11 +316,10 @@ def _complete_face(
     for v in range(registry.algebra.n_vertices):
         if v not in supp and not any(d[v] for d in dims):
             return SupportPair(registry, u_ids, supp + (v,))
-    b_dims = registry.module(label).dims
     for z in sorted(known):
         if z == x or z in u_ids or any(registry.module(z).dims[v] for v in supp):
             continue
-        if sum(g * d for g, d in zip(registry.g_vector(z), b_dims)) >= 0:
+        if registry.pairing(z, label) >= 0:
             continue
         if all(registry.tau_hom_dim(u, z) == 0 == registry.tau_hom_dim(z, u) for u in u_ids):
             return SupportPair(registry, u_ids + (z,), supp)
@@ -518,24 +517,6 @@ def explore(
 # -- completion and restriction ----------------------------------------------
 
 
-def _register_given(registry: IsoRegistry, U: Union[Module, Sequence[Module]]) -> List[int]:
-    if isinstance(U, Module):
-        return registry.register_all(U)
-    out: List[int] = []
-    for m in U:
-        out.extend(registry.register_all(m))
-    return sorted(set(out))
-
-
-def restriction_vertices(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> List[int]:
-    need = set(u_ids)
-    return [
-        i
-        for i, p in enumerate(quiver.pairs)
-        if need.issubset(set(p.summand_ids))
-    ]
-
-
 class Restriction:
     """The full subquiver of pairs containing a fixed tau-rigid U."""
 
@@ -570,10 +551,10 @@ class Restriction:
         return len(self.arrows)
 
 
-def restrict_quiver(
-    quiver: ExchangeQuiver, U: Union[Module, Sequence[Module]]
-) -> Restriction:
-    """Restrict a complete exchange quiver to the pairs containing U.
+def restrict_quiver(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> Restriction:
+    """Restrict a complete exchange quiver to the pairs containing U, the
+    sum of the registered indecomposables u_ids (a module from outside
+    reaches them through `IsoRegistry.register_all`).
 
     The report checks the expected shape: a unique source and sink, inner
     degree equal to (number of vertices) - |U| at every subquiver vertex,
@@ -584,12 +565,14 @@ def restrict_quiver(
             "restriction needs a completely explored exchange quiver"
         )
     reg = quiver.registry
-    u_ids = tuple(_register_given(reg, U))
+    u_ids = tuple(sorted(set(u_ids)))
     if not u_ids:
         raise TaumutError("restriction to an empty module is the whole quiver")
+    if not all(0 <= i < reg.count() for i in u_ids):
+        raise TaumutError(f"U has ids {list(u_ids)}; the registry holds ids 0..{reg.count() - 1}")
     if not _tau_rigid_ids(reg, u_ids):
         raise NotTauRigidError("the fixed module U is not tau-rigid")
-    verts = restriction_vertices(quiver, u_ids)
+    verts = [i for i, p in enumerate(quiver.pairs) if set(u_ids) <= set(p.summand_ids)]
     vset = set(verts)
     sub_arrows = [
         (s, t, lab) for (s, t, lab) in quiver.arrows if s in vset and t in vset
@@ -638,15 +621,14 @@ def restrict_quiver(
     )
 
 
-def bongartz_completion(
-    U: Union[Module, Sequence[Module]], quiver: ExchangeQuiver
-) -> SupportPair:
-    """The pair containing U whose torsion class is largest.
+def bongartz_completion(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> SupportPair:
+    """The pair containing U, the sum of the registered indecomposables
+    u_ids, whose torsion class is largest.
 
     Found as the unique source of the restricted subquiver; requires a
     complete exploration.
     """
-    restriction = restrict_quiver(quiver, U)
+    restriction = restrict_quiver(quiver, u_ids)
     if restriction.source_index < 0:
         raise TaumutError("restricted quiver has no unique source")
     return quiver.pairs[restriction.source_index]

@@ -158,7 +158,7 @@ def test_criterion_06_grothendieck_duality():
 def test_criterion_07_restriction_at_a_summand():
     start = time.perf_counter()
     quiver = explore(IsoRegistry(build_preset("a-path:3")))
-    s2 = simple_module(quiver.algebra, 1)
+    s2 = quiver.registry.register(simple_module(quiver.algebra, 1))
     restriction = restrict_quiver(quiver, [s2])
     assert restriction.n_vertices == 5
     assert restriction.n_arrows == 5
@@ -166,7 +166,7 @@ def test_criterion_07_restriction_at_a_summand():
     assert report["sources"] == [restriction.source_index]
     source_pair = quiver.pairs[restriction.source_index]
     assert set(summand_dims(source_pair)) == {(0, 1, 1), (1, 1, 1), (0, 1, 0)}
-    completion = bongartz_completion([s2], quiver)
+    completion = bongartz_completion(quiver, [s2])
     assert vertex_by_summands(quiver, summand_dims(completion)) == (
         restriction.source_index
     )

@@ -302,6 +302,24 @@ def test_verify_reports_the_nakayama_recurrence(capsys, monkeypatch):
     assert fails == ["FAIL: vertex count 6 != recurrence 7"]
 
 
+def test_smc_reports_a_collection_that_fails_its_axioms(capsys, monkeypatch):
+    # one more Ext1 than there is: the first collection with both degrees
+    # fails the "no Ext1 across degrees" axiom
+    from taumut import IsoRegistry
+
+    real = IsoRegistry.ext1_dim
+    _after_exploring(
+        monkeypatch,
+        lambda q: monkeypatch.setattr(IsoRegistry, "ext1_dim", lambda reg, i, j: real(reg, i, j) + 1),
+    )
+    code, out, err = run(capsys, ["smc", "--preset", "a-path:2"])
+    assert (code, out) == (1, "vertex 01: degree0 01,10 | shifted -\n")
+    assert err == (
+        "error: the pair with summand dims [[0, 1]] and missing vertices [0]: "
+        "constructed collection failed its axioms: Ext1 across degrees: (0, 1) -> (1, 0)\n"
+    )
+
+
 def test_verify_reports_label_coincidence(capsys, monkeypatch):
     # the first Koenig-Yang mutation leaves its collection unchanged
     from taumut import smc
@@ -396,6 +414,27 @@ def test_restrict_usage_errors(capsys):
     )
     assert code == 2
     assert "matches 2" in err
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ([], "restrict needs at least one --summand dim vector"),
+        (["--summand", "0,1,0", "--summand", "x,y"], "bad dimension vector 'x,y'"),
+        (["--summand", "0,1"], "dim vector 0,1 has 2 entries, but the algebra has 3 vertices"),
+    ],
+    ids=["missing", "not-integers", "wrong-length"],
+)
+def test_restrict_checks_its_summands_before_exploring(extra, message, capsys, monkeypatch):
+    from taumut import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("explored before checking --summand")
+
+    monkeypatch.setattr(cli, "explore", refuse)
+    code, out, err = run(capsys, ["restrict", "--preset", "a-path:3", "--max-depth", "1", *extra])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_quotient_comparison(capsys):
@@ -553,6 +592,70 @@ def test_field_flag_accepts_a_mersenne_prime(capsys):
         ["explore", "--preset", "a-path:2", "--field", "fp:2305843009213693951"],
     )
     assert (code, out) == (0, "5 vertices, 5 arrows, complete\n")
+
+
+def _relation_file(tmp_path, coeff, field):
+    # two parallel paths 1 -> 2 -> 3 with coeff * a*b + c*d = 0
+    spec_file = tmp_path / "algebra.json"
+    spec_file.write_text(json.dumps({
+        "vertices": ["1", "2", "3"],
+        "arrows": [
+            {"name": name, "source": source, "target": target}
+            for name, source, target in (("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2"), ("d", "2", "3"))
+        ],
+        "relations": [[{"coeff": coeff, "path": ["a", "b"]}, {"coeff": "1", "path": ["c", "d"]}]],
+        "nilpotency": 3,
+        "field": field,
+    }))
+    return str(spec_file)
+
+
+@pytest.mark.parametrize(
+    "source,env,message",
+    [
+        ("fp5-file", None, "coefficient 1/5 in 'a*b' has no value in F5"),
+        ("field-flag", None, "coefficient 1/5 in 'a*b' has no value in F5"),
+        ("q-file", "fp:5", "coefficient 1/5 in 'a*b' has no value in F5"),
+        ("zero-denominator", None, "malformed algebra spec: Fraction(1, 0)"),
+    ],
+)
+def test_a_relation_coefficient_with_no_value_in_the_field_is_a_usage_error(
+    source, env, message, capsys, monkeypatch, tmp_path
+):
+    if env:
+        monkeypatch.setenv("TAUMUT_FIELD", env)
+    coeff = "1/0" if source == "zero-denominator" else "1/5"
+    field = {"kind": "Fp", "p": 5} if source == "fp5-file" else {"kind": "Q"}
+    argv = ["explore", "--algebra", _relation_file(tmp_path, coeff, field), "--max-depth", "1"]
+    if source == "field-flag":
+        argv += ["--field", "fp:5"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_the_relation_coefficient_is_fine_over_q(capsys, tmp_path):
+    path = _relation_file(tmp_path, "1/5", {"kind": "Q"})
+    code, out, _ = run(capsys, ["explore", "--algebra", path, "--max-depth", "1"])
+    assert code == 3
+    assert out.endswith("incomplete (max depth 1)\n")
+
+
+@pytest.mark.parametrize(
+    "field,generator,message",
+    [
+        ("q", "1/0*a1", "coefficient 1/0 in '1/0*a1' has no value in Q"),
+        ("fp:3", "a1*a2 - 1/3*a1*a2", "coefficient 1/3 in 'a1*a2 - 1/3*a1*a2' has no value in F3"),
+    ],
+)
+def test_a_generator_coefficient_with_no_value_in_the_field_is_a_usage_error(
+    field, generator, message, capsys
+):
+    code, out, err = run(
+        capsys, ["quotient", "--preset", "a-path:3", "--field", field, "--generator", generator]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_field_env_and_override(capsys, monkeypatch):

@@ -35,6 +35,17 @@ STDOUT_RUNS = {
     )
 }
 STDOUT_RUNS["semibricks-preproj-a3-fp5"] = ["semibricks", "--preset", "preproj-a:3", "--field", "fp:5"]
+STDOUT_RUNS.update({
+    "restrict-preproj-a3": ["restrict", "--preset", "preproj-a:3", "--summand", "1,2,1"],
+    "restrict-cyclic33": ["restrict", "--preset", "nakayama:cyclic:3:3", "--summand", "1,0,0"],
+    "restrict-apath4-two": [
+        "restrict", "--preset", "a-path:4", "--summand", "0,1,0,0", "--summand", "0,1,1,1",
+    ],
+    "quotient-preproj-a3": ["quotient", "--preset", "preproj-a:3", "--generator", "a1*b1"],
+    "quotient-cyclic23": [
+        "quotient", "--preset", "nakayama:cyclic:2:3", "--generator", "a1*a2", "--generator", "a2*a1",
+    ],
+})
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_RUNS))

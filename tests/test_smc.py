@@ -145,22 +145,17 @@ def test_a_column_that_does_not_pair_names_the_pair_and_the_column(a3_quiver, mo
 
 
 def test_mutation_follows_every_label(a3_quiver):
-    reg = a3_quiver.registry
     for s, t, lab in a3_quiver.arrows:
         x = smc_of_vertex(a3_quiver, s)
         y = smc_of_vertex(a3_quiver, t)
-        assert smc_left_mutate(x, reg.module(lab)).key == y.key
+        assert smc_left_mutate(x, lab).key == y.key
 
 
 def test_mutation_exercises_the_injective_branch(a3_quiver):
     # mutating ({M12}, {M123, S2}[1]) at M12: S2 embeds into M12, and the
     # cokernel S1 must land in degree 0
     x = smc_of_vertex(a3_quiver, vertex_by_summands(a3_quiver, [(1, 1, 0), (1, 0, 0)]))
-    brick = next(
-        a3_quiver.registry.module(i)
-        for i in x.degree0
-        if a3_quiver.registry.module(i).dims == (1, 1, 0)
-    )
+    brick = next(i for i in x.degree0 if a3_quiver.registry.module(i).dims == (1, 1, 0))
     y = smc_left_mutate(x, brick)
     assert y.signature() == (
         ((1, 0, 0),),
@@ -170,7 +165,7 @@ def test_mutation_exercises_the_injective_branch(a3_quiver):
 
 def test_mutation_at_a_module_outside_the_collection(a3_quiver):
     x = smc_of_vertex(a3_quiver, 0)
-    outsider = a3_quiver.registry.module(a3_quiver.registry.projective_ids[0])
+    outsider = a3_quiver.registry.projective_ids[0]
     with pytest.raises(MutationError):
         smc_left_mutate(x, outsider)
 
@@ -180,7 +175,7 @@ def test_mutation_guard_on_self_extension():
     q = explore(IsoRegistry(build_preset("nakayama:cyclic:1:2")))
     assert (q.n_vertices, q.n_arrows) == (2, 1)
     x = smc_of_vertex(q, 0)
-    brick = q.registry.module(q.arrows[0][2])
+    brick = q.arrows[0][2]
     with pytest.raises(SelfExtensionError):
         smc_left_mutate(x, brick)
     report = check_label_coincidence(q)

@@ -173,8 +173,8 @@ def test_depth_limited_exploration(a3_quiver):
 
 
 def test_restriction_to_s2(a3_quiver):
-    s2 = simple_module(a3_quiver.algebra, 1)
-    restriction = restrict_quiver(a3_quiver, s2)
+    s2 = a3_quiver.registry.register(simple_module(a3_quiver.algebra, 1))
+    restriction = restrict_quiver(a3_quiver, [s2])
     assert restriction.ok, restriction.report["violations"]
     assert restriction.n_vertices == 5
     assert restriction.n_arrows == 5
@@ -192,24 +192,30 @@ def test_restriction_to_s2(a3_quiver):
 
 
 def test_bongartz_completion_of_s2(a3_quiver):
-    s2 = simple_module(a3_quiver.algebra, 1)
-    pair = bongartz_completion(s2, a3_quiver)
+    s2 = a3_quiver.registry.register(simple_module(a3_quiver.algebra, 1))
+    pair = bongartz_completion(a3_quiver, [s2])
     assert summand_dims(pair) == ((0, 1, 0), (0, 1, 1), (1, 1, 1))
     assert pair.support_complement == ()
 
 
 def test_restriction_requires_completeness():
     limited = explore(IsoRegistry(build_preset("a-path:3")), max_depth=1)
-    s2 = simple_module(limited.algebra, 1)
+    s2 = limited.registry.register(simple_module(limited.algebra, 1))
     with pytest.raises(IncompleteExplorationError):
-        restrict_quiver(limited, s2)
+        restrict_quiver(limited, [s2])
 
 
 def test_restriction_of_non_summand_fails(a3_quiver):
     # S1 + S2 is not tau-rigid, so no pair contains both
-    a = a3_quiver.algebra
+    a, reg = a3_quiver.algebra, a3_quiver.registry
     with pytest.raises(TaumutError):
-        restrict_quiver(a3_quiver, [simple_module(a, 0), simple_module(a, 1)])
+        restrict_quiver(a3_quiver, [reg.register(simple_module(a, v)) for v in (0, 1)])
+
+
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_restriction_to_an_unregistered_id_fails(a3_quiver, bad):
+    with pytest.raises(TaumutError, match=r"registry holds ids 0\.\."):
+        restrict_quiver(a3_quiver, [a3_quiver.registry.projective_ids[0], bad])
 
 
 def test_export_records_shape(a3_quiver):
@@ -493,13 +499,35 @@ def test_a_non_rigid_pair_is_refused_before_anything_is_built(monkeypatch):
     assert calls == {"left_approximation": 0, "quotient_by_rows": 0}
 
 
-@pytest.mark.parametrize("verb", ["explore", "verify"])
-@pytest.mark.parametrize("preset", ["preproj-a:4", "nakayama:cyclic:5:5"])
-def test_cokernels_and_translates_are_registered_undecomposed(verb, preset, monkeypatch, capsys):
+# (preset, verb, arguments after the preset): every verb on two small
+# presets, and explore and verify on two larger ones.  The 3-cycles vanish
+# in nakayama:cyclic:3:3, so its quotient is by zero, but it is still
+# explored twice and compared.
+UNDECOMPOSED_RUNS = [
+    (preset, verb, [])
+    for preset in ("preproj-a:4", "nakayama:cyclic:5:5")
+    for verb in ("explore", "verify")
+] + [
+    (preset, verb, [])
+    for preset in ("preproj-a:3", "nakayama:cyclic:3:3")
+    for verb in ("explore", "semibricks", "smc", "gvectors", "verify")
+] + [
+    ("preproj-a:3", "restrict", ["--summand", "1,2,1"]),
+    ("nakayama:cyclic:3:3", "restrict", ["--summand", "1,0,0"]),
+    ("preproj-a:3", "quotient", ["--generator", "a1*b1"]),
+    ("nakayama:cyclic:3:3", "quotient", ["--generator", "a1*a2*a3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "preset,verb,extra", UNDECOMPOSED_RUNS, ids=[f"{p}-{v}" for p, v, _ in UNDECOMPOSED_RUNS]
+)
+def test_cokernels_and_translates_are_registered_undecomposed(preset, verb, extra, monkeypatch, capsys):
     # A mutation cokernel is zero or one indecomposable (Adachi-Iyama-
     # Reiten, Thm 2.30), and so is the translate of an indecomposable
     # (Auslander-Reiten): neither goes through register_component, the
-    # only registration that decomposes.  Top components still do.
+    # only registration that decomposes.  Top components still do.  A
+    # module that restrict fixes or that smc mutates at arrives as an id.
     from taumut import cli
 
     callers = {"register_component": set(), "decompose": set()}
@@ -515,11 +543,43 @@ def test_cokernels_and_translates_are_registered_undecomposed(verb, preset, monk
 
     record(IsoRegistry, "register_component")
     record(modules, "decompose")
-    assert cli.main([verb, "--preset", preset]) == 0
+    assert cli.main([verb, "--preset", preset, *extra]) == 0
     capsys.readouterr()
     assert "_layer_ids" in callers["register_component"]
     assert not callers["register_component"] & {"left_mutate", "tau_id"}
     assert callers["decompose"] <= {"register_component"}
+
+
+def test_restrict_identifies_no_module_again(monkeypatch, capsys):
+    # restrict passes the ids it matched, so restrict_quiver decomposes
+    # nothing and runs no isomorphism test.
+    from taumut import cli
+
+    inside = []
+    calls = dict.fromkeys(("decompose", "end_data", "_indec_iso"), 0)
+
+    def counted(name):
+        real = getattr(modules, name)
+
+        def call(*args):
+            calls[name] += bool(inside)
+            return real(*args)
+
+        return call
+
+    def restrict(*args):
+        inside.append(True)
+        try:
+            return tautilt.restrict_quiver(*args)
+        finally:
+            inside.pop()
+
+    for name in calls:
+        monkeypatch.setattr(modules, name, counted(name))
+    monkeypatch.setattr(cli, "restrict_quiver", restrict)
+    assert cli.main(["restrict", "--preset", "preproj-a:3", "--summand", "1,2,1"]) == 0
+    capsys.readouterr()
+    assert calls == {"decompose": 0, "end_data": 0, "_indec_iso": 0}
 
 
 # -- new pairs completed from the face --------------------------------------
