@@ -29,12 +29,9 @@ from .errors import (
 )
 from .grothendieck import (
     GrothendieckData,
-    c_matrix,
     check_duality,
     duality_report,
-    g_matrix,
     grothendieck_data,
-    smith_diagonal,
 )
 from .linalg import QQ, Field, Mat, PrimeField
 from .modules import (

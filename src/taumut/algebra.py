@@ -138,7 +138,9 @@ class AlgebraSpec:
             raise SpecError(f"nilpotency must be an int >= 2, got {self.nilpotency!r}")
         for rel in self.relations:
             for coeff, path in normalize_relation(self.quiver, rel, min_length=2):
-                field_coefficient(self.field, coeff, "*".join(path))
+                term = "*".join(path)
+                if self.field.is_zero(field_coefficient(self.field, coeff, term)):
+                    raise SpecError(f"coefficient {coeff} in {term!r} is zero in {self.field.name}")
 
     def to_json_dict(self) -> dict:
         if self.field == QQ:

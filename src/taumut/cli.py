@@ -174,8 +174,8 @@ def cmd_gvectors(args) -> int:
         return 3
     failures = 0
     records = []
-    for i in range(quiver.n_vertices):
-        data = grothendieck_data(quiver, i)
+    for i, pair in enumerate(quiver.pairs):
+        data = grothendieck_data(pair, smc_of_vertex(quiver, i, check=False))
         report = check_duality(data)
         if not report["ok"]:
             failures += 1
@@ -184,7 +184,7 @@ def cmd_gvectors(args) -> int:
                 "vertex": i,
                 "g": [list(r) for r in data.g],
                 "c": [list(r) for r in data.c],
-                "d": list(data.d),
+                "d": [1] * len(data.d_prime),
                 "d_prime": list(data.d_prime),
                 "det_g": report["det_g"],
                 "det_c": report["det_c"],
@@ -231,6 +231,7 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
     n = quiver.algebra.n_vertices
     failures: List[str] = []
     seen_semibricks = {}
+    collections = []
     for i, pair in enumerate(quiver.pairs):
         tops = reg.pair_top_ids(pair.summand_ids)
         sb = tuple(sorted(t for t in tops if t is not None))
@@ -246,7 +247,9 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
                 f"semibrick of vertex {i} repeats vertex {seen_semibricks[sb]}"
             )
         seen_semibricks[sb] = i
-        report = check_smc_axioms(smc_of_vertex(quiver, i, check=False))
+        x = smc_of_vertex(quiver, i, check=False)
+        collections.append(x)
+        report = check_smc_axioms(x)
         if not report.ok:
             failures.append(
                 f"smc axioms fail at vertex {i}: {report.violations[0]}"
@@ -258,12 +261,12 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
             failures.append(f"smc of vertex {i} is not the labels of its arrows")
         # Koenig-Yang: the collection, shifted part included, is the one of
         # the vertex's two-term silting complex
-        table = check_silting_table(quiver, i)
+        table = check_silting_table(pair, x)
         if not table.ok:
             failures.append(
                 f"Koenig-Yang table fails at vertex {i}: {table.violations[0]}"
             )
-        dual = duality_report(quiver, i)
+        dual = duality_report(pair, x)
         if not dual["ok"]:
             failures.append(f"duality fails at vertex {i}")
     for s, t, lab in quiver.arrows:
@@ -276,7 +279,7 @@ def _verify_quiver(quiver: ExchangeQuiver) -> List[str]:
             failures.append(
                 f"vertex count {quiver.n_vertices} != recurrence {expected}"
             )
-    coincidence = check_label_coincidence(quiver)
+    coincidence = check_label_coincidence(quiver, collections)
     if not coincidence["ok"]:
         failures.append(f"label coincidence failures: {coincidence['failures']}")
     return failures

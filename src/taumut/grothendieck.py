@@ -4,19 +4,20 @@ Every vertex of a complete exchange quiver yields two square integer
 matrices with aligned columns: G collects the alternating projective
 multiplicities of minimal presentations (with negated unit vectors for
 missing vertices), C the signed composition-factor vectors of the bricks
-that `smc.paired_columns` reads off the vertex's arrows.  The two are
-dual up to the diagonal endomorphism dimensions, and both are
-unimodular.
+that `smc.paired_columns` reads off the vertex's arrows.  Every simple of
+a bound quiver algebra is one-dimensional, so the pairing between the two
+groups is the dot product and G^T C = diag(d'), d' the endomorphism
+dimensions of the bricks; both matrices are unimodular, which forces
+d' = (1, ..., 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
-from .smc import PairedColumn, paired_columns
-from .tautilt import ExchangeQuiver, SupportPair
+from .smc import TwoTermSMC
+from .tautilt import SupportPair
 
 
 @dataclass(frozen=True)
@@ -24,10 +25,8 @@ class GrothendieckData:
     """Aligned g/c columns for one pair; matrices are row-major, indexed
     [vertex][column]."""
 
-    columns: Tuple[PairedColumn, ...]
     g: Tuple[Tuple[int, ...], ...]
     c: Tuple[Tuple[int, ...], ...]
-    d: Tuple[int, ...]
     d_prime: Tuple[int, ...]
 
 
@@ -44,35 +43,18 @@ def _columns_to_rows(cols: Sequence[Sequence[int]], n: int) -> Tuple[Tuple[int, 
     return tuple(tuple(col[v] for col in cols) for v in range(n))
 
 
-def g_matrix(pair: SupportPair) -> Tuple[Tuple[int, ...], ...]:
-    return _columns_to_rows(g_columns(pair), pair.registry.algebra.n_vertices)
-
-
-def simple_end_dims(algebra) -> Tuple[int, ...]:
-    # each simple_module is one-dimensional, so End(S_v) = k
-    return (1,) * algebra.n_vertices
-
-
-def c_matrix(quiver: ExchangeQuiver, i: int) -> Tuple[Tuple[int, ...], ...]:
-    return grothendieck_data(quiver, i).c
-
-
-def grothendieck_data(quiver: ExchangeQuiver, i: int) -> GrothendieckData:
-    """G and C at vertex i.  C's columns are the signed composition-factor
-    vectors of the paired bricks (every simple is one-dimensional, so the
-    multiplicity at v is the vertex dimension), d_prime their endomorphism
-    dimensions."""
-    pair = quiver.pairs[i]
+def grothendieck_data(pair: SupportPair, x: TwoTermSMC) -> GrothendieckData:
+    """G and C of the pair, whose collection `smc.smc_of_vertex` read as x.
+    C's columns are the signed composition-factor vectors of x's paired
+    bricks (every simple is one-dimensional, so the multiplicity at v is
+    the vertex dimension), d_prime their endomorphism dimensions."""
     reg = pair.registry
     n = reg.algebra.n_vertices
-    paired = tuple(paired_columns(quiver, i))
-    cc = [[col.sign * x for x in reg.module(col.brick_id).dims] for col in paired]
+    cc = [[col.sign * v for v in reg.module(col.brick_id).dims] for col in x.columns]
     return GrothendieckData(
-        columns=paired,
         g=_columns_to_rows(g_columns(pair), n),
         c=_columns_to_rows(cc, n),
-        d=simple_end_dims(reg.algebra),
-        d_prime=tuple(reg.end_dim(col.brick_id) for col in paired),
+        d_prime=tuple(reg.end_dim(col.brick_id) for col in x.columns),
     )
 
 
@@ -107,17 +89,14 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def check_duality(data: GrothendieckData) -> dict:
-    """G^T D C must equal diag(d_prime); both matrices must be unimodular;
-    the two diagonals must share a Smith normal form.
+    """G^T C must equal diag(d_prime), and both matrices must be unimodular.
 
-    Whether d_prime is a permutation of d is reported but not asserted.
+    Together these give |prod d_prime| = |det G| |det C| = 1, so a passing
+    report has every d_prime = 1.
     """
-    n = len(data.d)
+    n = len(data.d_prime)
     product = [
-        [
-            sum(data.g[v][i] * data.d[v] * data.c[v][j] for v in range(n))
-            for j in range(n)
-        ]
+        [sum(data.g[v][i] * data.c[v][j] for v in range(n)) for j in range(n)]
         for i in range(n)
     ]
     expected = [
@@ -125,39 +104,15 @@ def check_duality(data: GrothendieckData) -> dict:
     ]
     det_g = _int_det(data.g)
     det_c = _int_det(data.c)
-    snf_d = smith_diagonal(data.d)
-    snf_dp = smith_diagonal(data.d_prime)
     report = {
-        "gtdc_equals_dprime": product == expected,
+        "gtc_equals_dprime": product == expected,
         "det_g": det_g,
         "det_c": det_c,
         "unimodular": abs(det_g) == 1 and abs(det_c) == 1,
-        "snf_d": snf_d,
-        "snf_dprime": snf_dp,
-        "snf_equal": snf_d == snf_dp,
-        "d_multiset_equal": sorted(data.d) == sorted(data.d_prime),
     }
-    report["ok"] = (
-        report["gtdc_equals_dprime"]
-        and report["unimodular"]
-        and report["snf_equal"]
-    )
+    report["ok"] = report["gtc_equals_dprime"] and report["unimodular"]
     return report
 
 
-def smith_diagonal(diag: Sequence[int]) -> Tuple[int, ...]:
-    """Smith normal form diagonal of diag(values), nonnegative entries.
-
-    Replacing (d_i, d_j) by (gcd, lcm) keeps every determinantal divisor
-    (the gcd of all products of k entries); doing it for every i < j in
-    order ends at a divisibility chain, zeros last.
-    """
-    d = [abs(int(x)) for x in diag]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return tuple(d)
-
-
-def duality_report(quiver: ExchangeQuiver, i: int) -> dict:
-    return check_duality(grothendieck_data(quiver, i))
+def duality_report(pair: SupportPair, x: TwoTermSMC) -> dict:
+    return check_duality(grothendieck_data(pair, x))

@@ -4,10 +4,12 @@ A collection is a set of bricks split across two degrees.  By Asai's
 bijection the collection at a vertex is read off its arrows: the labels
 of the arrows out (top components of its summands) in degree 0, the
 labels of the arrows in shifted.  Each label is paired with the column of
-the summand or missing vertex that its arrow exchanges, and the
-Grothendieck matrices reuse that pairing.  `check_silting_table` checks
-the collection against the vertex's two-term silting complex entry by
-entry (Koenig-Yang), from cached Hom dimensions alone.
+the summand or missing vertex that its arrow exchanges.  `smc_of_vertex`
+reads that pairing once and keeps it on the collection, and every
+per-vertex check takes the collection: `check_silting_table` checks it
+against the vertex's two-term silting complex entry by entry
+(Koenig-Yang), from cached Hom dimensions alone, and the Grothendieck
+matrices are built from its columns.
 """
 
 from __future__ import annotations
@@ -53,19 +55,23 @@ class PairedColumn:
 
 
 class TwoTermSMC:
-    """Bricks in degree 0 and degree -1, stored as registry ids."""
+    """Bricks in degree 0 and degree -1, stored as registry ids.  A
+    collection read off a vertex keeps the columns it was read from; one
+    built otherwise (by mutation, say) has columns None."""
 
-    __slots__ = ("registry", "degree0", "degree_minus1")
+    __slots__ = ("registry", "degree0", "degree_minus1", "columns")
 
     def __init__(
         self,
         registry: IsoRegistry,
         degree0: Sequence[int],
         degree_minus1: Sequence[int],
+        columns: Optional[Tuple[PairedColumn, ...]] = None,
     ):
         self.registry = registry
         self.degree0 = tuple(sorted(degree0))
         self.degree_minus1 = tuple(sorted(degree_minus1))
+        self.columns = columns
 
     @property
     def key(self) -> tuple:
@@ -164,13 +170,14 @@ def paired_columns(quiver: ExchangeQuiver, i: int) -> List[PairedColumn]:
 
 def smc_of_vertex(quiver: ExchangeQuiver, i: int, check: bool = True) -> TwoTermSMC:
     """The two-term collection at vertex i: the labels of its arrows out in
-    degree 0, those of its arrows in shifted.  With check=True the axioms
-    are verified before returning."""
+    degree 0, those of its arrows in shifted, with the `paired_columns` they
+    were read from.  With check=True the axioms are verified before
+    returning."""
     pair = quiver.pairs[i]
-    cols = paired_columns(quiver, i)
+    cols = tuple(paired_columns(quiver, i))
     degree0 = [c.brick_id for c in cols if c.sign > 0]
     degree_minus1 = [c.brick_id for c in cols if c.sign < 0]
-    out = TwoTermSMC(pair.registry, degree0, degree_minus1)
+    out = TwoTermSMC(pair.registry, degree0, degree_minus1, cols)
     if check:
         report = check_smc_axioms(out)
         if not report.ok:
@@ -232,11 +239,11 @@ def _term(reg: IsoRegistry, pair: SupportPair, col: PairedColumn) -> str:
     return f"P{reg.module(pair.summand_ids[col.index]).dims}"
 
 
-def check_silting_table(quiver: ExchangeQuiver, i: int) -> SmcReport:
+def check_silting_table(pair: SupportPair, x: TwoTermSMC) -> SmcReport:
     """Check Hom(T_k, X_j[m]) = 0 unless m = 0 and k = j, where its
-    dimension is dim End(X_j), for T = the two-term silting complex of
-    vertex i (P_M for each summand M, P_v[1] for each missing vertex v) and
-    X = the collection read off its arrows by `paired_columns`.
+    dimension is dim End(X_j), for T = the two-term silting complex of the
+    pair (P_M for each summand M, P_v[1] for each missing vertex v) and
+    X = x, the pair's collection as `smc_of_vertex` read it.
 
     Every entry is a cached integer.  For a module B, Hom(P_M, B) = Hom(M, B),
     Hom(P_M, B[1]) = D Hom(B, tau M) (`tau_hom_dim`), Hom(P_v[1], B[1]) = B_v
@@ -256,15 +263,14 @@ def check_silting_table(quiver: ExchangeQuiver, i: int) -> SmcReport:
     invertible.  So X_j is the simple of the heart at j, and X is the
     collection of T.
     """
-    pair = quiver.pairs[i]
     reg = pair.registry
-    columns = paired_columns(quiver, i)
+    columns = x.columns
     violations: List[str] = []
-    for j, x in enumerate(columns):
-        b = x.brick_id
+    for j, col in enumerate(columns):
+        b = col.brick_id
         dims = reg.module(b).dims
         # X_j[m] = B[m - lift]: B[m] in degree 0, B[m + 1] shifted
-        lift = 0 if x.sign > 0 else -1
+        lift = 0 if col.sign > 0 else -1
         for k, t in enumerate(columns):
             if t.kind == "support":
                 entries = ((1 + lift, dims[t.index]),)
@@ -412,13 +418,11 @@ def smc_left_mutate(x: TwoTermSMC, s0: int) -> TwoTermSMC:
     return out
 
 
-def check_label_coincidence(quiver: ExchangeQuiver) -> dict:
+def check_label_coincidence(quiver: ExchangeQuiver, collections: Sequence[TwoTermSMC]) -> dict:
     """Mutating the collection at an arrow's label lands on the target's
-    collection; arrows whose label has self-extensions are skipped.  Each
-    collection is read off the quiver by `smc_of_vertex`, so the quiver
-    must be complete."""
+    collection; arrows whose label has self-extensions are skipped.
+    collections[i] is vertex i's collection, as `smc_of_vertex` reads it."""
     reg = quiver.registry
-    collections = [smc_of_vertex(quiver, i, check=False) for i in range(quiver.n_vertices)]
     checked = 0
     skipped: List[tuple] = []
     failures: List[tuple] = []

@@ -121,17 +121,18 @@ def initial_pair(source: Union[Algebra, IsoRegistry]) -> SupportPair:
     return SupportPair(registry, registry.projective_ids, ())
 
 
-def _tau_rigid_ids(reg: IsoRegistry, ids: Sequence[int]) -> bool:
-    """Hom(U_i, tau U_j) = 0 for all i, j in ids, read off the g-vector
-    pairing; no translate is built or registered."""
-    return all(reg.tau_hom_dim(j, i) == 0 for j in ids for i in ids)
+def _tau_hom_witness(reg: IsoRegistry, ids: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first (i, j) in ids with Hom(U_i, tau U_j) != 0, read off the
+    g-vector pairing, or None when the sum is tau-rigid; no translate is
+    built or registered."""
+    return next(((i, j) for j in ids for i in ids if reg.tau_hom_dim(j, i)), None)
 
 
 def pair_is_tau_rigid(pair: SupportPair) -> bool:
     reg = pair.registry
     if any(reg.module(i).dims[v] for v in pair.support_complement for i in pair.summand_ids):
         return False
-    return _tau_rigid_ids(reg, pair.summand_ids)
+    return _tau_hom_witness(reg, pair.summand_ids) is None
 
 
 def mutable_positions(pair: SupportPair) -> List[int]:
@@ -570,8 +571,14 @@ def restrict_quiver(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> Restriction
         raise TaumutError("restriction to an empty module is the whole quiver")
     if not all(0 <= i < reg.count() for i in u_ids):
         raise TaumutError(f"U has ids {list(u_ids)}; the registry holds ids 0..{reg.count() - 1}")
-    if not _tau_rigid_ids(reg, u_ids):
-        raise NotTauRigidError("the fixed module U is not tau-rigid")
+    witness = _tau_hom_witness(reg, u_ids)
+    if witness is not None:
+        i, j = witness
+        dims = [list(reg.module(k).dims) for k in u_ids]
+        raise NotTauRigidError(
+            f"the fixed module U with summand dims {dims} is not tau-rigid: "
+            f"Hom({reg.module(i).dims}, tau {reg.module(j).dims}) = {reg.tau_hom_dim(j, i)}"
+        )
     verts = [i for i, p in enumerate(quiver.pairs) if set(u_ids) <= set(p.summand_ids)]
     vset = set(verts)
     sub_arrows = [

@@ -16,6 +16,7 @@ import pytest
 
 from taumut import IsoRegistry
 from taumut.presets import build_preset
+from taumut.smc import smc_of_vertex
 from taumut.tautilt import ExchangeQuiver, SupportPair, explore
 
 S1, S2, S3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -100,6 +101,11 @@ A3_S2_SINK = 12
 def summand_dims(pair: SupportPair) -> tuple:
     reg = pair.registry
     return tuple(sorted(reg.module(i).dims for i in pair.summand_ids))
+
+
+def collections_of(quiver: ExchangeQuiver) -> list:
+    """Every vertex's collection, read once each, as `verify` reads them."""
+    return [smc_of_vertex(quiver, i, check=False) for i in range(quiver.n_vertices)]
 
 
 def vertex_by_summands(quiver: ExchangeQuiver, dims) -> int:

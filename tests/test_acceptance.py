@@ -33,6 +33,7 @@ from taumut.tautilt import bongartz_completion, explore, restrict_quiver
 
 from conftest import (
     A3_ARROWS,
+    collections_of,
     A3_PAIRS,
     A3_SMC,
     arrow_dims,
@@ -128,7 +129,7 @@ def test_criterion_05_simple_minded_collections_fixture():
             )
         )
     assert got == expected
-    coincidence = check_label_coincidence(quiver)
+    coincidence = check_label_coincidence(quiver, collections_of(quiver))
     assert coincidence["checked"] == 21
     assert coincidence["skipped"] == []
     assert coincidence["ok"]
@@ -147,9 +148,9 @@ def test_criterion_06_grothendieck_duality():
     for name in presets:
         quiver = explore(IsoRegistry(build_preset(name)))
         assert quiver.complete, name
-        for i in range(quiver.n_vertices):
-            report = duality_report(quiver, i)
-            assert report["gtdc_equals_dprime"], (name, i)
+        for i, pair in enumerate(quiver.pairs):
+            report = duality_report(pair, smc_of_vertex(quiver, i))
+            assert report["gtc_equals_dprime"], (name, i)
             assert abs(report["det_g"]) == 1, (name, i)
             assert abs(report["det_c"]) == 1, (name, i)
     assert time.perf_counter() - start < 60.0

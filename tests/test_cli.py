@@ -252,10 +252,51 @@ def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
 def test_verify_reports_the_duality(capsys, monkeypatch):
     from taumut import cli
 
-    monkeypatch.setattr(cli, "duality_report", lambda quiver, i: {"ok": False})
+    monkeypatch.setattr(cli, "duality_report", lambda pair, x: {"ok": False})
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == [f"FAIL: duality fails at vertex {i}" for i in range(6)]
+
+
+def test_gvectors_fails_where_a_label_claims_a_larger_end(capsys, monkeypatch):
+    # dim End of one label read as 2 after exploring: G^T C, still the
+    # identity, no longer equals diag(d') at exactly the vertices with an
+    # arrow, in or out, that carries the label
+    holders = []
+
+    def claim(quiver):
+        reg = quiver.registry
+        (label,) = {lab for _, _, lab in quiver.arrows if reg.module(lab).dims == (0, 1, 0)}
+        holders.extend(sorted({v for s, t, lab in quiver.arrows if lab == label for v in (s, t)}))
+        real = reg.end_dim
+        reg.end_dim = lambda i: 2 if i == label else real(i)
+
+    _after_exploring(monkeypatch, claim)
+    code, out, _ = run(capsys, ["gvectors", "--preset", "a-path:3"])
+    assert code == 1
+    lines = out.splitlines()[:-1]
+    assert len(lines) == 14 and 0 < len(holders) < 14
+    assert [i for i, line in enumerate(lines) if line.endswith("duality FAIL")] == holders
+    assert all(line.endswith("duality ok") for i, line in enumerate(lines) if i not in holders)
+
+
+@pytest.mark.parametrize("verb", ["verify", "smc", "gvectors"])
+def test_each_vertex_is_read_off_its_arrows_once(verb, capsys, monkeypatch):
+    from taumut import grothendieck, smc
+
+    real = smc.paired_columns
+    calls = []
+
+    def counted(quiver, i):
+        calls.append(i)
+        return real(quiver, i)
+
+    for namespace in (smc, grothendieck):
+        if hasattr(namespace, "paired_columns"):
+            monkeypatch.setattr(namespace, "paired_columns", counted)
+    code, _, _ = run(capsys, [verb, "--preset", "nakayama:cyclic:4:4"])
+    assert code == 0
+    assert sorted(calls) == list(range(70))
 
 
 def test_verify_reports_a_label_outside_fac_of_the_source(capsys, monkeypatch):
@@ -435,6 +476,17 @@ def test_restrict_checks_its_summands_before_exploring(extra, message, capsys, m
     code, out, err = run(capsys, ["restrict", "--preset", "a-path:3", "--max-depth", "1", *extra])
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_restrict_names_the_hom_that_breaks_tau_rigidity(capsys):
+    code, out, err = run(
+        capsys, ["restrict", "--preset", "a-path:3", "--summand", "1,0,0", "--summand", "0,1,0"]
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the fixed module U with summand dims [[1, 0, 0], [0, 1, 0]] is not "
+        "tau-rigid: Hom((0, 1, 0), tau (1, 0, 0)) = 1\n"
+    )
 
 
 def test_quotient_comparison(capsys):
@@ -634,11 +686,28 @@ def test_a_relation_coefficient_with_no_value_in_the_field_is_a_usage_error(
     assert err == f"error: {message}\n"
 
 
-def test_the_relation_coefficient_is_fine_over_q(capsys, tmp_path):
-    path = _relation_file(tmp_path, "1/5", {"kind": "Q"})
-    code, out, _ = run(capsys, ["explore", "--algebra", path, "--max-depth", "1"])
-    assert code == 3
-    assert out.endswith("incomplete (max depth 1)\n")
+@pytest.mark.parametrize("source", ["fp5-file", "field-flag", "env"])
+def test_a_relation_coefficient_that_vanishes_in_the_field_is_a_usage_error(
+    source, capsys, monkeypatch, tmp_path
+):
+    # 5*a*b + c*d would be read as c*d over F5, with no word that a term
+    # vanished
+    if source == "env":
+        monkeypatch.setenv("TAUMUT_FIELD", "fp:5")
+    field = {"kind": "Fp", "p": 5} if source == "fp5-file" else {"kind": "Q"}
+    argv = ["explore", "--algebra", _relation_file(tmp_path, "5", field), "--max-depth", "2"]
+    if source == "field-flag":
+        argv += ["--field", "fp:5"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient 5 in 'a*b' is zero in F5\n"
+
+
+@pytest.mark.parametrize("coeff", ["1/5", "5"])
+def test_the_relation_coefficient_is_fine_over_q(coeff, capsys, tmp_path):
+    path = _relation_file(tmp_path, coeff, {"kind": "Q"})
+    code, out, err = run(capsys, ["explore", "--algebra", path, "--max-depth", "1"])
+    assert (code, out, err) == (3, "4 vertices, 3 arrows, incomplete (max depth 1)\n", "")
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,7 @@ from taumut.tautilt import (
 )
 
 from conftest import (
+    collections_of,
     det,
     reference_components,
     reference_indec_iso,
@@ -685,7 +686,7 @@ def test_maps_made_by_construction_commute(preset, field, monkeypatch):
     quiver = explore(IsoRegistry(build_preset(preset, field)))
     for pair in quiver.pairs:
         cosemibrick_of(dual_pair(pair))
-    assert check_label_coincidence(quiver)["ok"]
+    assert check_label_coincidence(quiver, collections_of(quiver))["ok"]
     reg = quiver.registry
     made["Hom(P0, N)"] = [
         h
@@ -753,8 +754,8 @@ def test_columns_read_off_the_arrows_are_the_dual_pairing(labelled):
 
 
 def test_the_koenig_yang_table_holds_at_every_vertex(labelled):
-    for i in range(labelled.n_vertices):
-        assert check_silting_table(labelled, i).violations == [], i
+    for i, pair in enumerate(labelled.pairs):
+        assert check_silting_table(pair, smc_of_vertex(labelled, i, check=False)).violations == [], i
 
 
 def _swappable_in_label(quiver):
@@ -781,6 +782,10 @@ def _swappable_in_label(quiver):
     return None
 
 
+def _table_violations(quiver, i):
+    return check_silting_table(quiver.pairs[i], smc_of_vertex(quiver, i, check=False)).violations
+
+
 def _swap_label(quiver, arrow, b):
     """The quiver with the label of one arrow replaced by brick b."""
     q = quiver
@@ -797,7 +802,7 @@ def test_the_table_names_the_vertex_of_a_swapped_in_label(labelled):
     # the arrow's source sees the swap as a degree-0 label, which
     # paired_columns may refuse; every other vertex keeps its collection
     flagged = [
-        v for v in range(labelled.n_vertices) if v != arrow[0] and not check_silting_table(swapped, v).ok
+        v for v in range(labelled.n_vertices) if v != arrow[0] and _table_violations(swapped, v)
     ]
     assert flagged == [i]
 
@@ -833,7 +838,7 @@ def test_the_table_sees_a_degree0_label_nonzero_at_a_missing_vertex(labelled):
     assert b in [c.brick_id for c in paired_columns(swapped, i)]
     dims = labelled.registry.module(b).dims
     want = f"Hom(P_{v}[1], {dims}[1]) = {dims[v]}, not 0"
-    assert want in check_silting_table(swapped, i).violations
+    assert want in _table_violations(swapped, i)
 
 
 @pytest.mark.parametrize(

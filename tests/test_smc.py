@@ -15,7 +15,6 @@ from taumut.errors import (
     SelfExtensionError,
     TaumutError,
 )
-from taumut.grothendieck import grothendieck_data
 from taumut.linalg import PrimeField
 from taumut.presets import build_preset
 from taumut.smc import (
@@ -28,7 +27,7 @@ from taumut.smc import (
 )
 from taumut.tautilt import ExchangeQuiver, explore
 
-from conftest import A3_PAIRS, A3_SMC, vertex_by_summands
+from conftest import A3_PAIRS, A3_SMC, collections_of, vertex_by_summands
 
 
 def _norm(sig):
@@ -178,14 +177,14 @@ def test_mutation_guard_on_self_extension():
     brick = q.arrows[0][2]
     with pytest.raises(SelfExtensionError):
         smc_left_mutate(x, brick)
-    report = check_label_coincidence(q)
+    report = check_label_coincidence(q, collections_of(q))
     assert report["ok"]
     assert report["checked"] == 0
     assert len(report["skipped"]) == 1
 
 
 def test_label_coincidence_on_the_whole_a3_quiver(a3_quiver):
-    report = check_label_coincidence(a3_quiver)
+    report = check_label_coincidence(a3_quiver, collections_of(a3_quiver))
     assert report["ok"], report["failures"]
     assert report["checked"] == 21
     assert report["skipped"] == []
@@ -221,7 +220,7 @@ def test_label_coincidence_reads_the_collections_off_the_quiver(
         return real(*args)
 
     monkeypatch.setattr(smc, "ext1_basis", counted)
-    report = check_label_coincidence(q)
+    report = check_label_coincidence(q, collections_of(q))
     assert (report["checked"], report["skipped"], report["failures"]) == (checked, [], [])
     assert len(calls) == bases
 
@@ -247,10 +246,10 @@ def test_each_element_mutation_is_built_once(preset, built, monkeypatch):
 
     monkeypatch.setattr(smc, "ext1_basis", ext1_counted)
     monkeypatch.setattr(IsoRegistry, "left_approximation", approx_counted)
-    assert check_label_coincidence(q)["ok"]
+    assert check_label_coincidence(q, collections_of(q))["ok"]
     assert len(calls) == built
     calls.clear()
-    assert check_label_coincidence(q)["ok"]
+    assert check_label_coincidence(q, collections_of(q))["ok"]
     assert calls == []
 
 
@@ -326,14 +325,7 @@ def test_a_mutated_collection_that_fails_its_axioms_names_the_brick(monkeypatch)
     )
 
 
-def test_label_coincidence_needs_a_complete_quiver():
-    q = explore(IsoRegistry(build_preset("a-path:3")), max_depth=2)
-    assert not q.complete
-    with pytest.raises(IncompleteExplorationError):
-        check_label_coincidence(q)
-
-
-@pytest.mark.parametrize("read", [paired_columns, smc_of_vertex, grothendieck_data], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("read", [paired_columns, smc_of_vertex], ids=lambda f: f.__name__)
 def test_reading_a_vertex_off_its_arrows_needs_a_complete_quiver(read):
     q = explore(IsoRegistry(build_preset("a-path:3")), max_depth=2)
     assert not q.complete
@@ -368,7 +360,7 @@ def test_a_column_that_no_arrow_pairs_with_names_the_pair_and_the_column(a3_quiv
 
 def test_label_coincidence_over_a_prime_field():
     q = explore(IsoRegistry(build_preset("a-path:2", PrimeField(5))))
-    report = check_label_coincidence(q)
+    report = check_label_coincidence(q, collections_of(q))
     assert report["ok"] and report["checked"] == 5
 
 
