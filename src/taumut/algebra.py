@@ -172,6 +172,8 @@ class AlgebraSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "AlgebraSpec":
+        """The spec in data, unvalidated: build_algebra validates it over the
+        field it is built over, which may replace the file's own."""
         try:
             quiver = Quiver(
                 [str(v) for v in data["vertices"]],
@@ -197,9 +199,7 @@ class AlgebraSpec:
                 raise SpecError(f"unknown field spec {fj!r}")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"malformed algebra spec: {exc}") from exc
-        spec = AlgebraSpec(quiver, relations, nilpotency, field)
-        spec.validate()
-        return spec
+        return AlgebraSpec(quiver, relations, nilpotency, field)
 
     @staticmethod
     def loads(text: str) -> "AlgebraSpec":

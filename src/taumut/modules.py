@@ -1092,13 +1092,17 @@ class IsoRegistry:
 
     All exploration-scale computations go through a registry so that Hom
     spaces, translates, presentations, and brick data are computed once
-    per isomorphism class.
+    per isomorphism class.  Lookups go first through an index of the exact
+    matrices of every module met: equal matrices make the identity an
+    isomorphism, so a hit needs no iso test.
     """
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self._mods: List[Module] = []
         self._by_dims: Dict[tuple, List[int]] = {}
+        # (dims, mats) of each registered module and each matched probe -> id
+        self._exact: Dict[tuple, int] = {}
         self._hom: Dict[Tuple[int, int], HomSpace] = {}
         self._tau: Dict[int, Optional[int]] = {}
         self._pres: Dict[int, Presentation] = {}
@@ -1139,9 +1143,16 @@ class IsoRegistry:
         return self._append(M) if i is None else i
 
     def _find(self, M: Module) -> Optional[int]:
-        """The id of the registered module isomorphic to M, if any."""
+        """The id of the registered module isomorphic to M, if any: an exact
+        copy of a module met before is found in the index, with no iso test;
+        otherwise the iso test runs against each class with M's dims, and a
+        match indexes M's matrices too."""
+        key = (M.dims, M.mats)
+        if key in self._exact:
+            return self._exact[key]
         for i in self._by_dims.get(M.dims, ()):
             if _indec_iso(M, self._mods[i]):
+                self._exact[key] = i
                 return i
         return None
 
@@ -1149,6 +1160,7 @@ class IsoRegistry:
         self._mods.append(M)
         i = len(self._mods) - 1
         self._by_dims.setdefault(M.dims, []).append(i)
+        self._exact[(M.dims, M.mats)] = i
         return i
 
     def register_all(self, M: Module) -> List[int]:
@@ -1170,9 +1182,13 @@ class IsoRegistry:
         return len(self.hom(i, i))
 
     def ext1_dim(self, i: int, j: int) -> int:
+        """dim Hom(Omega M_i, M_j) - dim Hom(P0, M_j) + dim Hom(M_i, M_j), as
+        in ext1_dim, with the last term read from the cached Hom space."""
         key = (i, j)
         if key not in self._ext1:
-            self._ext1[key] = ext1_dim(self._mods[i], self._mods[j], self.presentation(i))
+            pres, N = self.presentation(i), self._mods[j]
+            h_p0 = sum(N.dims[w] for w in pres.p0_vertices)
+            self._ext1[key] = hom_dim(pres.omega, N) - h_p0 + self.hom_dim(i, j)
         return self._ext1[key]
 
     def presentation(self, i: int) -> Presentation:
@@ -1275,13 +1291,17 @@ class IsoRegistry:
                 for h in self.hom(i, w)
                 for r in (self.rad_end(u) if w == u else self.hom(w, u))
             ]
-            ends = self.hom(u, u)
-            picked += greedy_span_pick(
-                A.field, base, self.hom(i, u), lambda h: [h.compose(e).flatten() for e in ends]
-            )
+            picked += greedy_span_pick(A.field, base, self.hom(i, u), self.end_orbit(u))
         M = self._mods[i]
         mats = [hstack(A.field, [h.mats[v] for h in picked], nrows=d) for v, d in enumerate(M.dims)]
         return ModuleHom(M, direct_sum(A, [h.target for h in picked])[0], mats, _validated=True)
+
+    def end_orbit(self, u: int) -> Callable[[ModuleHom], List[tuple]]:
+        """h -> the flattened maps h e, e over a basis of End(M_u), for
+        greedy_span_pick: picking modulo these rows picks a basis over
+        End(M_u)/rad."""
+        ends = self.hom(u, u)
+        return lambda h: [h.compose(e).flatten() for e in ends]
 
     def register_component(self, M: Module) -> int:
         """Register a module that must be indecomposable.

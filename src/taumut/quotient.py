@@ -112,9 +112,15 @@ class CentralIdeal:
 
 
 def central_ideal(algebra: Algebra, expressions: Sequence[str]) -> CentralIdeal:
-    return CentralIdeal(
-        algebra, tuple(parse_element(algebra, e) for e in expressions)
-    )
+    """The ideal generated by the parsed expressions; a generator that is
+    zero in the algebra is refused, as the quotient would be A itself."""
+    generators = []
+    for text in expressions:
+        z = parse_element(algebra, text)
+        if all(algebra.field.is_zero(c) for c in z):
+            raise SpecError(f"generator {text!r} is zero in the algebra")
+        generators.append(z)
+    return CentralIdeal(algebra, tuple(generators))
 
 
 def _generator_relations(algebra: Algebra, z: Sequence):

@@ -325,17 +325,11 @@ def _extend(reg: IsoRegistry, sid: int, s0: int) -> Tuple[int, int]:
     if reg.ext1_dim(sid, s0) == 0:
         return 0, sid
     S0 = reg.module(s0)
-    end_s0 = reg.hom(s0, s0)
-
-    def end_orbit(h: ModuleHom) -> List[tuple]:
-        # h composed with End(S0): picking modulo these rows gives a basis
-        # over the division ring End(S0)
-        return [h.compose(u).flatten() for u in end_s0]
-
     pres = reg.presentation(sid)
     reps, coboundaries = ext1_basis(reg.module(sid), S0, pres)
-    chosen = greedy_span_pick(reg.algebra.field, coboundaries, reps, end_orbit)
-    if len(chosen) * len(end_s0) != len(reps):
+    # picking modulo h End(S0) gives a basis over the division ring End(S0)
+    chosen = greedy_span_pick(reg.algebra.field, coboundaries, reps, reg.end_orbit(s0))
+    if len(chosen) * reg.end_dim(s0) != len(reps):
         raise TaumutError(
             f"{_element_at(reg, sid, s0, 0)}: extension space dimension is not "
             "divisible by the brick's endomorphism ring"

@@ -73,7 +73,7 @@ def test_smc_and_restrict_refuse_incomplete(capsys):
     "argv",
     [
         ["explore", "--preset", "a-path:3", "--max-depth", "-1"],
-        ["quotient", "--preset", "preproj-a:3", "--generator", "a1*b1", "--max-depth", "-1"],
+        ["quotient", "--preset", "preproj-a:3", "--generator", "b1*a1", "--max-depth", "-1"],
     ],
     ids=["explore", "quotient"],
 )
@@ -401,7 +401,7 @@ NO_TRANSLATE_RUNS = [
     for verb in ("explore", "semibricks", "smc", "gvectors", "verify")
     for preset in ("preproj-a:3", "nakayama:cyclic:3:3")
 ] + [
-    ["quotient", "--preset", "preproj-a:3", "--generator", "a1*b1"],
+    ["quotient", "--preset", "preproj-a:3", "--generator", "b1*a1"],
     ["restrict", "--preset", "preproj-a:3", "--summand", "0,1,0"],
     ["count", "--kind", "cyclic", "--n", "4", "--l", "4"],
 ]
@@ -507,6 +507,21 @@ def test_quotient_usage_errors(capsys):
     assert main(
         ["quotient", "--preset", "nakayama:cyclic:2:3", "--generator", "a1"]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "field,generator",
+    [("fp:5", "5*a1*a2"), ("q", "0*a1*a2"), ("q", "a1*a2*a1*a2")],
+)
+def test_a_generator_that_is_zero_in_the_algebra_is_a_usage_error(field, generator, capsys):
+    # the quotient by zero is the algebra itself, so the comparison would
+    # certify nothing; a1*a2*a1*a2 is zero since paths of length 3 vanish
+    code, out, err = run(
+        capsys,
+        ["quotient", "--preset", "nakayama:cyclic:2:3", "--field", field, "--generator", generator],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: generator {generator!r} is zero in the algebra\n"
 
 
 def test_smc_listing(capsys):
@@ -708,6 +723,21 @@ def test_the_relation_coefficient_is_fine_over_q(coeff, capsys, tmp_path):
     path = _relation_file(tmp_path, coeff, {"kind": "Q"})
     code, out, err = run(capsys, ["explore", "--algebra", path, "--max-depth", "1"])
     assert (code, out, err) == (3, "4 vertices, 3 arrows, incomplete (max depth 1)\n", "")
+
+
+@pytest.mark.parametrize("coeff", ["1/5", "5"])
+@pytest.mark.parametrize("source", ["field-flag", "env"])
+def test_an_f5_file_is_validated_in_the_field_that_replaces_its_own(
+    coeff, source, capsys, monkeypatch, tmp_path
+):
+    # 5*a*b + c*d is fine over Q, so the F5 file runs under --field q
+    path = _relation_file(tmp_path, coeff, {"kind": "Fp", "p": 5})
+    argv = ["explore", "--algebra", path, "--max-depth", "1"]
+    if source == "env":
+        monkeypatch.setenv("TAUMUT_FIELD", "q")
+    else:
+        argv += ["--field", "q"]
+    assert run(capsys, argv) == (3, "4 vertices, 3 arrows, incomplete (max depth 1)\n", "")
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ STDOUT_RUNS.update({
     "restrict-apath4-two": [
         "restrict", "--preset", "a-path:4", "--summand", "0,1,0,0", "--summand", "0,1,1,1",
     ],
-    "quotient-preproj-a3": ["quotient", "--preset", "preproj-a:3", "--generator", "a1*b1"],
+    "quotient-preproj-a3": ["quotient", "--preset", "preproj-a:3", "--generator", "b1*a1"],
     "quotient-cyclic23": [
         "quotient", "--preset", "nakayama:cyclic:2:3", "--generator", "a1*a2", "--generator", "a2*a1",
     ],

@@ -1,9 +1,10 @@
 """Each merged derivation against a second route to it.
 
 The registry's translate is checked against the uncached translate, the
-Ext^1 representatives and the registry's cached Ext^1 dimension against
-the Ext^1 dimension formula, the shifted columns of the SMC read off the
-arrows in against the co-semibrick of the dual pair, each column against
+Ext^1 representatives and the registry's Ext^1 dimension (read from its
+cached Hom space) against the Ext^1 dimension formula, the shifted
+columns of the SMC read off the arrows in against the co-semibrick of
+the dual pair, each column against
 the socle pairing through the dual pair, and the exchange quiver's
 adjacency lists against a scan of its arrows.  The End(M) structure constants read off
 the free columns are checked against solved ones, and Hom(N, tau M) from
@@ -11,9 +12,13 @@ the registry's translate against the g-vector pairing, which needs no
 translate (AIR Prop. 2.4), and pair rigidity read off that pairing against
 the translate of the direct sum.  The registry's identification by a bijective
 basis map is checked against the composite-outside-the-radical test, on
-registered modules and on random changes of their bases.  Left mutation
-through the minimal approximation is checked against mutation through the
-full Hom basis with a decomposed cokernel, and the registry's cached top
+registered modules and on random changes of their bases; its lookup finds
+an exact copy in its index of matrices with no iso test, a changed basis
+by one iso test and then in the index, and no class for a sum of
+simples.  Left mutation through the minimal approximation is checked
+against mutation through the full Hom basis with a decomposed cokernel,
+and into a brick whose End is a field of dimension two it picks one map
+over that field, not one per line; the registry's cached top
 and socle components, each built once per (summand, summands it sees),
 against that mutation and against the components over every Hom basis of
 the pair.  Every arrow that explore reads off a shared face is checked
@@ -59,6 +64,7 @@ from taumut.modules import (
     end_data,
     ext1_basis,
     ext1_dim,
+    greedy_span_pick,
     hom_basis,
     hom_dim,
     in_fac,
@@ -133,6 +139,8 @@ def test_tau_id_matches_ar_translate(quiver):
 
 
 def test_ext1_basis_size_matches_ext1_dim(quiver):
+    # the registry reads dim Hom(M, N) off its cached Hom space; ext1_dim
+    # builds that space again
     reg = quiver.registry
     n = reg.count()
     dims = []
@@ -141,7 +149,7 @@ def test_ext1_basis_size_matches_ext1_dim(quiver):
         for j in range(n):
             M, N = reg.module(i), reg.module(j)
             reps, _ = ext1_basis(M, N, pres)
-            assert len(reps) == ext1_dim(M, N, pres)
+            assert len(reps) == ext1_dim(M, N, pres) == reg.ext1_dim(i, j)
             dims.append(len(reps))
     assert max(dims) > 0
 
@@ -475,6 +483,69 @@ def test_register_component_of_a_sum_still_raises(identified):
     assert checked and reg.count() == n
 
 
+def _copy(M):
+    """M with every matrix rebuilt: equal to M's, but new objects."""
+    return Module(M.algebra, M.dims, [Mat(m.field, m.rows, ncols=m.ncols) for m in M.mats])
+
+
+def _count_iso_tests(monkeypatch):
+    calls = []
+    real = modules._indec_iso
+
+    def counted(M, N):
+        calls.append(N.dims)
+        return real(M, N)
+
+    monkeypatch.setattr(modules, "_indec_iso", counted)
+    return calls
+
+
+def test_find_reads_an_exact_copy_off_the_index(identified, monkeypatch):
+    # equal matrices make the identity an isomorphism, so no iso test runs
+    reg, _ = identified
+    calls = _count_iso_tests(monkeypatch)
+    assert [reg._find(_copy(reg.module(i))) for i in range(reg.count())] == list(range(reg.count()))
+    assert calls == []
+
+
+def test_find_identifies_a_conjugate_by_the_iso_test_once(identified, monkeypatch):
+    # A fresh registry has indexed only the matrices registered in it, so a
+    # conjugate goes through the iso test; its matrices are then indexed
+    # too, and a copy of it is found with no further iso test.
+    reg, conjugates = identified
+    fresh = IsoRegistry(reg.algebra)
+    ids = [fresh.register(reg.module(i)) for i in range(reg.count())]
+    moved = [i for i, C in enumerate(conjugates) if C != reg.module(i)]
+    calls = _count_iso_tests(monkeypatch)
+    assert [fresh._find(conjugates[i]) for i in moved] == [ids[i] for i in moved]
+    assert len(calls) >= len(moved) > 0
+    calls.clear()
+    assert [fresh._find(_copy(conjugates[i])) for i in moved] == [ids[i] for i in moved]
+    assert calls == []
+
+
+def test_find_refuses_another_class_with_the_same_dims(identified, monkeypatch):
+    # With every arrow acting by zero, a module of dimension at least two is
+    # a sum of simples, so no registered class is isomorphic to it.  It is
+    # tested against each class with its dims, and never indexed.
+    reg, _ = identified
+    A = reg.algebra
+    calls = _count_iso_tests(monkeypatch)
+    refused = 0
+    for i in range(reg.count()):
+        M = reg.module(i)
+        if M.dim_total < 2:
+            continue
+        Z = Module(A, M.dims, [Mat.zeros(A.field, m.nrows, m.ncols) for m in M.mats])
+        same_dims = sum(reg.module(j).dims == M.dims for j in range(reg.count()))
+        for _ in range(2):
+            calls.clear()
+            assert reg._find(Z) is None
+            assert len(calls) == same_dims
+        refused += 1
+    assert refused
+
+
 def test_is_brick_id_matches_is_brick(identified):
     reg, _ = identified
     verdicts = [reg.is_brick_id(i) for i in range(reg.count())]
@@ -567,6 +638,19 @@ def test_left_approximation_skips_maps_through_the_end_radical(field):
     f = reg.left_approximation(reg.projective_ids[0], [m])
     assert f.target.dims == (2,)
     assert cokernel(f)[0].is_zero
+
+
+def test_left_approximation_into_a_brick_with_a_two_dimensional_end_keeps_the_orbit():
+    # K = (I, [[0, -1], [1, 0]]) on msex's Kronecker arrows: End(K) is
+    # Q[x]/(x^2 + 1), a field of dimension two, and Hom(P_0, K) is one copy
+    # of it.  The lines of its maps alone would pick two maps, not one.
+    A = build_preset("msex", QQ)
+    K = Module(A, (2, 2, 0), [Mat.identity(QQ, 2), Mat(QQ, [[0, -1], [1, 0]]), Mat.zeros(QQ, 2, 0)])
+    reg = IsoRegistry(A)
+    k, p = reg.register(K), reg.projective_ids[0]
+    assert reg.is_brick_id(k) and reg.end_dim(k) == reg.hom_dim(p, k) == 2
+    assert reg.left_approximation(p, [k]).target.dims == K.dims
+    assert len(greedy_span_pick(QQ, [], reg.hom(p, k), lambda h: [h.flatten()])) == 2
 
 
 def _p2_s1_and_its_inverse_translate(A):
