@@ -21,6 +21,7 @@ from .errors import (
     IndeterminateDecompositionError,
     IntervalError,
     MutationError,
+    NotABrickError,
     NotTauRigidError,
     SelfExtensionError,
     SpecError,

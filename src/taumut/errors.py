@@ -25,6 +25,10 @@ class IndeterminateDecompositionError(TaumutError):
     """The endomorphism-ring analysis could not certify a decomposition."""
 
 
+class NotABrickError(TaumutError):
+    """A module that must be a brick has dim End other than 1."""
+
+
 class IncompleteExplorationError(TaumutError):
     """An operation required a complete exchange quiver but got a prefix."""
 

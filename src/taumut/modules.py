@@ -19,6 +19,7 @@ from .errors import (
     CharacteristicError,
     DimensionMismatchError,
     IndeterminateDecompositionError,
+    NotABrickError,
     SpecError,
 )
 from .linalg import (
@@ -645,15 +646,17 @@ def greedy_span_pick(
     return picked
 
 
-def ext1_basis(M: Module, N: Module, pres: Presentation) -> Tuple[List[ModuleHom], List[list]]:
-    """Cocycle representatives Omega M -> N spanning Ext^1(M, N), and the
-    flattened coboundaries (restrictions of Hom(P0, N) to Omega M) that
-    they are independent modulo."""
+def ext1_basis(
+    M: Module, N: Module, pres: Presentation, omega_basis: Sequence[ModuleHom]
+) -> Tuple[List[ModuleHom], List[list]]:
+    """Cocycle representatives Omega M -> N spanning Ext^1(M, N), picked
+    from omega_basis, a basis of Hom(Omega M, N), and the flattened
+    coboundaries (restrictions of Hom(P0, N) to Omega M) that they are
+    independent modulo."""
     coboundaries = [
         list(pres.omega_incl.compose(h).flatten())
         for h in _projective_hom_block(pres, N)
     ]
-    omega_basis = hom_basis(pres.omega, N).basis
     if not omega_basis:
         return [], coboundaries
     reps = greedy_span_pick(
@@ -1109,6 +1112,8 @@ class IsoRegistry:
         self._g: Dict[int, Tuple[int, ...]] = {}
         self._rad: Dict[int, List[ModuleHom]] = {}
         self._ext1: Dict[Tuple[int, int], int] = {}
+        # (i, j) -> Hom(Omega M_i, M_j) basis where Ext^1 != 0: ext1_dim, smc._extend
+        self.omega_homs: Dict[Tuple[int, int], Tuple[ModuleHom, ...]] = {}
         self._tau_hom: Dict[Tuple[int, int], int] = {}
         # (i, the other summands with a nonzero Hom into / out of M_i) ->
         # id of M_i's top / socle component, None if it vanishes: _layer_ids
@@ -1163,8 +1168,16 @@ class IsoRegistry:
         self._exact[(M.dims, M.mats)] = i
         return i
 
-    def register_all(self, M: Module) -> List[int]:
-        return sorted(self.register(part) for part in decompose(M))
+    def register_brick(self, M: Module) -> int:
+        """Register a module that must be a brick, and certify it: dim End
+        is read off the cached End space, and anything but 1 raises.  Top
+        components and the elements of a two-term simple-minded collection
+        are bricks (Asai; Koenig-Yang), so nothing here decomposes."""
+        i = self.register(M)
+        d = self.end_dim(i)
+        if d != 1:
+            raise NotABrickError(f"the module with dims {list(M.dims)} has dim End {d}, not a brick")
+        return i
 
     def hom_space(self, i: int, j: int) -> HomSpace:
         key = (i, j)
@@ -1183,12 +1196,16 @@ class IsoRegistry:
 
     def ext1_dim(self, i: int, j: int) -> int:
         """dim Hom(Omega M_i, M_j) - dim Hom(P0, M_j) + dim Hom(M_i, M_j), as
-        in ext1_dim, with the last term read from the cached Hom space."""
+        in ext1_dim, with the last term read from the cached Hom space.  A
+        nonzero Ext^1 keeps the Hom(Omega M_i, M_j) basis in omega_homs."""
         key = (i, j)
         if key not in self._ext1:
             pres, N = self.presentation(i), self._mods[j]
             h_p0 = sum(N.dims[w] for w in pres.p0_vertices)
-            self._ext1[key] = hom_dim(pres.omega, N) - h_p0 + self.hom_dim(i, j)
+            omega = hom_basis(pres.omega, N).basis
+            self._ext1[key] = len(omega) - h_p0 + self.hom_dim(i, j)
+            if self._ext1[key]:
+                self.omega_homs[key] = omega
         return self._ext1[key]
 
     def presentation(self, i: int) -> Presentation:
@@ -1260,7 +1277,7 @@ class IsoRegistry:
             if key not in cache:
                 maps = [h for j in key[1] for h in hom(j)] + self.rad_end(i)
                 (comp,) = components([self._mods[i]], [maps])
-                cache[key] = None if comp.is_zero else self.register_component(comp)
+                cache[key] = None if comp.is_zero else self.register_brick(comp)
             out.append(cache[key])
         return tuple(out)
 
@@ -1291,31 +1308,11 @@ class IsoRegistry:
                 for h in self.hom(i, w)
                 for r in (self.rad_end(u) if w == u else self.hom(w, u))
             ]
-            picked += greedy_span_pick(A.field, base, self.hom(i, u), self.end_orbit(u))
+            # modulo h End(U_u): a basis over End(U_u)/rad, maybe a field of degree 2
+            ends = self.hom(u, u)
+            picked += greedy_span_pick(
+                A.field, base, self.hom(i, u), lambda h: [h.compose(e).flatten() for e in ends]
+            )
         M = self._mods[i]
         mats = [hstack(A.field, [h.mats[v] for h in picked], nrows=d) for v, d in enumerate(M.dims)]
         return ModuleHom(M, direct_sum(A, [h.target for h in picked])[0], mats, _validated=True)
-
-    def end_orbit(self, u: int) -> Callable[[ModuleHom], List[tuple]]:
-        """h -> the flattened maps h e, e over a basis of End(M_u), for
-        greedy_span_pick: picking modulo these rows picks a basis over
-        End(M_u)/rad."""
-        ends = self.hom(u, u)
-        return lambda h: [h.compose(e).flatten() for e in ends]
-
-    def register_component(self, M: Module) -> int:
-        """Register a module that must be indecomposable.
-
-        A module isomorphic to a registered one is indecomposable, so only
-        a module the registry does not know yet is decomposed.
-        """
-        i = self._find(M)
-        if i is not None:
-            return i
-        parts = decompose(M)
-        if len(parts) != 1:
-            raise IndeterminateDecompositionError(
-                f"expected an indecomposable module, but the one with dims "
-                f"{M.dims} has {len(parts)} summands"
-            )
-        return self._append(parts[0])

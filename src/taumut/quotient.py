@@ -220,7 +220,9 @@ def verify_ejr(
     ideal: CentralIdeal, max_depth: Optional[int] = None
 ) -> EjrReport:
     """Explore the exchange quivers of A and A/I and compare them through
-    M -> M/MI."""
+    M -> M/MI.  Labels and semibricks are registered as bricks; a reduced
+    summand plainly, so one that decomposes gets a fresh id that no vertex
+    of A/I holds, and the vertex bijection fails."""
     A = ideal.algebra
     quotient, reduce = quotient_algebra(ideal)
     reg_a = IsoRegistry(A)
@@ -235,7 +237,7 @@ def verify_ejr(
     image_index: List[Optional[int]] = []
     for pair in quiver_a.pairs:
         ids = sorted(
-            reg_b.register_component(reduce(reg_a.module(sid)))
+            reg_b.register(reduce(reg_a.module(sid)))
             for sid in pair.summand_ids
         )
         mapped = SupportPair(reg_b, ids, pair.support_complement)
@@ -256,7 +258,7 @@ def verify_ejr(
         if image_index[s] is None or image_index[t] is None:
             continue
         mapped_arrows.add(
-            (image_index[s], image_index[t], reg_b.register_component(reduced))
+            (image_index[s], image_index[t], reg_b.register_brick(reduced))
         )
     arrows_match = mapped_arrows == set(quiver_b.arrows)
 
@@ -268,7 +270,7 @@ def verify_ejr(
             break
         sb_a = sorted(semibrick_ids_of(pair))
         sb_b = sorted(
-            reg_a.register_component(_inflate(A, reg_b.module(bid)))
+            reg_a.register_brick(_inflate(A, reg_b.module(bid)))
             for bid in semibrick_ids_of(quiver_b.pairs[j])
         )
         if sb_a != sb_b:

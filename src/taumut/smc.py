@@ -32,7 +32,6 @@ from .modules import (
     cokernel,
     direct_sum,
     ext1_basis,
-    greedy_span_pick,
     kernel,
     quotient_by_rows,
 )
@@ -321,44 +320,32 @@ def _element_at(reg: IsoRegistry, sid: int, s0: int, degree: int) -> str:
 
 def _extend(reg: IsoRegistry, sid: int, s0: int) -> Tuple[int, int]:
     """A degree-0 element stays unless it extends S0; then it becomes the
-    universal extension by S0, over a basis of Ext^1 over End(S0)."""
+    universal extension by S0 over a basis of Ext^1 (End(S0) = k), picked
+    from the Hom(Omega M, S0) basis that `IsoRegistry.ext1_dim` kept."""
     if reg.ext1_dim(sid, s0) == 0:
         return 0, sid
     S0 = reg.module(s0)
     pres = reg.presentation(sid)
-    reps, coboundaries = ext1_basis(reg.module(sid), S0, pres)
-    # picking modulo h End(S0) gives a basis over the division ring End(S0)
-    chosen = greedy_span_pick(reg.algebra.field, coboundaries, reps, reg.end_orbit(s0))
-    if len(chosen) * reg.end_dim(s0) != len(reps):
-        raise TaumutError(
-            f"{_element_at(reg, sid, s0, 0)}: extension space dimension is not "
-            "divisible by the brick's endomorphism ring"
-        )
-    return 0, reg.register_component(_universal_extension(pres, chosen, S0))
+    reps, _ = ext1_basis(reg.module(sid), S0, pres, reg.omega_homs[(sid, s0)])
+    return 0, reg.register_brick(_universal_extension(pres, reps, S0))
 
 
 def _approximate(reg: IsoRegistry, tid: int, s0: int) -> Tuple[int, int]:
     """A shifted element stays unless it maps to S0; then its minimal left
     add(S0)-approximation is injective, and the cokernel moves to degree 0,
     or surjective, and the kernel stays shifted."""
-    homs = reg.hom(tid, s0)
-    if not homs:
+    if not reg.hom(tid, s0):
         return -1, tid
     f = reg.left_approximation(tid, [s0])
-    if f.target.dim_total * reg.end_dim(s0) != len(homs) * reg.module(s0).dim_total:
-        raise TaumutError(
-            f"{_element_at(reg, tid, s0, -1)}: hom space dimension is not "
-            "divisible by the brick's endomorphism ring"
-        )
     ker, _ = kernel(f)
     injective = ker.is_zero
     surjective = all(
         s - k == t for s, k, t in zip(f.source.dims, ker.dims, f.target.dims)
     )
     if injective and not surjective:
-        return 0, reg.register_component(cokernel(f)[0])
+        return 0, reg.register_brick(cokernel(f)[0])
     if surjective and not injective:
-        return -1, reg.register_component(ker)
+        return -1, reg.register_brick(ker)
     raise ApproximationDichotomyError(
         f"{_element_at(reg, tid, s0, -1)}: universal map is neither injective "
         "nor surjective"
@@ -382,7 +369,8 @@ def smc_left_mutate(x: TwoTermSMC, s0: int) -> TwoTermSMC:
     registry id (Koenig-Yang, "Silting objects, simple-minded collections,
     t-structures and co-t-structures", Doc. Math. 19 (2014)).
 
-    Requires S0 to have no self-extensions.  S0 moves to degree -1; each
+    Requires End(S0) = k, as for every element of a two-term collection
+    (see `grothendieck`), and no self-extensions.  S0 moves to degree -1; each
     other element is replaced by a universal extension, a cokernel, or a
     kernel depending on how it interacts with S0 (`_mutate_element`, cached
     on the registry by element, brick and degree).  The new collection's
@@ -391,6 +379,9 @@ def smc_left_mutate(x: TwoTermSMC, s0: int) -> TwoTermSMC:
     reg = x.registry
     if s0 not in x.degree0:
         raise MutationError("mutation brick is not in the degree-0 part")
+    if reg.end_dim(s0) != 1:
+        dims = list(reg.module(s0).dims)
+        raise MutationError(f"mutation brick with dims {dims} has dim End {reg.end_dim(s0)}, not 1")
     if reg.ext1_dim(s0, s0) != 0:
         raise SelfExtensionError(
             "mutation at a brick with self-extensions is not defined here"

@@ -555,7 +555,7 @@ class Restriction:
 def restrict_quiver(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> Restriction:
     """Restrict a complete exchange quiver to the pairs containing U, the
     sum of the registered indecomposables u_ids (a module from outside
-    reaches them through `IsoRegistry.register_all`).
+    reaches them through `IsoRegistry.register`, one summand at a time).
 
     The report checks the expected shape: a unique source and sink, inner
     degree equal to (number of vertices) - |U| at every subquiver vertex,

@@ -289,12 +289,20 @@ def reference_smc_left_mutate(x, brick):
     """Koenig-Yang left mutation of a collection at its degree-0 brick, with
     every element mutated afresh and nothing cached: a universal extension
     for a degree-0 element that extends the brick, and the cokernel or the
-    kernel of the left approximation for a shifted one that maps to it."""
+    kernel of the left approximation for a shifted one that maps to it.
+    Each new element is decomposed, must be one indecomposable, and is then
+    registered, so no brick certificate of the registry is trusted."""
     from taumut.errors import ApproximationDichotomyError, TaumutError
-    from taumut.modules import cokernel, ext1_basis, greedy_span_pick, kernel
+    from taumut.modules import cokernel, decompose, ext1_basis, greedy_span_pick, hom_basis, kernel
     from taumut.smc import TwoTermSMC, _universal_extension, check_smc_axioms
 
     reg = x.registry
+
+    def register_one(M):
+        parts = decompose(M)
+        assert len(parts) == 1, f"the new element with dims {M.dims} has {len(parts)} summands"
+        return reg.register(parts[0])
+
     s0 = brick
     assert s0 in x.degree0 and reg.ext1_dim(s0, s0) == 0
     S0 = reg.module(s0)
@@ -307,7 +315,8 @@ def reference_smc_left_mutate(x, brick):
             new0.append(sid)
             continue
         pres = reg.presentation(sid)
-        reps, coboundaries = ext1_basis(reg.module(sid), S0, pres)
+        omega_basis = hom_basis(pres.omega, S0).basis
+        reps, coboundaries = ext1_basis(reg.module(sid), S0, pres, omega_basis)
         chosen = greedy_span_pick(
             reg.algebra.field,
             coboundaries,
@@ -316,7 +325,7 @@ def reference_smc_left_mutate(x, brick):
         )
         if len(chosen) * len(end_s0) != len(reps):
             raise TaumutError("extension space dimension is not divisible")
-        new0.append(reg.register_component(_universal_extension(pres, chosen, S0)))
+        new0.append(register_one(_universal_extension(pres, chosen, S0)))
     for tid in x.degree_minus1:
         homs = list(reg.hom(tid, s0))
         if not homs:
@@ -331,9 +340,9 @@ def reference_smc_left_mutate(x, brick):
             s - k == t for s, k, t in zip(f.source.dims, ker.dims, f.target.dims)
         )
         if injective and not surjective:
-            new0.append(reg.register_component(cokernel(f)[0]))
+            new0.append(register_one(cokernel(f)[0]))
         elif surjective and not injective:
-            new1.append(reg.register_component(ker))
+            new1.append(register_one(ker))
         else:
             raise ApproximationDichotomyError("universal map is neither injective nor surjective")
     out = TwoTermSMC(reg, new0, new1)

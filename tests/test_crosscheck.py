@@ -49,7 +49,7 @@ import pytest
 
 from taumut import IsoRegistry, modules, smc, tautilt
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
-from taumut.errors import CharacteristicError, IndeterminateDecompositionError, MutationError
+from taumut.errors import CharacteristicError, MutationError, NotABrickError
 from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, kernel_basis, row_space
 from taumut.modules import (
     Module,
@@ -148,7 +148,7 @@ def test_ext1_basis_size_matches_ext1_dim(quiver):
         pres = reg.presentation(i)
         for j in range(n):
             M, N = reg.module(i), reg.module(j)
-            reps, _ = ext1_basis(M, N, pres)
+            reps, _ = ext1_basis(M, N, pres, hom_basis(pres.omega, N).basis)
             assert len(reps) == ext1_dim(M, N, pres) == reg.ext1_dim(i, j)
             dims.append(len(reps))
     assert max(dims) > 0
@@ -451,36 +451,44 @@ def test_indec_iso_matches_the_radical_composite_test(identified):
     assert seen[True] == 2 * n
 
 
-def test_register_component_of_a_known_module_decomposes_nothing(identified, monkeypatch):
-    reg, conjugates = identified
-    n = reg.count()
-
+def _refuse_decompose(monkeypatch):
     def refuse(M):
         raise AssertionError(f"decomposed a module with dims {M.dims}")
 
     monkeypatch.setattr(modules, "decompose", refuse)
-    assert [reg.register_component(C) for C in conjugates] == list(range(n))
-    assert reg.count() == n
 
 
-def test_register_component_of_a_sum_still_raises(identified):
-    reg, _ = identified
-    p = reg.algebra.field.characteristic()
+def test_register_brick_certifies_a_known_module_and_decomposes_nothing(identified, monkeypatch):
+    # A conjugate of a registered brick gets its id; one of a module with a
+    # larger End is refused with its dims and dim End.
+    reg, conjugates = identified
     n = reg.count()
-    checked = 0
+    _refuse_decompose(monkeypatch)
+    bricks = 0
+    for i, C in enumerate(conjugates):
+        d = reg.end_dim(i)
+        if d == 1:
+            bricks += 1
+            assert reg.register_brick(C) == i
+            continue
+        with pytest.raises(NotABrickError) as err:
+            reg.register_brick(C)
+        assert str(err.value) == f"the module with dims {list(C.dims)} has dim End {d}, not a brick"
+    assert bricks and reg.count() == n
+
+
+def test_register_brick_refuses_a_sum(identified, monkeypatch):
+    reg, _ = identified
+    _refuse_decompose(monkeypatch)
+    n = reg.count()
+    fresh = IsoRegistry(reg.algebra)
     for i in range(n):
-        M, N = reg.module(i), reg.module((i + 1) % n)
-        S = direct_sum(reg.algebra, [M, N])[0]
-        if p and hom_dim(S, S) >= p:
-            continue  # the trace-form radical needs p > dim End
-        checked += 1
-        with pytest.raises(IndeterminateDecompositionError) as err:
-            reg.register_component(S)
+        S = direct_sum(reg.algebra, [reg.module(i), reg.module((i + 1) % n)])[0]
+        with pytest.raises(NotABrickError) as err:
+            fresh.register_brick(S)
         assert str(err.value) == (
-            f"expected an indecomposable module, but the one with dims "
-            f"{S.dims} has 2 summands"
+            f"the module with dims {list(S.dims)} has dim End {hom_dim(S, S)}, not a brick"
         )
-    assert checked and reg.count() == n
 
 
 def _copy(M):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumut.errors import CharacteristicError, DimensionMismatchError, SpecError
+from taumut.errors import CharacteristicError, DimensionMismatchError, NotABrickError, SpecError
 from taumut.linalg import QQ, Mat, PrimeField, hstack, row_space, vstack
 from taumut.modules import (
     Module,
@@ -212,9 +212,26 @@ def test_decompose_and_registry(a3, simples):
     parts = decompose(total)
     assert sorted(p.dims for p in parts) == [(0, 0, 1), (1, 0, 0), (1, 0, 0)]
     reg = IsoRegistry(a3)
-    ids = reg.register_all(total)
+    ids = sorted(reg.register(part) for part in parts)
     assert len(ids) == 3 and len(set(ids)) == 2
     assert reg.register(simples[0]) in ids
+
+
+def test_register_brick_names_a_known_non_brick():
+    # The projective at the middle vertex of preproj-a:3 has dim End 2.
+    reg = IsoRegistry(build_preset("preproj-a:3"))
+    p1 = reg.projective_ids[1]
+    with pytest.raises(NotABrickError) as err:
+        reg.register_brick(reg.module(p1))
+    assert str(err.value) == "the module with dims [1, 2, 1] has dim End 2, not a brick"
+    assert [reg.register_brick(reg.module(p)) for p in reg.projective_ids[::2]] == [0, 2]
+
+
+def test_register_brick_names_a_new_sum(a3, simples):
+    reg = IsoRegistry(a3)
+    with pytest.raises(NotABrickError) as err:
+        reg.register_brick(direct_sum(a3, [simples[0], simples[1]])[0])
+    assert str(err.value) == "the module with dims [1, 1, 0] has dim End 2, not a brick"
 
 
 def test_is_brick_on_all_a3_indecomposables(a3):

@@ -97,3 +97,32 @@ def test_quotient_module_still_satisfies_relations(b23):
     reduced = reduce(projective_module(b23, 0))
     again = Module(quotient, reduced.dims, reduced.mats)
     assert again.dims == (1, 1)
+
+
+def test_a_summand_that_reduces_to_a_sum_breaks_the_vertex_bijection(b23, monkeypatch):
+    # The first summand reduces to M + M.  It is registered plainly, matches
+    # no class of A/I, and so its vertices have no image; nothing is
+    # decomposed on the way.
+    from taumut import modules, quotient
+
+    real = quotient.quotient_algebra
+    decomposed = []
+
+    def doubling(ideal):
+        algebra, reduce = real(ideal)
+        first = []
+
+        def reduce_first_twice(M):
+            first.append(M)
+            N = reduce(M)
+            return direct_sum(algebra, [N, N])[0] if M is first[0] else N
+
+        return algebra, reduce_first_twice
+
+    monkeypatch.setattr(quotient, "quotient_algebra", doubling)
+    monkeypatch.setattr(modules, "decompose", decomposed.append)
+    report = verify_ejr(central_ideal(b23, ["a1*a2", "a2*a1"]))
+    assert report.n_vertices == (6, 6)
+    assert not report.vertex_bijection
+    assert not report.ok
+    assert decomposed == []

@@ -169,6 +169,24 @@ def test_mutation_at_a_module_outside_the_collection(a3_quiver):
         smc_left_mutate(x, outsider)
 
 
+def test_mutation_at_an_element_whose_end_is_not_k_is_refused(monkeypatch):
+    # The projective at the middle vertex of preproj-a:3 has dim End 2, so
+    # no two-term collection holds it; one built by hand is refused before
+    # any Ext^1 or element is built.
+    reg = IsoRegistry(build_preset("preproj-a:3"))
+    p1 = reg.projective_ids[1]
+    x = TwoTermSMC(reg, reg.projective_ids, [])
+
+    def refuse(*args):
+        raise AssertionError("an element was mutated")
+
+    monkeypatch.setattr(IsoRegistry, "ext1_dim", refuse)
+    monkeypatch.setattr(smc, "_mutate_element", refuse)
+    with pytest.raises(MutationError) as err:
+        smc_left_mutate(x, p1)
+    assert str(err.value) == "mutation brick with dims [1, 2, 1] has dim End 2, not 1"
+
+
 def test_mutation_guard_on_self_extension():
     # one loop with square zero: the unique brick extends itself
     q = explore(IsoRegistry(build_preset("nakayama:cyclic:1:2")))
@@ -225,6 +243,35 @@ def test_label_coincidence_reads_the_collections_off_the_quiver(
     assert len(calls) == bases
 
 
+@pytest.mark.parametrize("preset,bases", [("a-path:4", 10), ("preproj-a:3", 12)])
+def test_an_ext1_basis_reuses_the_hom_space_of_its_dimension(preset, bases, monkeypatch):
+    # IsoRegistry.ext1_dim keeps its Hom(Omega M, S0) basis where Ext^1 != 0,
+    # and the universal extension picks its cocycles from it, so no Hom
+    # space is built inside ext1_basis; no basis is kept where Ext^1 = 0.
+    q = explore(IsoRegistry(build_preset(preset)))
+    reg = q.registry
+    inside, built = [], []
+    real_hom_basis, real_ext1_basis = modules.hom_basis, smc.ext1_basis
+
+    def hom_basis(M, N):
+        built.append(bool(inside))
+        return real_hom_basis(M, N)
+
+    def ext1_basis(*args):
+        inside.append(True)
+        try:
+            return real_ext1_basis(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(modules, "hom_basis", hom_basis)
+    monkeypatch.setattr(smc, "ext1_basis", ext1_basis)
+    assert check_label_coincidence(q, collections_of(q))["ok"]
+    assert built and not any(built)
+    assert len(reg.omega_homs) == bases
+    assert all(reg.ext1_dim(i, j) for i, j in reg.omega_homs)
+
+
 @pytest.mark.parametrize(
     "preset,built", [("nakayama:cyclic:4:4", 72), ("a-path:4", 30), ("preproj-a:3", 36)]
 )
@@ -260,40 +307,6 @@ def _a3_arrow(s, t, label):
     (lab,) = [lab for a, b, lab in q.arrows if (a, b) == (s, t)]
     assert q.registry.module(lab).dims == label
     return q.registry, smc_of_vertex(q, s), lab
-
-
-def test_an_extension_that_does_not_divide_names_its_element_and_raises_again(monkeypatch):
-    # At the simples of a-path:3, mutating at S2 extends S1; with no
-    # extension picked the count cannot match Ext^1(S1, S2).
-    reg, x, lab = _a3_arrow(0, 2, (0, 1, 0))
-    monkeypatch.setattr(smc, "greedy_span_pick", lambda *args: [])
-    for _ in range(2):
-        with pytest.raises(TaumutError) as err:
-            smc_left_mutate(x, lab)
-        assert str(err.value) == (
-            "mutating the element with dims [1, 0, 0] in degree 0 at the brick "
-            "with dims [0, 1, 0]: extension space dimension is not divisible "
-            "by the brick's endomorphism ring"
-        )
-    (s1,) = [sid for sid in x.degree0 if reg.module(sid).dims == (1, 0, 0)]
-    assert (s1, lab, 0) not in reg.element_mutations
-
-
-def test_an_approximation_that_does_not_divide_names_its_element(monkeypatch):
-    # ({S3, M12}, {S2}[1]) mutated at M12, with two copies of M12 in the
-    # approximation of S2: twice the Hom space's share
-    _, x, lab = _a3_arrow(2, 6, (1, 1, 0))
-    real = IsoRegistry.left_approximation
-    monkeypatch.setattr(
-        IsoRegistry, "left_approximation", lambda self, i, ids: real(self, i, list(ids) * 2)
-    )
-    with pytest.raises(TaumutError) as err:
-        smc_left_mutate(x, lab)
-    assert str(err.value) == (
-        "mutating the element with dims [0, 1, 0] in degree -1 at the brick "
-        "with dims [1, 1, 0]: hom space dimension is not divisible by the "
-        "brick's endomorphism ring"
-    )
 
 
 def test_an_approximation_that_is_neither_mono_nor_epi_names_its_element(monkeypatch):

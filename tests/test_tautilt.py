@@ -466,7 +466,7 @@ def _raise_once(monkeypatch, owner, name):
 def test_a_component_that_fails_to_register_is_built_again(monkeypatch):
     reg = IsoRegistry(build_preset("a-path:3"))
     ids = tuple(reg.projective_ids)
-    _raise_once(monkeypatch, IsoRegistry, "register_component")
+    _raise_once(monkeypatch, IsoRegistry, "register_brick")
     with pytest.raises(IndeterminateDecompositionError):
         reg.pair_top_ids(ids)
     assert reg.tops == {}
@@ -505,38 +505,40 @@ def test_a_non_rigid_pair_is_refused_before_anything_is_built(monkeypatch):
     assert calls == {"left_approximation": 0, "quotient_by_rows": 0}
 
 
-# (preset, verb, arguments after the preset): every verb on two small
+# (preset, verb, arguments after the preset): every verb on three small
 # presets, and explore and verify on two larger ones.  No nonzero element
-# of the radical of nakayama:cyclic:3:3 is central, so quotient runs on
+# of the radical of a-path:4 or nakayama:cyclic:3:3 is central, so
+# quotient runs on preproj-a:3, by the central b1*a1, and on
 # nakayama:cyclic:3:4, whose 3-cycles are central.
-UNDECOMPOSED_RUNS = [
+NO_DECOMPOSE_RUNS = [
     (preset, verb, [])
     for preset in ("preproj-a:4", "nakayama:cyclic:5:5")
     for verb in ("explore", "verify")
 ] + [
     (preset, verb, [])
-    for preset in ("preproj-a:3", "nakayama:cyclic:3:3")
+    for preset in ("preproj-a:3", "nakayama:cyclic:3:3", "a-path:4")
     for verb in ("explore", "semibricks", "smc", "gvectors", "verify")
 ] + [
     ("preproj-a:3", "restrict", ["--summand", "1,2,1"]),
     ("nakayama:cyclic:3:3", "restrict", ["--summand", "1,0,0"]),
+    ("a-path:4", "restrict", ["--summand", "0,1,1,0"]),
     ("preproj-a:3", "quotient", ["--generator", "b1*a1"]),
     ("nakayama:cyclic:3:4", "quotient", ["--generator", "a1*a2*a3"]),
 ]
 
 
 @pytest.mark.parametrize(
-    "preset,verb,extra", UNDECOMPOSED_RUNS, ids=[f"{p}-{v}" for p, v, _ in UNDECOMPOSED_RUNS]
+    "preset,verb,extra", NO_DECOMPOSE_RUNS, ids=[f"{p}-{v}" for p, v, _ in NO_DECOMPOSE_RUNS]
 )
-def test_cokernels_and_translates_are_registered_undecomposed(preset, verb, extra, monkeypatch, capsys):
+def test_no_verb_decomposes(preset, verb, extra, monkeypatch, capsys):
     # A mutation cokernel is zero or one indecomposable (Adachi-Iyama-
     # Reiten, Thm 2.30), and so is the translate of an indecomposable
-    # (Auslander-Reiten): neither goes through register_component, the
-    # only registration that decomposes.  Top components still do.  A
-    # module that restrict fixes or that smc mutates at arrives as an id.
+    # (Auslander-Reiten): both are registered plainly.  Top components are
+    # bricks, registered with their dim End certified.  A module that
+    # restrict fixes or that smc mutates at arrives as an id.
     from taumut import cli
 
-    callers = {"register_component": set(), "decompose": set()}
+    callers = {"register_brick": set(), "decompose": set()}
 
     def record(owner, name):
         real = getattr(owner, name)
@@ -547,13 +549,13 @@ def test_cokernels_and_translates_are_registered_undecomposed(preset, verb, extr
 
         monkeypatch.setattr(owner, name, recorded)
 
-    record(IsoRegistry, "register_component")
+    record(IsoRegistry, "register_brick")
     record(modules, "decompose")
     assert cli.main([verb, "--preset", preset, *extra]) == 0
     capsys.readouterr()
-    assert "_layer_ids" in callers["register_component"]
-    assert not callers["register_component"] & {"left_mutate", "tau_id"}
-    assert callers["decompose"] <= {"register_component"}
+    assert "_layer_ids" in callers["register_brick"]
+    assert not callers["register_brick"] & {"left_mutate", "tau_id"}
+    assert callers["decompose"] == set()
 
 
 def test_restrict_identifies_no_module_again(monkeypatch, capsys):

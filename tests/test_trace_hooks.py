@@ -36,9 +36,20 @@ def test_tracer_installs_and_uninstalls(tracing):
     assert tracing.wrapped_names() == []
 
 
+# Spans that no verb reaches, each with its reason.  The tracer still binds
+# them, so the benchmark's per-layer names resolve.
+OFF_THE_VERIFY_PATH = {
+    # A verb registers bricks (certified by dim End), mutation cokernels,
+    # translates and quotient's reduced summands, and decomposes none of
+    # them; decompose stays as library API and the tests' reference route.
+    "modules.decompose",
+}
+
+
 def test_every_span_is_on_the_verify_path(tracing):
     # Every module over a-path:3 is a brick, so End(M) is never analysed
-    # there; the projectives of preproj-a:3 have dim End 2.
+    # there; the projective at the middle vertex of preproj-a:3 has dim
+    # End 2, and its radical feeds the top components.
     from taumut import cli
 
     tracer = tracing.Tracer()
@@ -50,4 +61,4 @@ def test_every_span_is_on_the_verify_path(tracing):
     finally:
         tracer.uninstall()
     calls = tracer.summary()["calls"]
-    assert [name for name, n in calls.items() if n == 0] == []
+    assert {name for name, n in calls.items() if n == 0} == OFF_THE_VERIFY_PATH
