@@ -93,12 +93,9 @@ from .smc import (
     smc_of_vertex,
 )
 from .tautilt import (
-    CoPair,
     ExchangeQuiver,
     SupportPair,
     bongartz_completion,
-    cosemibrick_of,
-    dual_pair,
     explore,
     export_dot,
     export_records,

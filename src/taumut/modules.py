@@ -1094,8 +1094,8 @@ class IsoRegistry:
     """Canonical ids for indecomposables plus caches keyed by those ids.
 
     All exploration-scale computations go through a registry so that Hom
-    spaces, translates, presentations, and brick data are computed once
-    per isomorphism class.  Lookups go first through an index of the exact
+    spaces, presentations, and brick data are computed once per
+    isomorphism class.  Lookups go first through an index of the exact
     matrices of every module met: equal matrices make the identity an
     isomorphism, so a hit needs no iso test.
     """
@@ -1107,7 +1107,6 @@ class IsoRegistry:
         # (dims, mats) of each registered module and each matched probe -> id
         self._exact: Dict[tuple, int] = {}
         self._hom: Dict[Tuple[int, int], HomSpace] = {}
-        self._tau: Dict[int, Optional[int]] = {}
         self._pres: Dict[int, Presentation] = {}
         self._g: Dict[int, Tuple[int, ...]] = {}
         self._rad: Dict[int, List[ModuleHom]] = {}
@@ -1115,19 +1114,14 @@ class IsoRegistry:
         # (i, j) -> Hom(Omega M_i, M_j) basis where Ext^1 != 0: ext1_dim, smc._extend
         self.omega_homs: Dict[Tuple[int, int], Tuple[ModuleHom, ...]] = {}
         self._tau_hom: Dict[Tuple[int, int], int] = {}
-        # (i, the other summands with a nonzero Hom into / out of M_i) ->
-        # id of M_i's top / socle component, None if it vanishes: _layer_ids
+        # (i, the other summands with a nonzero Hom into M_i) -> id of M_i's
+        # top component, None if it vanishes: pair_top_ids
         self.tops: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
-        self.socles: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
         # (element, brick, degree) -> (new degree, new id): smc._mutate_element
         self.element_mutations: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        self.projective_ids: List[int] = []
-        self._projective_vertex: Dict[int, int] = {}
-        self._injective_ids: Dict[int, int] = {}
-        for v in range(algebra.n_vertices):
-            pid = self.register(projective_module(algebra, v))
-            self.projective_ids.append(pid)
-            self._projective_vertex[pid] = v
+        self.projective_ids = [
+            self.register(projective_module(algebra, v)) for v in range(algebra.n_vertices)
+        ]
 
     def module(self, i: int) -> Module:
         return self._mods[i]
@@ -1142,8 +1136,6 @@ class IsoRegistry:
 
     def register(self, M: Module) -> int:
         """Identify an indecomposable module up to isomorphism."""
-        if M.is_zero:
-            raise DimensionMismatchError("cannot register the zero module")
         i = self._find(M)
         return self._append(M) if i is None else i
 
@@ -1151,7 +1143,9 @@ class IsoRegistry:
         """The id of the registered module isomorphic to M, if any: an exact
         copy of a module met before is found in the index, with no iso test;
         otherwise the iso test runs against each class with M's dims, and a
-        match indexes M's matrices too."""
+        match indexes M's matrices too.  The zero module is refused."""
+        if M.is_zero:
+            raise DimensionMismatchError("cannot register the zero module")
         key = (M.dims, M.mats)
         if key in self._exact:
             return self._exact[key]
@@ -1170,13 +1164,18 @@ class IsoRegistry:
 
     def register_brick(self, M: Module) -> int:
         """Register a module that must be a brick, and certify it: dim End
-        is read off the cached End space, and anything but 1 raises.  Top
-        components and the elements of a two-term simple-minded collection
-        are bricks (Asai; Koenig-Yang), so nothing here decomposes."""
-        i = self.register(M)
-        d = self.end_dim(i)
-        if d != 1:
-            raise NotABrickError(f"the module with dims {list(M.dims)} has dim End {d}, not a brick")
+        is read off the End space, and anything but 1 raises.  A new module's
+        End space is built before it is added, so a refused module leaves
+        the registry as it was.  Top components and the elements of a
+        two-term simple-minded collection are bricks (Asai; Koenig-Yang), so
+        nothing here decomposes."""
+        i = self._find(M)
+        end = hom_basis(M, M) if i is None else self.hom_space(i, i)
+        if end.dim != 1:
+            raise NotABrickError(f"the module with dims {list(M.dims)} has dim End {end.dim}, not a brick")
+        if i is None:
+            i = self._append(M)
+            self._hom[(i, i)] = end
         return i
 
     def hom_space(self, i: int, j: int) -> HomSpace:
@@ -1236,49 +1235,24 @@ class IsoRegistry:
             self._tau_hom[key] = self.hom_dim(i, j) - self.pairing(i, j)
         return self._tau_hom[key]
 
-    def tau_id(self, i: int) -> Optional[int]:
-        """Registry id of the translate, or None when it vanishes.  The
-        translate of an indecomposable non-projective module is
-        indecomposable (Auslander-Reiten), so it is registered undecomposed."""
-        if i not in self._tau:
-            t = _translate(self.presentation(i))
-            self._tau[i] = None if t.is_zero else self.register(t)
-        return self._tau[i]
-
     def is_brick_id(self, i: int) -> bool:
         # A registered module is indecomposable, so End is local, and a
         # local ring is a division ring exactly when its radical is zero.
         return not self.rad_end(i)
 
-    def projective_vertex(self, i: int) -> Optional[int]:
-        return self._projective_vertex.get(i)
-
-    def injective_id(self, v: int) -> int:
-        if v not in self._injective_ids:
-            self._injective_ids[v] = self.register(injective_module(self.algebra, v))
-        return self._injective_ids[v]
-
     def pair_top_ids(self, ids: Tuple[int, ...]) -> tuple:
-        """Top components of a summand tuple; None marks a vanishing one."""
-        return self._layer_ids(self.tops, top_components, ids, True)
-
-    def pair_socle_ids(self, ids: Tuple[int, ...]) -> tuple:
-        """Socle components of a summand tuple; None marks a vanishing one."""
-        return self._layer_ids(self.socles, socle_components, ids, False)
-
-    def _layer_ids(self, cache: Dict[tuple, Optional[int]], components, ids, into: bool) -> tuple:
-        """Each summand's component, built once per (i, others): the j != i
-        whose Hom(M_j, M_i) (into) or Hom(M_i, M_j) is nonzero.  The component
-        reads only those Hom spaces and rad End(M_i), so the key is complete."""
+        """Top components of a summand tuple; None marks a vanishing one.
+        Each is built once per (i, others): the j != i whose Hom(M_j, M_i)
+        is nonzero.  The component reads only those Hom spaces and
+        rad End(M_i), so the key is complete."""
         out = []
         for i in ids:
-            hom = (lambda j: self.hom(j, i)) if into else (lambda j: self.hom(i, j))
-            key = (i, tuple(j for j in ids if j != i and hom(j)))
-            if key not in cache:
-                maps = [h for j in key[1] for h in hom(j)] + self.rad_end(i)
-                (comp,) = components([self._mods[i]], [maps])
-                cache[key] = None if comp.is_zero else self.register_brick(comp)
-            out.append(cache[key])
+            key = (i, tuple(j for j in ids if j != i and self.hom(j, i)))
+            if key not in self.tops:
+                maps = [h for j in key[1] for h in self.hom(j, i)] + self.rad_end(i)
+                (comp,) = top_components([self._mods[i]], [maps])
+                self.tops[key] = None if comp.is_zero else self.register_brick(comp)
+            out.append(self.tops[key])
         return tuple(out)
 
     def in_fac(self, i: int, ids: Sequence[int]) -> bool:

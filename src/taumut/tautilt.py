@@ -28,22 +28,6 @@ from .modules import (
 )
 
 
-def _check_basic(summand_ids: Tuple[int, ...], missing: Tuple[int, ...], n: int, kind: str) -> None:
-    """Distinct summands, distinct missing vertices of the quiver, and
-    |summands| + |missing vertices| = n."""
-    if len(set(summand_ids)) != len(summand_ids):
-        raise NotTauRigidError(f"repeated summand in a basic {kind}")
-    if len(set(missing)) != len(missing):
-        raise NotTauRigidError(f"repeated missing vertex in a basic {kind}")
-    for v in missing:
-        if not 0 <= v < n:
-            raise NotTauRigidError(f"missing vertex {v} is not one of 0..{n - 1}")
-    if len(summand_ids) + len(missing) != n:
-        raise NotTauRigidError(
-            f"|summands| + |missing vertices| must equal {n}"
-        )
-
-
 class SupportPair:
     """A basic tau-rigid module (by registry ids) plus its missing vertices."""
 
@@ -58,10 +42,18 @@ class SupportPair:
         self.registry = registry
         self.summand_ids = tuple(sorted(summand_ids))
         self.support_complement = tuple(sorted(support_complement))
-        _check_basic(
-            self.summand_ids, self.support_complement,
-            registry.algebra.n_vertices, "pair",
-        )
+        # distinct summands, distinct missing vertices of the quiver, and
+        # |summands| + |missing vertices| = n
+        n = registry.algebra.n_vertices
+        if len(set(self.summand_ids)) != len(self.summand_ids):
+            raise NotTauRigidError("repeated summand in a basic pair")
+        if len(set(self.support_complement)) != len(self.support_complement):
+            raise NotTauRigidError("repeated missing vertex in a basic pair")
+        for v in self.support_complement:
+            if not 0 <= v < n:
+                raise NotTauRigidError(f"missing vertex {v} is not one of 0..{n - 1}")
+        if len(self.summand_ids) + len(self.support_complement) != n:
+            raise NotTauRigidError(f"|summands| + |missing vertices| must equal {n}")
 
     @property
     def key(self) -> tuple:
@@ -83,36 +75,6 @@ class SupportPair:
     def __repr__(self) -> str:
         dims = [self.registry.module(i).dims for i in self.summand_ids]
         return f"SupportPair(summands={dims}, missing={self.support_complement})"
-
-
-class CoPair:
-    """The dual picture: a tau-inverse-rigid module plus missing vertices.
-
-    Kept apart from SupportPair so that a tau-inverse-rigid pair can never
-    be passed where a tau-rigid one is required."""
-
-    __slots__ = ("registry", "summand_ids", "cosupport_complement")
-
-    def __init__(
-        self,
-        registry: IsoRegistry,
-        summand_ids: Sequence[int],
-        cosupport_complement: Sequence[int],
-    ):
-        self.registry = registry
-        self.summand_ids = tuple(sorted(summand_ids))
-        self.cosupport_complement = tuple(sorted(cosupport_complement))
-        _check_basic(
-            self.summand_ids, self.cosupport_complement,
-            registry.algebra.n_vertices, "co-pair",
-        )
-
-    @property
-    def key(self) -> tuple:
-        return (self.summand_ids, self.cosupport_complement)
-
-    def modules(self) -> List[Module]:
-        return [self.registry.module(i) for i in self.summand_ids]
 
 
 def initial_pair(source: Union[Algebra, IsoRegistry]) -> SupportPair:
@@ -149,34 +111,6 @@ def semibrick_ids_of(pair: SupportPair) -> List[int]:
 
 def semibrick_of(pair: SupportPair) -> List[Module]:
     return [pair.registry.module(t) for t in semibrick_ids_of(pair)]
-
-
-def dual_pair(pair: SupportPair) -> CoPair:
-    """Translate non-projective summands, swap support for injectives."""
-    reg = pair.registry
-    ids: List[int] = []
-    cosupport: List[int] = []
-    for sid in pair.summand_ids:
-        pv = reg.projective_vertex(sid)
-        if pv is not None:
-            cosupport.append(pv)
-        else:
-            tid = reg.tau_id(sid)
-            if tid is None:
-                raise NotTauRigidError(
-                    "translate vanished on a non-projective summand"
-                )
-            ids.append(tid)
-    for v in pair.support_complement:
-        ids.append(reg.injective_id(v))
-    return CoPair(reg, ids, cosupport)
-
-
-def cosemibrick_of(co: CoPair) -> List[Module]:
-    """Socle components of the co-pair's summands, zeros dropped."""
-    reg = co.registry
-    socs = reg.pair_socle_ids(co.summand_ids)
-    return [reg.module(s) for s in socs if s is not None]
 
 
 def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:

@@ -98,6 +98,10 @@ A3_S2_SOURCE = 2
 A3_S2_SINK = 12
 
 
+# taumut.modules functions of the dual route, which the tests alone enter
+DUAL_ROUTE = ("_translate", "nakayama_functor_map", "socle_components", "injective_module")
+
+
 def summand_dims(pair: SupportPair) -> tuple:
     reg = pair.registry
     return tuple(sorted(reg.module(i).dims for i in pair.summand_ids))
@@ -248,6 +252,24 @@ def reference_components(reg, ids, into=True):
 
     build = top_components if into else socle_components
     return tuple(None if c.is_zero else reg.register(c) for c in build([reg.module(i) for i in ids]))
+
+
+def reference_shifted_labels(pair):
+    """The shifted labels through the dual pair (AIR Thm 2.14): the socle
+    components of tau U, U a non-projective summand at ("summand", position),
+    and of I_v, v missing at ("support", v); None marks a vanishing one."""
+    from taumut.modules import ar_translate, injective_module
+
+    reg = pair.registry
+    keys, ids = [], []
+    for pos, sid in enumerate(pair.summand_ids):
+        if sid not in reg.projective_ids:
+            keys.append(("summand", pos))
+            ids.append(reg.register(ar_translate(reg.module(sid))))
+    for v in pair.support_complement:
+        keys.append(("support", v))
+        ids.append(reg.register(injective_module(reg.algebra, v)))
+    return dict(zip(keys, reference_components(reg, ids, into=False)))
 
 
 def reference_left_mutate(pair, position):

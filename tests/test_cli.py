@@ -18,6 +18,8 @@ from taumut.cli import main
 from taumut.modules import ModuleHom
 from taumut.presets import preset_spec
 
+from conftest import DUAL_ROUTE
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -411,18 +413,15 @@ NO_TRANSLATE_RUNS = [
 def test_the_verbs_build_no_translate(argv, capsys, monkeypatch):
     # Rigidity is read off the g-vector pairing, the collection's columns
     # and its Koenig-Yang table off Hom dimensions, so no verb builds a
-    # translate module, a dual pair or a socle component.
+    # translate module, an injective or a socle component.
     def refuse(what):
         def call(*args, **kwargs):
             raise AssertionError(f"built {what}")
 
         return call
 
-    monkeypatch.setattr(taumut.modules, "_translate", refuse("a translate"))
-    monkeypatch.setattr(taumut.modules, "nakayama_functor_map", refuse("a Nakayama functor map"))
-    monkeypatch.setattr(taumut.modules.IsoRegistry, "tau_id", refuse("a translate"))
-    monkeypatch.setattr(taumut.tautilt, "dual_pair", refuse("a dual pair"))
-    monkeypatch.setattr(taumut.modules, "socle_components", refuse("a socle component"))
+    for name in DUAL_ROUTE:
+        monkeypatch.setattr(taumut.modules, name, refuse(name))
     code, _, _ = run(capsys, argv)
     assert code == 0
 

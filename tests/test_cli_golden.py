@@ -20,8 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from taumut import modules, tautilt
+from taumut import modules
 from taumut.cli import main
+
+from conftest import DUAL_ROUTE
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -60,19 +62,14 @@ def test_stdout_matches_the_stored_copy(name, capsys):
     "name", ["smc-cyclic44", "smc-preproj-a3", "gvectors-cyclic44", "gvectors-preproj-a3"]
 )
 def test_smc_and_gvectors_take_no_dual_route(name, capsys, monkeypatch):
-    # Both verbs read each collection off the arrows and build no dual
-    # pair, translate or socle component (nor does verify, which checks the
-    # collection against the Koenig-Yang table).
+    # Both verbs read each collection off the arrows and build no
+    # translate, injective or socle component (nor does verify, which checks
+    # the collection against the Koenig-Yang table).
     def refuse(*args, **kwargs):
         raise AssertionError("the verb took the dual route")
 
-    for namespace, attr in (
-        (tautilt, "dual_pair"),
-        (modules, "socle_components"),
-        (modules, "nakayama_functor_map"),
-        (modules.IsoRegistry, "tau_id"),
-    ):
-        monkeypatch.setattr(namespace, attr, refuse)
+    for attr in DUAL_ROUTE:
+        monkeypatch.setattr(modules, attr, refuse)
     test_stdout_matches_the_stored_copy(name, capsys)
 
 

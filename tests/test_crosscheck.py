@@ -1,14 +1,14 @@
 """Each merged derivation against a second route to it.
 
-The registry's translate is checked against the uncached translate, the
-Ext^1 representatives and the registry's Ext^1 dimension (read from its
-cached Hom space) against the Ext^1 dimension formula, the shifted
-columns of the SMC read off the arrows in against the co-semibrick of
-the dual pair, each column against
-the socle pairing through the dual pair, and the exchange quiver's
+The Ext^1 representatives and the registry's Ext^1 dimension (read from
+its cached Hom space) are checked against the Ext^1 dimension formula,
+the shifted columns of the SMC read off the arrows in against the socle
+components of the dual pair, the translates of the summands and the
+injectives of the missing vertices, each column against that socle
+component, and the exchange quiver's
 adjacency lists against a scan of its arrows.  The End(M) structure constants read off
-the free columns are checked against solved ones, and Hom(N, tau M) from
-the registry's translate against the g-vector pairing, which needs no
+the free columns are checked against solved ones, and Hom(N, tau M) into
+the uncached translate against the g-vector pairing, which needs no
 translate (AIR Prop. 2.4), and pair rigidity read off that pairing against
 the translate of the direct sum.  The registry's identification by a bijective
 basis map is checked against the composite-outside-the-radical test, on
@@ -19,7 +19,7 @@ simples.  Left mutation through the minimal approximation is checked
 against mutation through the full Hom basis with a decomposed cokernel,
 and into a brick whose End is a field of dimension two it picks one map
 over that field, not one per line; the registry's cached top
-and socle components, each built once per (summand, summands it sees),
+components, each built once per (summand, summands it sees),
 against that mutation and against the components over every Hom basis of
 the pair.  Every arrow that explore reads off a shared face is checked
 against left mutation, also on msex explored to depth 4 and 6.  Injectives and
@@ -30,7 +30,7 @@ Q against explorations over several primes.  The registry's Fac test is
 checked against in_fac of the summands, kernels that keep their echelon
 basis against the reduced left kernel, maps built without the commutation
 check against that check, and the top components of each pair and the
-co-semibrick of its dual pair against the labels of its arrows out and in;
+socle components of its dual pair against the labels of its arrows out and in;
 the collection read off the arrows must also pass the Koenig-Yang Hom
 table, which must fail at a vertex whose arrow in has its label swapped,
 or whose degree-0 label is swapped for one nonzero at a missing vertex.
@@ -90,8 +90,6 @@ from taumut.smc import (
 from taumut.tautilt import (
     ExchangeQuiver,
     SupportPair,
-    cosemibrick_of,
-    dual_pair,
     explore,
     export_records,
     left_mutate,
@@ -109,6 +107,7 @@ from conftest import (
     reference_kernel,
     reference_left_mutate,
     reference_nakayama_map,
+    reference_shifted_labels,
     reference_smc_left_mutate,
     solve,
     solved_end_constants,
@@ -126,16 +125,6 @@ CASES = [
 def quiver(request):
     preset, field = request.param
     return explore(IsoRegistry(build_preset(preset, field)))
-
-
-def test_tau_id_matches_ar_translate(quiver):
-    reg = quiver.registry
-    for i in range(reg.count()):
-        t = ar_translate(reg.module(i))
-        tid = reg.tau_id(i)
-        assert (tid is None) == t.is_zero
-        if tid is not None:
-            assert _indec_iso(t, reg.module(tid))
 
 
 def test_ext1_basis_size_matches_ext1_dim(quiver):
@@ -172,7 +161,7 @@ def test_negative_columns_are_the_dual_cosemibrick(quiver):
     reg = quiver.registry
     for i, pair in enumerate(quiver.pairs):
         negative = Counter(c.brick_id for c in paired_columns(quiver, i) if c.sign < 0)
-        dual = Counter(reg.register(m) for m in cosemibrick_of(dual_pair(pair)))
+        dual = Counter(s for s in reference_shifted_labels(pair).values() if s is not None)
         assert negative == dual
 
 
@@ -196,7 +185,8 @@ def test_presentation_pairing_is_hom_into_the_translate(quiver):
     n = reg.count()
     nonzero = 0
     for i in range(n):
-        tid = reg.tau_id(i)
+        t = ar_translate(reg.module(i))
+        tid = None if t.is_zero else reg.register(t)
         for j in range(n):
             got = reg.tau_hom_dim(i, j)
             assert got == (0 if tid is None else reg.hom_dim(j, tid))
@@ -777,7 +767,7 @@ def test_maps_made_by_construction_commute(preset, field, monkeypatch):
     record(modules, "nakayama_functor_map", "nu f", lambda out: out[2])
     quiver = explore(IsoRegistry(build_preset(preset, field)))
     for pair in quiver.pairs:
-        cosemibrick_of(dual_pair(pair))
+        reference_shifted_labels(pair)
     assert check_label_coincidence(quiver, collections_of(quiver))["ok"]
     reg = quiver.registry
     made["Hom(P0, N)"] = [
@@ -818,7 +808,7 @@ def test_smc_parts_are_the_labels_of_the_arrows_out_and_in(labelled):
     # pair, against the labels of the arrows out of and into its vertex.
     reg = labelled.registry
     for i, pair in enumerate(labelled.pairs):
-        dual = sorted(reg.register(m) for m in cosemibrick_of(dual_pair(pair)))
+        dual = sorted(s for s in reference_shifted_labels(pair).values() if s is not None)
         assert sorted(semibrick_ids_of(pair)) == sorted(lab for _, _, lab in labelled.out_arrows(i))
         assert dual == sorted(lab for _, _, lab in labelled.in_arrows(i))
 
@@ -831,17 +821,16 @@ def test_columns_read_off_the_arrows_are_the_dual_pairing(labelled):
     reg = labelled.registry
     for i, pair in enumerate(labelled.pairs):
         tops = reg.pair_top_ids(pair.summand_ids)
-        dual_ids = dual_pair(pair).summand_ids
-        socle_of = dict(zip(dual_ids, reg.pair_socle_ids(dual_ids)))
+        shifted = reference_shifted_labels(pair)
         cols = paired_columns(labelled, i)
         expected = []
-        for pos, sid in enumerate(pair.summand_ids):
+        for pos in range(len(pair.summand_ids)):
             if tops[pos] is not None:
                 expected.append(("summand", pos, 1, tops[pos]))
             else:
-                expected.append(("summand", pos, -1, socle_of[reg.tau_id(sid)]))
+                expected.append(("summand", pos, -1, shifted[("summand", pos)]))
         for v in pair.support_complement:
-            expected.append(("support", v, -1, socle_of[reg.injective_id(v)]))
+            expected.append(("support", v, -1, shifted[("support", v)]))
         assert [(c.kind, c.index, c.sign, c.brick_id) for c in cols] == expected
 
 
@@ -1000,24 +989,20 @@ Q_AND_F5 = [(preset, field) for preset, field in LABELLED if field.characteristi
     "preset,field", Q_AND_F5, ids=lambda c: str(c) if isinstance(c, str) else f"char{c.characteristic()}"
 )
 def test_cached_components_match_the_components_of_the_whole_pair(preset, field):
-    # The top and socle components of every pair and of its dual pair,
-    # against the components over every Hom basis between the summands:
-    # first with the caches emptied before each tuple, then with them full.
+    # The top components of every pair, against the components over every
+    # Hom basis between the summands: first with the cache emptied before
+    # each pair, then with it full.
     q = explore(IsoRegistry(build_preset(preset, field)))
     reg = q.registry
-    tuples = [p.summand_ids for p in q.pairs] + [dual_pair(p).summand_ids for p in q.pairs]
-    expected = [
-        (reference_components(reg, ids), reference_components(reg, ids, into=False))
-        for ids in tuples
-    ]
+    tuples = [p.summand_ids for p in q.pairs]
+    expected = [reference_components(reg, ids) for ids in tuples]
     emptied = []
     for ids in tuples:
         reg.tops.clear()
-        reg.socles.clear()
-        emptied.append((reg.pair_top_ids(ids), reg.pair_socle_ids(ids)))
+        emptied.append(reg.pair_top_ids(ids))
     assert emptied == expected
     for _ in range(2):
-        assert [(reg.pair_top_ids(ids), reg.pair_socle_ids(ids)) for ids in tuples] == expected
+        assert [reg.pair_top_ids(ids) for ids in tuples] == expected
 
 
 @pytest.mark.parametrize(

@@ -234,6 +234,19 @@ def test_register_brick_names_a_new_sum(a3, simples):
     assert str(err.value) == "the module with dims [1, 1, 0] has dim End 2, not a brick"
 
 
+def test_a_refused_brick_leaves_the_registry_as_it_was(a3, simples):
+    # S_0 + S_1 is refused before it is added; S_0 is then added with the
+    # End space that certified it.
+    reg = IsoRegistry(a3)
+    before = (reg.count(), {d: list(ids) for d, ids in reg._by_dims.items()}, dict(reg._exact))
+    with pytest.raises(NotABrickError):
+        reg.register_brick(direct_sum(a3, [simples[0], simples[1]])[0])
+    assert (reg.count(), reg._by_dims, reg._exact) == before
+    s0 = reg.register_brick(simples[0])
+    assert (s0, reg.count(), reg.end_dim(s0)) == (3, 4, 1)
+    assert (s0, s0) in reg._hom
+
+
 def test_is_brick_on_all_a3_indecomposables(a3):
     reg = IsoRegistry(a3)
     seen = {reg.module(i).dims for i in range(reg.count())}

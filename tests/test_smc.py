@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumut import IsoRegistry, modules, smc, tautilt
+from taumut import IsoRegistry, modules, smc
 from taumut.errors import (
     ApproximationDichotomyError,
     IncompleteExplorationError,
@@ -27,7 +27,7 @@ from taumut.smc import (
 )
 from taumut.tautilt import ExchangeQuiver, explore
 
-from conftest import A3_PAIRS, A3_SMC, collections_of, vertex_by_summands
+from conftest import A3_PAIRS, A3_SMC, DUAL_ROUTE, collections_of, vertex_by_summands
 
 
 def _norm(sig):
@@ -215,21 +215,16 @@ def test_label_coincidence_on_the_whole_a3_quiver(a3_quiver):
 def test_label_coincidence_reads_the_collections_off_the_quiver(
     preset, checked, bases, monkeypatch
 ):
-    # Asai's labels give each collection, so no dual pair, socle or nu f is
-    # built; Ext^1 bases are built only for universal extensions, once per
-    # element and brick.
+    # Asai's labels give each collection, so no translate, injective,
+    # socle or nu f is built; Ext^1 bases are built only for universal
+    # extensions, once per element and brick.
     q = explore(IsoRegistry(build_preset(preset)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the check took the dual route")
 
-    assert not hasattr(smc, "dual_pair")
-    for namespace, name in (
-        (tautilt, "dual_pair"),
-        (modules, "socle_components"),
-        (modules, "nakayama_functor_map"),
-    ):
-        monkeypatch.setattr(namespace, name, refuse)
+    for name in DUAL_ROUTE:
+        monkeypatch.setattr(modules, name, refuse)
     calls = []
     real = smc.ext1_basis
 

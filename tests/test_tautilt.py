@@ -21,14 +21,11 @@ from taumut.errors import (
 )
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra
 from taumut.linalg import QQ, PrimeField
-from taumut.modules import is_tau_rigid_pair, simple_module
+from taumut.modules import injective_module, is_tau_rigid_pair, simple_module
 from taumut.presets import build_preset
 from taumut.tautilt import (
-    CoPair,
     SupportPair,
     bongartz_completion,
-    cosemibrick_of,
-    dual_pair,
     explore,
     export_dot,
     export_records,
@@ -48,8 +45,10 @@ from conftest import (
     A3_S2_ARROWS,
     A3_S2_SINK,
     A3_S2_SOURCE,
+    DUAL_ROUTE,
     arrow_dims,
     reference_left_mutate,
+    reference_shifted_labels,
     relabeled_arrows,
     summand_dims,
     vertex_by_summands,
@@ -71,16 +70,15 @@ def test_pair_constructor_guards(a3_quiver):
         SupportPair(reg, [0, 0, 1], ())  # repeated summand
 
 
-@pytest.mark.parametrize("cls", [SupportPair, CoPair])
-def test_pair_rejects_bad_missing_vertices(a3_quiver, cls):
+def test_pair_rejects_bad_missing_vertices(a3_quiver):
     reg = a3_quiver.registry
     p1, p2, _ = reg.projective_ids
     with pytest.raises(NotTauRigidError, match="repeated missing vertex"):
-        cls(reg, [p1], [1, 1])
+        SupportPair(reg, [p1], [1, 1])
     with pytest.raises(NotTauRigidError, match="missing vertex 5"):
-        cls(reg, [p1, p2], [5])
+        SupportPair(reg, [p1, p2], [5])
     with pytest.raises(NotTauRigidError, match="missing vertex -1"):
-        cls(reg, [p1, p2], [-1])
+        SupportPair(reg, [p1, p2], [-1])
 
 
 def test_a2_exploration(a2_quiver):
@@ -145,17 +143,14 @@ def test_semibrick_of_every_vertex_has_out_degree_size(a3_quiver):
         assert len(semibrick_ids_of(pair)) == len(sb)
 
 
-def test_dual_pair_round_shape(a3_quiver):
-    init = a3_quiver.pairs[0]
-    d = dual_pair(init)
-    assert isinstance(d, CoPair)
-    assert d.key == ((), (0, 1, 2))
-    zero_idx = vertex_by_summands(a3_quiver, [])
-    dz = dual_pair(a3_quiver.pairs[zero_idx])
-    assert sorted(
-        a3_quiver.registry.module(i).dims for i in dz.summand_ids
-    ) == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
-    assert sorted(m.dims for m in cosemibrick_of(dz)) == [
+def test_shifted_labels_of_the_regular_and_zero_pairs(a3_quiver):
+    # (A, 0) has no shifted label; at (0, A) the dual pair is the three
+    # injectives, whose socles are the simples.
+    reg = a3_quiver.registry
+    assert reference_shifted_labels(a3_quiver.pairs[0]) == {}
+    zero = reference_shifted_labels(a3_quiver.pairs[vertex_by_summands(a3_quiver, [])])
+    assert sorted(zero) == [("support", 0), ("support", 1), ("support", 2)]
+    assert sorted(reg.module(s).dims for s in zero.values()) == [
         (0, 0, 1),
         (0, 1, 0),
         (1, 0, 0),
@@ -366,10 +361,10 @@ def test_each_component_and_exchange_is_built_once(
     _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
     _counted(monkeypatch, calls, modules, "quotient_by_rows")
     _counted(monkeypatch, calls, modules, "_indec_iso")
-    mutating = dict.fromkeys(("left_mutate", "pair_is_tau_rigid", "_layer_ids"), 0)
+    mutating = dict.fromkeys(("left_mutate", "pair_is_tau_rigid", "pair_top_ids"), 0)
     _counted(monkeypatch, mutating, tautilt, "left_mutate")
     _counted(monkeypatch, mutating, tautilt, "pair_is_tau_rigid")
-    _counted(monkeypatch, mutating, IsoRegistry, "_layer_ids")
+    _counted(monkeypatch, mutating, IsoRegistry, "pair_top_ids")
     reg = IsoRegistry(build_preset(preset, field))
     first = explore(reg, max_depth=depth)
     summands = {s for p in first.pairs for s in p.summand_ids}
@@ -532,10 +527,10 @@ NO_DECOMPOSE_RUNS = [
 )
 def test_no_verb_decomposes(preset, verb, extra, monkeypatch, capsys):
     # A mutation cokernel is zero or one indecomposable (Adachi-Iyama-
-    # Reiten, Thm 2.30), and so is the translate of an indecomposable
-    # (Auslander-Reiten): both are registered plainly.  Top components are
+    # Reiten, Thm 2.30), so it is registered plainly.  Top components are
     # bricks, registered with their dim End certified.  A module that
-    # restrict fixes or that smc mutates at arrives as an id.
+    # restrict fixes or that smc mutates at arrives as an id.  No verb
+    # builds a translate, an injective or a socle component.
     from taumut import cli
 
     callers = {"register_brick": set(), "decompose": set()}
@@ -549,12 +544,17 @@ def test_no_verb_decomposes(preset, verb, extra, monkeypatch, capsys):
 
         monkeypatch.setattr(owner, name, recorded)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verb took the dual route")
+
     record(IsoRegistry, "register_brick")
     record(modules, "decompose")
+    for name in DUAL_ROUTE:
+        monkeypatch.setattr(modules, name, refuse)
     assert cli.main([verb, "--preset", preset, *extra]) == 0
     capsys.readouterr()
-    assert "_layer_ids" in callers["register_brick"]
-    assert not callers["register_brick"] & {"left_mutate", "tau_id"}
+    assert "pair_top_ids" in callers["register_brick"]
+    assert "left_mutate" not in callers["register_brick"]
     assert callers["decompose"] == set()
 
 
@@ -629,7 +629,7 @@ def test_a_candidate_failing_the_pairing_costs_no_hom_space():
     pair, face, x, label = _root_face("a-path:3", 1)
     reg = pair.registry
     assert reg.module(label).dims == (0, 1, 0)
-    i1 = reg.injective_id(1)
+    i1 = reg.register(injective_module(reg.algebra, 1))
     assert (reg.module(i1).dims, reg.g_vector(i1)) == ((1, 1, 0), (1, 0, -1))
     before = set(reg._hom)
     assert tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, i1}) is None
