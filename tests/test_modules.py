@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taumut import modules
 from taumut.errors import CharacteristicError, DimensionMismatchError, NotABrickError, SpecError
 from taumut.linalg import QQ, Mat, PrimeField, hstack, row_space, vstack
 from taumut.modules import (
@@ -245,6 +246,67 @@ def test_a_refused_brick_leaves_the_registry_as_it_was(a3, simples):
     s0 = reg.register_brick(simples[0])
     assert (s0, reg.count(), reg.end_dim(s0)) == (3, 4, 1)
     assert (s0, s0) in reg._hom
+
+
+def _state(reg):
+    return (
+        reg.count(),
+        {d: list(ids) for d, ids in reg._by_dims.items()},
+        dict(reg._exact),
+        set(reg._hom),
+    )
+
+
+def test_register_brick_refuses_a_new_indecomposable_non_brick():
+    # k[x]/x^2 over k[x]/x^3 is indecomposable with dim End 2: refused
+    # before it is added, and again once plain register has added it.
+    A = build_preset("nakayama:cyclic:1:3")
+    M = Module(A, (2,), [Mat(A.field, [[0, 1], [0, 0]], ncols=2)])
+    reg = IsoRegistry(A)
+    before = _state(reg)
+    message = "the module with dims [2] has dim End 2, not a brick"
+    with pytest.raises(NotABrickError) as err:
+        reg.register_brick(M)
+    assert str(err.value) == message
+    assert _state(reg) == before
+    i = reg.register(M)
+    assert (i, reg.count()) == (before[0], before[0] + 1)
+    with pytest.raises(NotABrickError) as err:
+        reg.register_brick(M)
+    assert str(err.value) == message
+    assert reg.count() == before[0] + 1
+
+
+def test_register_brick_refuses_the_zero_module_as_register_does(a3):
+    reg = IsoRegistry(a3)
+    before = _state(reg)
+    for register in (reg.register, reg.register_brick):
+        with pytest.raises(DimensionMismatchError, match="cannot register the zero module"):
+            register(zero_module(a3))
+    assert _state(reg) == before
+
+
+def test_a_conjugate_of_a_new_brick_reads_its_stored_end(a3, monkeypatch):
+    # The End space that certified a new brick is stored under its id, so
+    # a conjugate of it is certified by the iso test alone, with no End
+    # space built again.
+    reg = IsoRegistry(a3)
+    s01 = reg.register_brick(_uniserial(a3, [1, 1, 0]))
+    M = reg.module(s01)
+    C = Module(a3, M.dims, [M.mats[0].mul(Mat(a3.field, [[2]], ncols=1)), M.mats[1]])
+    assert C != M
+    ends = []
+    real = modules.hom_basis
+
+    def hom_basis(X, Y):
+        ends.append(X is Y)
+        return real(X, Y)
+
+    monkeypatch.setattr(modules, "hom_basis", hom_basis)
+    assert reg.register_brick(C) == s01
+    assert ends == [False]
+    assert reg.register_brick(C) == s01
+    assert ends == [False]
 
 
 def test_is_brick_on_all_a3_indecomposables(a3):
