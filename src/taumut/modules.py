@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -21,6 +22,7 @@ from .errors import (
     IndeterminateDecompositionError,
     NotABrickError,
     SpecError,
+    TaumutError,
 )
 from .linalg import (
     Mat,
@@ -259,20 +261,23 @@ def hom_basis(M: Module, N: Module) -> HomSpace:
     if total == 0:
         return HomSpace(M, N, (), ())
     vidx = A.quiver.vertex_index
+    zero = field.zero()
     rows = []
     for ai, a in enumerate(A.quiver.arrows):
         u, w = vidx[a.source], vidx[a.target]
-        Na, Ma = N.mats[ai], M.mats[ai]
-        for i in range(M.dims[u]):
-            for l in range(N.dims[w]):
-                row = [field.zero()] * total
-                for j in range(N.dims[u]):
-                    row[offsets[u] + i * N.dims[u] + j] = Na[j, l]
-                for k in range(M.dims[w]):
-                    cur = row[offsets[w] + k * N.dims[w] + l]
-                    row[offsets[w] + k * N.dims[w] + l] = field.sub(
-                        cur, Ma[i, k]
-                    )
+        nu, nw = N.dims[u], N.dims[w]
+        # equation (i, l): row i of phi_u times column l of N_a, minus
+        # row i of M_a times column l of phi_w
+        n_cols = list(zip(*N.mats[ai].rows)) or [()] * nw
+        for i, m_row in enumerate(M.mats[ai].rows):
+            start = offsets[u] + i * nu
+            for l in range(nw):
+                row = [zero] * total
+                row[start : start + nu] = n_cols[l]
+                for k, x in enumerate(m_row):
+                    if x:
+                        c = offsets[w] + k * nw + l
+                        row[c] = field.sub(row[c], x)
                 rows.append(row)
     system = Mat(field, rows, ncols=total, _raw=True)
     kernel_rows, free_cols = kernel_basis(system)
@@ -447,7 +452,10 @@ def projective_sum(algebra: Algebra, vertices: Sequence[int]) -> Tuple[Module, L
 
 @dataclass
 class Presentation:
-    """A minimal projective presentation P1 -> P0 -> M -> 0."""
+    """A minimal projective presentation P1 -> P0 -> M -> 0.  P1 is the
+    projective cover of Omega M, so p1_vertices is the top of Omega M.
+    P1, its offsets and f: P1 -> P0 are built on demand, at the first
+    read: g-vectors need only the vertices."""
 
     module: Module
     p0_vertices: Tuple[int, ...]
@@ -456,9 +464,15 @@ class Presentation:
     omega: Module
     omega_incl: ModuleHom
     p1_vertices: Tuple[int, ...]
-    p1: Module
-    p1_offsets: List[List[int]]
-    f: ModuleHom
+
+    @cached_property
+    def _second_cover(self) -> Tuple[Module, List[List[int]], ModuleHom]:
+        _, p1, p1_offsets, cover = _projective_cover(self.omega)
+        return p1, p1_offsets, cover.compose(self.omega_incl)
+
+    p1 = property(lambda self: self._second_cover[0])
+    p1_offsets = property(lambda self: self._second_cover[1])
+    f = property(lambda self: self._second_cover[2])
 
 
 def _top_generators(M: Module) -> List[Tuple[int, int]]:
@@ -470,6 +484,22 @@ def _top_generators(M: Module) -> List[Tuple[int, int]]:
             if c not in piv:
                 gens.append((v, c))
     return gens
+
+
+def _top_socle_vertices(M: Module) -> Tuple[frozenset, frozenset]:
+    """The vertices where the top of M is nonzero and those where its
+    socle is: the arrows out of a socle vertex v have a common kernel in
+    M_v, which takes one rank."""
+    A = M.algebra
+    vidx = A.quiver.vertex_index
+    outs: List[List[Mat]] = [[] for _ in M.dims]
+    for ai, a in enumerate(A.quiver.arrows):
+        outs[vidx[a.source]].append(M.mats[ai])
+    socle = (
+        v for v, d in enumerate(M.dims)
+        if d and len(row_space(hstack(A.field, outs[v], nrows=d))[1]) < d
+    )
+    return frozenset(v for v, _ in _top_generators(M)), frozenset(socle)
 
 
 def _hom_from_projectives(
@@ -523,9 +553,8 @@ def _projective_cover(M: Module) -> Tuple[Tuple[int, ...], Module, List[List[int
 def minimal_projective_presentation(M: Module) -> Presentation:
     p0_vertices, p0, p0_off, cover = _projective_cover(M)
     omega, incl = kernel(cover)
-    p1_vertices, p1, p1_off, cover1 = _projective_cover(omega)
-    f = cover1.compose(incl)
-    return Presentation(M, p0_vertices, p0, p0_off, omega, incl, p1_vertices, p1, p1_off, f)
+    p1_vertices = tuple(v for v, _ in _top_generators(omega))
+    return Presentation(M, p0_vertices, p0, p0_off, omega, incl, p1_vertices)
 
 
 def nakayama_functor_map(pres: Presentation) -> Tuple[Module, Module, ModuleHom]:
@@ -1114,6 +1143,10 @@ class IsoRegistry:
         # (i, j) -> Hom(Omega M_i, M_j) basis where Ext^1 != 0: ext1_dim, smc._extend
         self.omega_homs: Dict[Tuple[int, int], Tuple[ModuleHom, ...]] = {}
         self._tau_hom: Dict[Tuple[int, int], int] = {}
+        # id -> (top vertices, socle vertices): hom_space's zero certificate
+        self._top_socle: Dict[int, Tuple[frozenset, frozenset]] = {}
+        # (i, the ids with a nonzero Hom into M_i) -> M_i in their Fac: in_fac
+        self._fac: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
         # (i, the other summands with a nonzero Hom into M_i) -> id of M_i's
         # top component, None if it vanishes: pair_top_ids
         self.tops: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
@@ -1178,10 +1211,26 @@ class IsoRegistry:
             self._hom[(i, i)] = end
         return i
 
+    def top_socle(self, i: int) -> Tuple[frozenset, frozenset]:
+        if i not in self._top_socle:
+            self._top_socle[i] = _top_socle_vertices(self._mods[i])
+        return self._top_socle[i]
+
     def hom_space(self, i: int, j: int) -> HomSpace:
+        """Hom(M_i, M_j), built once.  It is certified zero, with no
+        commutation system, when M_j vanishes at every top vertex of M_i (a
+        map is fixed by where it sends lifts of the top) or M_i at every
+        socle vertex of M_j (a nonzero image has a nonzero socle inside
+        soc M_j)."""
         key = (i, j)
         if key not in self._hom:
-            self._hom[key] = hom_basis(self._mods[i], self._mods[j])
+            M, N = self._mods[i], self._mods[j]
+            top, _ = self.top_socle(i)
+            _, socle = self.top_socle(j)
+            if any(N.dims[v] for v in top) and any(M.dims[v] for v in socle):
+                self._hom[key] = hom_basis(M, N)
+            else:
+                self._hom[key] = HomSpace(M, N, (), ())
         return self._hom[key]
 
     def hom(self, i: int, j: int) -> Tuple[ModuleHom, ...]:
@@ -1196,14 +1245,25 @@ class IsoRegistry:
     def ext1_dim(self, i: int, j: int) -> int:
         """dim Hom(Omega M_i, M_j) - dim Hom(P0, M_j) + dim Hom(M_i, M_j), as
         in ext1_dim, with the last term read from the cached Hom space.  A
-        nonzero Ext^1 keeps the Hom(Omega M_i, M_j) basis in omega_homs."""
+        nonzero Ext^1 keeps the Hom(Omega M_i, M_j) basis in omega_homs.
+        The top of Omega M_i lies at P1's vertices, so where M_j vanishes
+        there, Hom(Omega M_i, M_j) = 0 is not built.  Ext^1 is a quotient
+        of it, so a nonzero Ext^1 with Hom(Omega M_i, M_j) = 0 raises."""
         key = (i, j)
         if key not in self._ext1:
             pres, N = self.presentation(i), self._mods[j]
             h_p0 = sum(N.dims[w] for w in pres.p0_vertices)
-            omega = hom_basis(pres.omega, N).basis
-            self._ext1[key] = len(omega) - h_p0 + self.hom_dim(i, j)
-            if self._ext1[key]:
+            omega = ()
+            if any(N.dims[w] for w in pres.p1_vertices):
+                omega = hom_basis(pres.omega, N).basis
+            ext = len(omega) - h_p0 + self.hom_dim(i, j)
+            if ext and not omega:
+                raise TaumutError(
+                    f"Ext^1 = {ext} but Hom(Omega M, N) = 0, for M with dims"
+                    f" {list(self._mods[i].dims)} and N with dims {list(N.dims)}"
+                )
+            self._ext1[key] = ext
+            if ext:
                 self.omega_homs[key] = omega
         return self._ext1[key]
 
@@ -1257,10 +1317,15 @@ class IsoRegistry:
 
     def in_fac(self, i: int, ids: Sequence[int]) -> bool:
         """Is module i generated by the modules ids?  The images of the
-        cached Hom spaces must span it at every vertex."""
-        X = self._mods[i]
-        rows = _image_rows(X, (h for j in ids for h in self.hom(j, i)))
-        return all(len(row_space(r)[1]) == d for r, d in zip(rows, X.dims))
+        cached Hom spaces must span it at every vertex.  The answer reads
+        only the nonzero Hom spaces into M_i, so it is kept per (i, those
+        ids)."""
+        key = (i, tuple(j for j in ids if self.hom(j, i)))
+        if key not in self._fac:
+            X = self._mods[i]
+            rows = _image_rows(X, (h for j in key[1] for h in self.hom(j, i)))
+            self._fac[key] = all(len(row_space(r)[1]) == d for r, d in zip(rows, X.dims))
+        return self._fac[key]
 
     def left_approximation(self, i: int, ids: Sequence[int]) -> ModuleHom:
         """A minimal left add(U)-approximation M_i -> U', U the sum of the

@@ -2,6 +2,8 @@
 
 The Ext^1 representatives and the registry's Ext^1 dimension (read from
 its cached Hom space) are checked against the Ext^1 dimension formula,
+the registry's Hom spaces and Ext^1 dimensions, zero by a support
+certificate where it applies, against direct builds,
 the shifted columns of the SMC read off the arrows in against the socle
 components of the dual pair, the translates of the summands and the
 injectives of the missing vertices, each column against that socle
@@ -149,6 +151,50 @@ def test_registry_ext1_dim_matches_a_fresh_presentation(quiver):
     for i in range(n):
         for j in range(n):
             assert reg.ext1_dim(i, j) == ext1_dim(reg.module(i), reg.module(j))
+
+
+CERTIFIED = [
+    (preset, field)
+    for preset in ("a-path:4", "preproj-a:3", "nakayama:cyclic:4:4", "nakayama:linear:5:3")
+    for field in (QQ, PrimeField(5))
+]
+
+
+@pytest.mark.parametrize("preset,field", CERTIFIED, ids=str)
+def test_zero_hom_certificates_match_a_direct_build(preset, field, monkeypatch):
+    # A fresh registry of the explored classes, same ids, reads every Hom
+    # space and Ext^1: a space that the support certificate stores unbuilt
+    # must be zero by a direct build, and so must Hom(Omega M_i, M_j) where
+    # M_j vanishes at P1's vertices.  Each certificate fires on some pair.
+    explored = explore(IsoRegistry(build_preset(preset, field))).registry
+    reg = IsoRegistry(explored.algebra)
+    ids = [reg.register(explored.module(i)) for i in range(explored.count())]
+    assert ids == list(range(explored.count()))
+    pairs = [(i, j) for i in ids for j in ids]
+    real = modules.hom_basis
+    built = []
+
+    def hom_basis(M, N):
+        built.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(modules, "hom_basis", hom_basis)
+    homs = {(i, j): reg.hom_space(i, j) for i, j in pairs}
+    hom_certified = len(pairs) - len(built)
+    built.clear()
+    ext1 = {(i, j): reg.ext1_dim(i, j) for i, j in pairs}
+    ext1_certified = len(pairs) - len(built)
+    monkeypatch.undo()
+    for i in ids:
+        M = reg.module(i)
+        pres = modules.minimal_projective_presentation(M)
+        for j in ids:
+            N = reg.module(j)
+            direct = real(M, N)
+            assert homs[i, j].free_cols == direct.free_cols
+            assert [h.flatten() for h in homs[i, j].basis] == [h.flatten() for h in direct.basis]
+            assert ext1[i, j] == ext1_dim(M, N, pres)
+    assert hom_certified > 0 and ext1_certified > 0
 
 
 def test_adjacency_lists_match_a_scan_of_the_arrows(quiver):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taumut import modules
-from taumut.errors import CharacteristicError, DimensionMismatchError, NotABrickError, SpecError
+from taumut.errors import CharacteristicError, DimensionMismatchError, NotABrickError, SpecError, TaumutError
 from taumut.linalg import QQ, Mat, PrimeField, hstack, row_space, vstack
 from taumut.modules import (
     Module,
@@ -183,6 +183,57 @@ def test_presentation_of_projective_simple(a3, simples):
     pres1 = minimal_projective_presentation(simples[0])
     assert pres1.p0.dims == (1, 1, 1)
     assert pres1.p1.dims == (0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv,presentations",
+    [
+        (["explore", "--preset", "a-path:5", "--field", "fp:32003"], 15),
+        (["verify", "--preset", "nakayama:cyclic:4:4"], 16),
+    ],
+    ids=["explore-apath5-fp", "verify-cyclic44-q"],
+)
+def test_presentations_build_p1_only_when_read(argv, presentations, monkeypatch, capsys):
+    # A verb reads only P1's vertices, the top of Omega M, so each
+    # presentation builds one projective cover; P1, its offsets and f,
+    # read later, are those of an eager second cover.
+    from taumut import cli
+
+    made, covers = [], []
+    real_present, real_cover = modules.minimal_projective_presentation, modules._projective_cover
+
+    def present(M):
+        made.append(real_present(M))
+        return made[-1]
+
+    def cover(M):
+        covers.append(M)
+        return real_cover(M)
+
+    monkeypatch.setattr(modules, "minimal_projective_presentation", present)
+    monkeypatch.setattr(modules, "_projective_cover", cover)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(made) == len(covers) == presentations
+    monkeypatch.undo()
+    for pres in made:
+        vertices, p1, p1_offsets, cover1 = real_cover(pres.omega)
+        assert pres.p1_vertices == vertices
+        assert (pres.p1, pres.p1_offsets) == (p1, p1_offsets)
+        assert pres.f.mats == cover1.compose(pres.omega_incl).mats
+        ModuleHom(pres.f.source, pres.f.target, pres.f.mats)  # raises unless it commutes
+        assert (pres.f.source, pres.f.target) == (p1, pres.p0)
+
+
+def test_registry_ext1_refuses_a_nonzero_ext_with_no_hom_from_omega(a3, simples):
+    # P1 of S_1 is P_2, where S_1 vanishes, so Hom(Omega S_1, S_1) = 0 is
+    # not built; a cached End(S_1) emptied by hand makes the formula read
+    # Ext^1 = -1, which names both modules' dims.
+    reg = IsoRegistry(a3)
+    s1 = reg.register(simples[0])
+    reg._hom[(s1, s1)] = modules.HomSpace(simples[0], simples[0], (), ())
+    with pytest.raises(TaumutError, match=r"Ext\^1 = -1 .* dims \[1, 0, 0\] and N with dims \[1, 0, 0\]"):
+        reg.ext1_dim(s1, s1)
 
 
 def test_tau_rigidity(a3, simples):
