@@ -360,23 +360,15 @@ QQ = RationalField()
 
 
 class Mat:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.  `Mat(field, rows)`
+    coerces every entry and checks the row lengths; a kernel that built
+    its rows well-formed uses the trusted `Mat._of`."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(
-        self,
-        field: Field,
-        rows: Sequence[Sequence],
-        *,
-        ncols: Optional[int] = None,
-        _raw: bool = False,
-    ):
+    def __init__(self, field: Field, rows: Sequence[Sequence], *, ncols: Optional[int] = None):
         self.field = field
-        if _raw:
-            self.rows = tuple(map(tuple, rows))
-        else:
-            self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
         self.nrows = len(self.rows)
         if self.rows:
             self.ncols = len(self.rows[0])
@@ -389,21 +381,27 @@ class Mat:
             if len(r) != self.ncols:
                 raise DimensionMismatchError("ragged rows in matrix")
 
+    @classmethod
+    def _of(cls, field: Field, rows, ncols: int) -> "Mat":
+        """The trusted constructor for rows a kernel built: ncols-wide rows
+        of canonical entries.  It checks nothing; `Mat(...)` coerces and
+        checks."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows = tuple(map(tuple, rows))
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Mat":
-        z = field.zero()
-        return Mat(
-            field, [[z] * ncols for _ in range(nrows)], ncols=ncols, _raw=True
-        )
+        row = (field.zero(),) * ncols
+        return Mat._of(field, (row,) * nrows, ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         z, o = field.zero(), field.one()
-        return Mat(
-            field,
-            [[o if i == j else z for j in range(n)] for i in range(n)],
-            _raw=True,
-        )
+        return Mat._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -438,7 +436,7 @@ class Mat:
         p = self.field.characteristic()
         if p:
             rows = [[x % p for x in row] for row in rows]
-        return Mat(self.field, rows, ncols=self.ncols, _raw=True)
+        return Mat._of(self.field, rows, self.ncols)
 
     def _check_same_shape(self, other: "Mat") -> None:
         self._check_same_field(other)
@@ -473,17 +471,12 @@ class Mat:
             )
         cols = other.ncols
         out = self.field._matmul(self.rows, other.rows, cols)
-        return Mat(self.field, out, ncols=cols, _raw=True)
+        return Mat._of(self.field, out, cols)
 
     def transpose(self) -> "Mat":
-        if self.nrows == 0 or self.ncols == 0:
-            return Mat(
-                self.field,
-                [() for _ in range(self.ncols)],
-                ncols=self.nrows,
-                _raw=True,
-            )
-        return Mat(self.field, list(zip(*self.rows)), _raw=True)
+        if self.nrows == 0:
+            return Mat._of(self.field, ((),) * self.ncols, 0)
+        return Mat._of(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
@@ -509,7 +502,7 @@ def hstack(field: Field, mats: Sequence[Mat], nrows: Optional[int] = None) -> Ma
         if m.nrows != n:
             raise DimensionMismatchError("hstack row-count mismatch")
     rows = [sum((list(m.rows[i]) for m in mats), []) for i in range(n)]
-    return Mat(field, rows, ncols=sum(m.ncols for m in mats), _raw=True)
+    return Mat._of(field, rows, sum(m.ncols for m in mats))
 
 
 def vstack(field: Field, mats: Sequence[Mat], ncols: Optional[int] = None) -> Mat:
@@ -527,7 +520,7 @@ def vstack(field: Field, mats: Sequence[Mat], ncols: Optional[int] = None) -> Ma
         if m.ncols != c:
             raise DimensionMismatchError("vstack column-count mismatch")
         rows.extend(m.rows)
-    return Mat(field, rows, ncols=c, _raw=True)
+    return Mat._of(field, rows, c)
 
 
 def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
@@ -542,7 +535,7 @@ def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
             out[r0 + i][c0 : c0 + m.ncols] = row
         r0 += m.nrows
         c0 += m.ncols
-    return Mat(field, out, ncols=total_c, _raw=True)
+    return Mat._of(field, out, total_c)
 
 
 def _rref_rows(field: Field, rows):
@@ -570,7 +563,7 @@ def row_space(m: Mat):
     if m.is_zero():
         return Mat.zeros(m.field, 0, m.ncols), ()
     rank, rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
-    return Mat(m.field, rows[:rank], ncols=m.ncols, _raw=True), pivots
+    return Mat._of(m.field, rows[:rank], m.ncols), pivots
 
 
 def kernel_basis(m: Mat):
@@ -582,21 +575,28 @@ def kernel_basis(m: Mat):
     any kernel vector are its entries at the free columns.  A zero matrix
     has every column free, with no elimination.
     """
-    field = m.field
-    if m.is_zero():
-        return Mat.identity(field, m.ncols), tuple(range(m.ncols))
-    _, rows, pivots = _rref_rows(field, [list(r) for r in m.rows])
+    basis, free_cols = kernel_rows(m.field, [list(r) for r in m.rows], m.ncols)
+    return Mat._of(m.field, basis, m.ncols), free_cols
+
+
+def kernel_rows(field: Field, rows: list, ncols: int):
+    """`kernel_basis` of the ncols-wide row lists `rows`, which may be
+    reused: the basis as a list of row lists, and the free columns."""
+    if any(map(any, rows)):
+        _, rows, pivots = _rref_rows(field, rows)
+    else:
+        pivots = ()
     pivot_set = set(pivots)
-    free_cols = tuple(c for c in range(m.ncols) if c not in pivot_set)
+    free_cols = tuple(c for c in range(ncols) if c not in pivot_set)
     zero, one = field.zero(), field.one()
     basis = []
     for fc in free_cols:
-        vec = [zero] * m.ncols
+        vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = field.neg(rows[r][fc])
         basis.append(vec)
-    return Mat(field, basis, ncols=m.ncols, _raw=True), free_cols
+    return basis, free_cols
 
 
 def reduce_row(field: Field, row, rref_rows, pivots):

@@ -31,6 +31,7 @@ from .linalg import (
     extend_span,
     hstack,
     kernel_basis,
+    kernel_rows,
     reduce_row,
     row_space,
     vstack,
@@ -38,7 +39,9 @@ from .linalg import (
 
 
 class Module:
-    """A right module presented as a quiver representation."""
+    """A right module presented as a quiver representation.  The public
+    constructor checks every shape and relation; `_validated=True`, for a
+    module a kernel built, checks nothing."""
 
     __slots__ = ("algebra", "dims", "mats")
 
@@ -51,8 +54,11 @@ class Module:
         _validated: bool = False,
     ):
         self.algebra = algebra
-        self.dims = tuple(int(d) for d in dims)
         self.mats = tuple(mats)
+        if _validated:
+            self.dims = tuple(dims)
+            return
+        self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != algebra.n_vertices:
             raise DimensionMismatchError("one dimension per vertex required")
         if len(self.mats) != len(algebra.quiver.arrows):
@@ -68,8 +74,7 @@ class Module:
                 )
             if m.field != algebra.field:
                 raise DimensionMismatchError("module matrices over the wrong field")
-        if not _validated:
-            self._check_relations()
+        self._check_relations()
 
     def _check_relations(self) -> None:
         A = self.algebra
@@ -149,7 +154,9 @@ def direct_sum(algebra: Algebra, summands: Sequence[Module]) -> Tuple[Module, Li
 
 
 class ModuleHom:
-    """A homomorphism f: M -> N, one matrix per vertex, rows act on left."""
+    """A homomorphism f: M -> N, one matrix per vertex, rows act on left.
+    The public constructor checks every shape and that f commutes with the
+    arrows; `_validated=True`, for a map a kernel built, checks nothing."""
 
     __slots__ = ("source", "target", "mats")
 
@@ -164,6 +171,8 @@ class ModuleHom:
         self.source = source
         self.target = target
         self.mats = tuple(mats)
+        if _validated:
+            return
         if len(self.mats) != source.algebra.n_vertices:
             raise DimensionMismatchError("one matrix per vertex required")
         for v, m in enumerate(self.mats):
@@ -172,8 +181,7 @@ class ModuleHom:
                     f"vertex {v}: expected {source.dims[v]}x{target.dims[v]}, "
                     f"got {m.nrows}x{m.ncols}"
                 )
-        if not _validated:
-            self._check_commutes()
+        self._check_commutes()
 
     def _check_commutes(self) -> None:
         A = self.source.algebra
@@ -279,24 +287,14 @@ def hom_basis(M: Module, N: Module) -> HomSpace:
                         c = offsets[w] + k * nw + l
                         row[c] = field.sub(row[c], x)
                 rows.append(row)
-    system = Mat(field, rows, ncols=total, _raw=True)
-    kernel_rows, free_cols = kernel_basis(system)
+    flats, free_cols = kernel_rows(field, rows, total)
     basis = []
-    for flat in kernel_rows.rows:
+    for flat in flats:
         mats = []
         for v in range(n):
             seg = flat[offsets[v] : offsets[v] + M.dims[v] * N.dims[v]]
-            mats.append(
-                Mat(
-                    field,
-                    [
-                        seg[i * N.dims[v] : (i + 1) * N.dims[v]]
-                        for i in range(M.dims[v])
-                    ],
-                    ncols=N.dims[v],
-                    _raw=True,
-                )
-            )
+            nv = N.dims[v]
+            mats.append(Mat._of(field, [seg[i * nv : (i + 1) * nv] for i in range(M.dims[v])], nv))
         basis.append(ModuleHom(M, N, mats, _validated=True))
     return HomSpace(M, N, tuple(basis), free_cols)
 
@@ -328,7 +326,7 @@ def submodule_from_rows(
         basis, cols = spans[w]
         pushed = rows[u].mul(M.mats[ai])
         at_cols = [[row[c] for c in cols] for row in pushed.rows]
-        coords = Mat(field, at_cols, ncols=len(cols), _raw=True)
+        coords = Mat._of(field, at_cols, len(cols))
         if coords.mul(basis) != pushed:
             raise DimensionMismatchError("vectors outside the expected row space")
         mats.append(coords)
@@ -362,12 +360,13 @@ def quotient_by_rows(M: Module, rows_per_vertex: Sequence[Mat]) -> Tuple[Module,
             for i in range(d)
         ]
         free.append(cols)
-        proj_mats.append(Mat(field, mat, ncols=len(cols), _raw=True))
+        proj_mats.append(Mat._of(field, mat, len(cols)))
     arrow_mats = []
     for ai, a in enumerate(A.quiver.arrows):
         u, w = vidx[a.source], vidx[a.target]
-        lifted = Mat(field, [M.mats[ai].row(c) for c in free[u]], ncols=M.dims[w], _raw=True)
-        arrow_mats.append(lifted.mul(proj_mats[w]))
+        lifted = [M.mats[ai].rows[c] for c in free[u]]
+        width = len(free[w])
+        arrow_mats.append(Mat._of(field, field._matmul(lifted, proj_mats[w].rows, width), width))
     quo = Module(A, [len(cols) for cols in free], arrow_mats, _validated=True)
     proj = ModuleHom(M, quo, proj_mats, _validated=True)
     return quo, proj
@@ -426,7 +425,7 @@ def projective_module(algebra: Algebra, v: int) -> Module:
             for k, c in algebra.path_class(v, arrows + (ai,)):
                 out[pos[w][k]] = c
             rows.append(out)
-        mats.append(Mat(field, rows, ncols=dims[w], _raw=True))
+        mats.append(Mat._of(field, rows, dims[w]))
     return Module(algebra, dims, mats, _validated=True)
 
 
@@ -527,7 +526,7 @@ def _hom_from_projectives(
                 for ai in arrows:
                     vec = field._matmul([vec], N.mats[ai].rows, N.mats[ai].ncols)[0]
                 rows[u][offsets[j][u] + local] = vec
-    mats = [Mat(field, r, ncols=N.dims[u], _raw=True) for u, r in enumerate(rows)]
+    mats = [Mat._of(field, r, N.dims[u]) for u, r in enumerate(rows)]
     return ModuleHom(P, N, mats, _validated=True)
 
 
@@ -770,7 +769,7 @@ class EndData:
     dim: int
     struct: Dict[Tuple[int, int], tuple]
     identity_coeffs: tuple
-    rad_vectors: List[tuple]
+    rad_vectors: List[list]
     rad_homs: List[ModuleHom]
 
 
@@ -820,8 +819,7 @@ def end_data(M: Module, space: HomSpace) -> EndData:
                     s = field.add(s, field.mul(c, traces[l]))
             row.append(s)
         gram_rows.append(row)
-    gram = Mat(field, gram_rows, ncols=d, _raw=True)
-    rad_vectors = list(kernel_basis(gram)[0].rows)
+    rad_vectors = kernel_rows(field, gram_rows, d)[0]
     rad_homs = [_hom_of_coords(M, E, vec) for vec in rad_vectors]
     return EndData(tuple(E), d, struct, identity_coeffs, rad_vectors, rad_homs)
 

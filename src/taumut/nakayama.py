@@ -97,7 +97,7 @@ def uniserial_module(algebra: Algebra, top_vertex: int, length: int) -> Module:
         unit = Mat.identity(field, d).rows
         paths = algebra.basis_paths(u, w)
         long = [unit[z] for z, (_, arrows) in enumerate(paths) if len(arrows) >= length]
-        killed.append(Mat(field, long, ncols=d, _raw=True))
+        killed.append(Mat._of(field, long, d))
     return quotient_by_rows(P, killed)[0]
 
 

@@ -210,7 +210,7 @@ def solve(m, rhs):
     out = [[field.zero()] * rhs.ncols for _ in range(m.ncols)]
     for r, c in enumerate(pivots):
         out[c] = rows[r][m.ncols :]
-    return Mat(field, out, ncols=rhs.ncols, _raw=True)
+    return Mat._of(field, out, rhs.ncols)
 
 
 def reference_kernel(h):
@@ -430,7 +430,7 @@ def reference_injective(algebra, v):
         for y_local, (_, y_arrows) in enumerate(blocks[w]):
             for k, c in algebra.path_class(u, (ai,) + y_arrows):
                 mat[pos[u][k]][y_local] = c
-        mats.append(Mat(field, mat, ncols=dims[w], _raw=True))
+        mats.append(Mat._of(field, mat, dims[w]))
     return Module(algebra, dims, mats)
 
 
@@ -468,7 +468,7 @@ def reference_nakayama_map(pres):
                         for k, c in A.mult_basis(y_k, b):
                             r, col = off1[i][u] + rpos[k], off0[j][u] + y_local
                             mat[r][col] = field.add(mat[r][col], field.mul(cb, c))
-        mats.append(Mat(field, mat, ncols=nu_p0.dims[u], _raw=True))
+        mats.append(Mat._of(field, mat, nu_p0.dims[u]))
     return nu_p1, nu_p0, ModuleHom(nu_p1, nu_p0, mats)
 
 

@@ -31,7 +31,9 @@ derived by duality, against their own definitions; and explorations over
 Q against explorations over several primes.  The registry's Fac test is
 checked against in_fac of the summands, kernels that keep their echelon
 basis against the reduced left kernel, maps built without the commutation
-check against that check, and the top components of each pair and the
+check against that check, every matrix, module and map that a trusted
+constructor builds under each verb against the public constructors'
+checks, and the top components of each pair and the
 socle components of its dual pair against the labels of its arrows out and in;
 the collection read off the arrows must also pass the Koenig-Yang Hom
 table, which must fail at a vertex whose arrow in has its label swapped,
@@ -333,7 +335,7 @@ def _basis_change(A, vertices):
             for col, (_, arrows) in enumerate(paths):
                 for k, c in op.path_class(v, arrows[::-1]):
                     rows[pos[k]][col] = c
-            blocks.append(Mat(field, rows, ncols=len(paths), _raw=True))
+            blocks.append(Mat._of(field, rows, len(paths)))
         mats.append(block_diag(field, blocks))
     return mats
 
@@ -826,6 +828,62 @@ def test_maps_made_by_construction_commute(preset, field, monkeypatch):
     for maps in made.values():
         for h in maps:
             ModuleHom(h.source, h.target, h.mats)  # raises unless it commutes
+
+
+# `quotient` needs a central radical element.  The path algebra of A_4 and
+# nakayama:cyclic:3:3, whose only cycles have the Loewy length, have none,
+# and the verb refuses them before it builds a module.
+TRUSTED = [
+    ("a-path:4", "q", ["--summand", "0,1,0,0", "--summand", "0,1,1,1"], None),
+    ("nakayama:cyclic:3:3", "fp:5", ["--summand", "1,0,0"], None),
+    ("preproj-a:3", "q", ["--summand", "1,2,1"], "b1*a1"),
+]
+
+
+@pytest.mark.parametrize("preset,field,summands,generator", TRUSTED, ids=[c[0] for c in TRUSTED])
+def test_trusted_constructors_build_what_the_public_ones_accept(
+    preset, field, summands, generator, monkeypatch, capsys
+):
+    # Mat._of, Module(_validated=True) and ModuleHom(_validated=True) check
+    # nothing when they run; here every object they build under each verb
+    # must pass the public checks: rows of ncols canonical entries, module
+    # shapes and relations, map shapes and commutation.
+    from taumut import cli
+
+    seen = Counter()
+    of, module_init, hom_init = Mat._of.__func__, Module.__init__, ModuleHom.__init__
+
+    def checked_of(cls, fld, rows, ncols):
+        m = of(cls, fld, rows, ncols)
+        seen["Mat"] += 1
+        assert m.nrows == len(m.rows) and all(len(row) == ncols for row in m.rows)
+        assert Mat(fld, m.rows, ncols=ncols).rows == m.rows
+        assert all(type(x) is type(fld.coerce(x)) for row in m.rows for x in row)
+        return m
+
+    def checked_module(self, algebra, dims, mats, *, _validated=False):
+        module_init(self, algebra, dims, mats, _validated=_validated)
+        if _validated:
+            seen["Module"] += 1
+            assert all(type(d) is int for d in self.dims)
+            Module(algebra, self.dims, self.mats)  # raises on a bad shape or relation
+
+    def checked_hom(self, source, target, mats, *, _validated=False):
+        hom_init(self, source, target, mats, _validated=_validated)
+        if _validated:
+            seen["ModuleHom"] += 1
+            ModuleHom(source, target, self.mats)  # raises on a bad shape or unless it commutes
+
+    monkeypatch.setattr(Mat, "_of", classmethod(checked_of))
+    monkeypatch.setattr(Module, "__init__", checked_module)
+    monkeypatch.setattr(ModuleHom, "__init__", checked_hom)
+    runs = [("explore", []), ("verify", []), ("smc", []), ("gvectors", []), ("restrict", summands)]
+    if generator:
+        runs.append(("quotient", ["--generator", generator]))
+    for verb, extra in runs:
+        assert cli.main([verb, "--preset", preset, "--field", field, *extra]) == 0
+        capsys.readouterr()
+    assert set(seen) == {"Mat", "Module", "ModuleHom"}
 
 
 # -- Asai's labelling: the SMC at a vertex is the labels of its arrows ---------

@@ -123,10 +123,18 @@ def test_matmul_shape_guard():
         a.mul(a)
 
 
+def test_public_constructor_refuses_ragged_rows_and_a_wrong_width():
+    with pytest.raises(DimensionMismatchError, match="ragged rows"):
+        Mat(QQ, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError, match="ncols disagrees"):
+        Mat(QQ, [[1, 2], [3, 4]], ncols=3)
+    assert Mat(F5, [[7, "1/2"]], ncols=2).rows == ((2, 3),)
+
+
 def _reduced(m):
     """_rref_rows on a matrix: (rank, the reduced rows as a matrix, pivots)."""
     rank_, rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
-    return rank_, Mat(m.field, rows, ncols=m.ncols, _raw=True), pivots
+    return rank_, Mat._of(m.field, rows, m.ncols), pivots
 
 
 def test_rref_known_matrix():
@@ -143,6 +151,7 @@ def test_empty_matrix_width_is_kept():
     m = Mat.zeros(QQ, 0, 3)
     assert (m.nrows, m.ncols) == (0, 3)
     assert m.transpose().nrows == 3
+    assert (m.transpose().ncols, m.transpose().transpose()) == (0, m)
 
 
 def test_stacking():
@@ -390,7 +399,7 @@ def test_entrywise_ops_and_reduce_row(field, data):
         assert all(resid[c] == 0 for c in pivots)
         diff = Mat(field, [row], ncols=a.ncols).sub(Mat(field, [resid], ncols=a.ncols))
         assert len(row_space(vstack(field, [span, diff]))[1]) == len(pivots)
-        _assert_canonical_entries(Mat(field, [resid], ncols=a.ncols, _raw=True))
+        _assert_canonical_entries(Mat._of(field, [resid], a.ncols))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -412,7 +421,7 @@ def test_extend_span_grows_exactly_when_rank_grows(field, data):
         assert all(row[b] == 0 for b in pivots[:i])
     for row in m.rows:
         assert not any(reduce_row(field, row, rows, pivots))
-    _assert_canonical_entries(Mat(field, rows, ncols=m.ncols, _raw=True))
+    _assert_canonical_entries(Mat._of(field, rows, m.ncols))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -436,7 +445,7 @@ def test_zero_matrices_are_not_eliminated(field, monkeypatch):
     for nrows, ncols in shapes:
         rank_, reduced, pivots = _reduced(Mat.zeros(field, nrows, ncols))
         assert (rank_, pivots) == (0, ())
-        basis = Mat(field, reduced.rows[:rank_], ncols=ncols, _raw=True)
+        basis = Mat._of(field, reduced.rows[:rank_], ncols)
         free = tuple(c for c in range(ncols) if c not in pivots)
         ker = Mat(field, [[int(c == fc) for c in range(ncols)] for fc in free], ncols=ncols)
         eliminated.append(((basis, pivots), (ker, free)))

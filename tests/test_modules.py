@@ -6,13 +6,17 @@ uniserial 1/2/3)."""
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
+import pkgutil
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumut import modules
+import taumut
+from taumut import linalg, modules
 from taumut.errors import CharacteristicError, DimensionMismatchError, NotABrickError, SpecError, TaumutError
 from taumut.linalg import QQ, Mat, PrimeField, hstack, row_space, vstack
 from taumut.modules import (
@@ -108,6 +112,18 @@ def test_module_constructor_guards(a3):
     one = Mat(QQ, [[1]])
     with pytest.raises(SpecError):
         Module(msex, (1, 1, 1), (one, one, one))
+
+
+def test_hom_constructor_guards(a3, simples):
+    # The public constructor checks each vertex's shape and commutation.
+    P0, S0 = projective_module(a3, 0), simples[0]
+    one, empty = Mat.identity(QQ, 1), Mat.zeros(QQ, 0, 1)
+    with pytest.raises(DimensionMismatchError, match="vertex 1: expected 1x1, got 1x2"):
+        ModuleHom(P0, P0, [one, Mat.zeros(QQ, 1, 2), one])
+    # S_0 -> P_0 onto the top of P_0 is not a module map: a1 kills S_0 but not P_0
+    with pytest.raises(DimensionMismatchError, match="does not commute with arrow a1"):
+        ModuleHom(S0, P0, [one, empty, empty])
+    assert not ModuleHom(P0, S0, [one, empty.transpose(), empty.transpose()]).is_zero()
 
 
 def test_hom_dims_between_uniserials(a3, simples):
@@ -223,6 +239,44 @@ def test_presentations_build_p1_only_when_read(argv, presentations, monkeypatch,
         assert pres.f.mats == cover1.compose(pres.omega_incl).mats
         ModuleHom(pres.f.source, pres.f.target, pres.f.mats)  # raises unless it commutes
         assert (pres.f.source, pres.f.target) == (p1, pres.p0)
+
+
+@pytest.mark.parametrize(
+    "argv,calls",
+    [
+        (
+            ["explore", "--preset", "a-path:5", "--field", "fp:32003"],
+            {"_rref_rows": 242, "hom_basis": 63, "quotient_by_rows": 49},
+        ),
+        (
+            ["verify", "--preset", "nakayama:cyclic:4:4"],
+            {"_rref_rows": 815, "hom_basis": 188, "quotient_by_rows": 188},
+        ),
+    ],
+    ids=["explore-apath5-fp", "verify-cyclic44-q"],
+)
+def test_the_timed_verbs_do_pinned_work(argv, calls, monkeypatch, capsys):
+    # Eliminations, Hom systems and quotients per run of each timed verb,
+    # counted wherever a taumut module binds them.  How matrices, modules
+    # and maps are constructed must not move these counts.
+    from taumut import cli
+
+    namespaces = [importlib.import_module(m.name) for m in pkgutil.iter_modules(taumut.__path__, "taumut.")]
+    counts = Counter()
+    for owner, name in ((linalg, "_rref_rows"), (modules, "hom_basis"), (modules, "quotient_by_rows")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, attr, counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert counts == calls
 
 
 def test_registry_ext1_refuses_a_nonzero_ext_with_no_hom_from_omega(a3, simples):
