@@ -251,13 +251,42 @@ def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
     ]
 
 
-def test_verify_reports_the_duality(capsys, monkeypatch):
+def test_verify_sees_a_broken_duality_in_the_table(capsys, monkeypatch):
+    # verify runs no duality report: G^T C = diag(d') follows from the
+    # Koenig-Yang table.  dim End of one label read as 2 after exploring
+    # breaks G^T C = diag(d') at exactly the vertices whose collection holds
+    # the label, and the table fails there.  The coincidence loop sees the
+    # true dim End, since its mutation guard refuses a brick with End 2.
     from taumut import cli
+    from taumut.grothendieck import check_duality, grothendieck_data
+    from taumut.smc import smc_of_vertex
 
-    monkeypatch.setattr(cli, "duality_report", lambda pair, x: {"ok": False})
-    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
+    holders, broken = [], []
+
+    def claim(quiver):
+        reg = quiver.registry
+        (label,) = {lab for _, _, lab in quiver.arrows if reg.module(lab).dims == (0, 1, 0)}
+        holders.extend(sorted({v for s, t, lab in quiver.arrows if lab == label for v in (s, t)}))
+        real = reg.end_dim
+        reg.end_dim = lambda i: 2 if i == label else real(i)
+        for i, pair in enumerate(quiver.pairs):
+            if not check_duality(grothendieck_data(pair, smc_of_vertex(quiver, i)))["ok"]:
+                broken.append(i)
+
+    real_coincidence = cli.check_label_coincidence
+
+    def coincidence(quiver, collections):
+        del quiver.registry.end_dim
+        return real_coincidence(quiver, collections)
+
+    _after_exploring(monkeypatch, claim)
+    monkeypatch.setattr(cli, "check_label_coincidence", coincidence)
+    code, fails = _verify_failures(capsys, "a-path:3")
     assert code == 1
-    assert fails == [f"FAIL: duality fails at vertex {i}" for i in range(6)]
+    assert 0 < len(holders) < 14 and broken == holders
+    prefix = "FAIL: Koenig-Yang table fails at vertex "
+    assert [int(line[len(prefix):].split(":")[0]) for line in fails] == holders
+    assert all(line.startswith(prefix) and line.endswith(", not 2") for line in fails)
 
 
 def test_gvectors_fails_where_a_label_claims_a_larger_end(capsys, monkeypatch):
@@ -364,20 +393,22 @@ def test_smc_reports_a_collection_that_fails_its_axioms(capsys, monkeypatch):
 
 
 def test_verify_reports_label_coincidence(capsys, monkeypatch):
-    # the first Koenig-Yang mutation leaves its collection unchanged
+    # the first Koenig-Yang mutation leaves its collection unchanged; no
+    # mutation re-checks the axioms of what it compares with a vertex's
     from taumut import smc
 
     real = smc.smc_left_mutate
     calls = []
 
-    def first_unmutated(x, brick):
-        calls.append(brick)
-        return x if len(calls) == 1 else real(x, brick)
+    def first_unmutated(x, brick, check=True):
+        calls.append(check)
+        return x if len(calls) == 1 else real(x, brick, check=check)
 
     monkeypatch.setattr(smc, "smc_left_mutate", first_unmutated)
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == ["FAIL: label coincidence failures: [(0, 1, (1, 0))]"]
+    assert calls and not any(calls)
 
 
 @pytest.mark.parametrize(

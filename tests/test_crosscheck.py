@@ -37,7 +37,8 @@ checks, and the top components of each pair and the
 socle components of its dual pair against the labels of its arrows out and in;
 the collection read off the arrows must also pass the Koenig-Yang Hom
 table, which must fail at a vertex whose arrow in has its label swapped,
-or whose degree-0 label is swapped for one nonzero at a missing vertex.
+or whose degree-0 label is swapped for one nonzero at a missing vertex,
+and each entry of G^T C must be a signed difference of the table's entries.
 The label and direction of each arrow, which explore reads off the known
 bricks in each face's wide subcategory, are checked against the top
 components of every pair, and the known bricks against the bricks of the
@@ -54,6 +55,7 @@ import pytest
 from taumut import IsoRegistry, modules, smc, tautilt
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
 from taumut.errors import CharacteristicError, MutationError, NotABrickError
+from taumut.grothendieck import grothendieck_data
 from taumut.linalg import QQ, Mat, PrimeField, block_diag, hstack, kernel_basis, row_space
 from taumut.modules import (
     Module,
@@ -943,6 +945,35 @@ def test_the_koenig_yang_table_holds_at_every_vertex(labelled):
         assert check_silting_table(pair, smc_of_vertex(labelled, i, check=False)).violations == [], i
 
 
+@pytest.mark.parametrize(
+    "preset,field",
+    [("a-path:4", QQ), ("preproj-a:3", QQ), ("nakayama:cyclic:4:4", QQ), ("nakayama:linear:5:3", PrimeField(5))],
+    ids=lambda c: str(c) if isinstance(c, str) else f"char{c.characteristic()}",
+)
+def test_gtc_is_a_signed_difference_of_table_entries(preset, field):
+    # The identity that lets verify drop the duality report: entry (k, j)
+    # of G^T C is s_j (hom_dim - tau_hom_dim) of (M_k, B_j) for a summand
+    # column k, and -s_j (B_j)_v for the column of a missing vertex v.
+    q = explore(IsoRegistry(build_preset(preset, field)))
+    reg = q.registry
+    entries = 0
+    for i, pair in enumerate(q.pairs):
+        x = smc_of_vertex(q, i, check=False)
+        data = grothendieck_data(pair, x)
+        n = len(x.columns)
+        for k, t in enumerate(x.columns):
+            for j, col in enumerate(x.columns):
+                b = col.brick_id
+                if t.kind == "support":
+                    want = -col.sign * reg.module(b).dims[t.index]
+                else:
+                    sid = pair.summand_ids[t.index]
+                    want = col.sign * (reg.hom_dim(sid, b) - reg.tau_hom_dim(sid, b))
+                assert sum(data.g[v][k] * data.c[v][j] for v in range(n)) == want, (i, k, j)
+                entries += 1
+    assert entries == q.n_vertices * reg.algebra.n_vertices ** 2
+
+
 def _swappable_in_label(quiver):
     """(vertex, arrow in, brick): the first arrow in whose label can be
     swapped for another arrow label outside the vertex's collection with
@@ -1033,7 +1064,8 @@ def test_the_table_sees_a_degree0_label_nonzero_at_a_missing_vertex(labelled):
 )
 def test_cached_element_mutations_match_the_uncached_mutation(preset, field):
     # Every arrow of a fresh quiver, first with the element cache emptied
-    # before each mutation, then with it full.
+    # before each mutation, then with it full; unchecked, a mutation
+    # returns the collection it returns checked.
     q = explore(IsoRegistry(build_preset(preset, field)))
     reg = q.registry
     arrows = [(s, t, lab) for s, t, lab in q.arrows if reg.ext1_dim(lab, lab) == 0]
@@ -1048,6 +1080,7 @@ def test_cached_element_mutations_match_the_uncached_mutation(preset, field):
     # the first pass fills the cache, the second reads every element from it
     for _ in range(2):
         assert [smc_left_mutate(collections[s], lab).key for s, _, lab in arrows] == expected
+    assert [smc_left_mutate(collections[s], lab, check=False).key for s, _, lab in arrows] == expected
 
 
 # -- components built once per (summand, summands it sees) ---------------------

@@ -246,24 +246,36 @@ def test_presentations_build_p1_only_when_read(argv, presentations, monkeypatch,
     [
         (
             ["explore", "--preset", "a-path:5", "--field", "fp:32003"],
-            {"_rref_rows": 242, "hom_basis": 63, "quotient_by_rows": 49},
+            {"_rref_rows": 242, "hom_basis": 63, "quotient_by_rows": 49, "check_smc_axioms": 0},
         ),
         (
+            # once per vertex: the coincidence loop re-checks no mutated
+            # collection, and the table stands in for the duality report
             ["verify", "--preset", "nakayama:cyclic:4:4"],
-            {"_rref_rows": 815, "hom_basis": 188, "quotient_by_rows": 188},
+            {"_rref_rows": 815, "hom_basis": 188, "quotient_by_rows": 188, "check_smc_axioms": 70},
         ),
     ],
     ids=["explore-apath5-fp", "verify-cyclic44-q"],
 )
 def test_the_timed_verbs_do_pinned_work(argv, calls, monkeypatch, capsys):
-    # Eliminations, Hom systems and quotients per run of each timed verb,
-    # counted wherever a taumut module binds them.  How matrices, modules
+    # Eliminations, Hom systems, quotients and axiom checks per run of each
+    # timed verb, counted wherever a taumut module binds them; neither verb
+    # builds g/c-matrices or takes a determinant.  How matrices, modules
     # and maps are constructed must not move these counts.
-    from taumut import cli
+    from taumut import cli, grothendieck, smc
 
+    calls = dict(calls, grothendieck_data=0, duality_report=0, _int_det=0)
     namespaces = [importlib.import_module(m.name) for m in pkgutil.iter_modules(taumut.__path__, "taumut.")]
     counts = Counter()
-    for owner, name in ((linalg, "_rref_rows"), (modules, "hom_basis"), (modules, "quotient_by_rows")):
+    for owner, name in (
+        (linalg, "_rref_rows"),
+        (modules, "hom_basis"),
+        (modules, "quotient_by_rows"),
+        (smc, "check_smc_axioms"),
+        (grothendieck, "grothendieck_data"),
+        (grothendieck, "duality_report"),
+        (grothendieck, "_int_det"),
+    ):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _fn=original):
@@ -276,7 +288,7 @@ def test_the_timed_verbs_do_pinned_work(argv, calls, monkeypatch, capsys):
                     monkeypatch.setattr(ns, attr, counted)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert counts == calls
+    assert {name: counts[name] for name in calls} == calls
 
 
 def test_registry_ext1_refuses_a_nonzero_ext_with_no_hom_from_omega(a3, simples):

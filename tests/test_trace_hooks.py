@@ -36,13 +36,19 @@ def test_tracer_installs_and_uninstalls(tracing):
     assert tracing.wrapped_names() == []
 
 
-# Spans that no verb reaches, each with its reason.  The tracer still binds
-# them, so the benchmark's per-layer names resolve.
+# Spans that verify does not reach, each with its reason.  The tracer still
+# binds them, so the benchmark's per-layer names resolve.
 OFF_THE_VERIFY_PATH = {
     # A verb registers bricks (certified by dim End), mutation cokernels,
     # translates and quotient's reduced summands, and decomposes none of
     # them; decompose stays as library API and the tests' reference route.
     "modules.decompose",
+    # The Koenig-Yang table gives G^T C = diag(d') with every d' = 1, so
+    # verify builds no g/c-matrices; gvectors still builds them.
+    "grothendieck.grothendieck_data",
+    # No verb runs the report: gvectors prints the determinants, so it
+    # calls check_duality on grothendieck_data itself.
+    "grothendieck.duality_report",
 }
 
 
@@ -62,3 +68,16 @@ def test_every_span_is_on_the_verify_path(tracing):
         tracer.uninstall()
     calls = tracer.summary()["calls"]
     assert {name for name, n in calls.items() if n == 0} == OFF_THE_VERIFY_PATH
+
+
+def test_gvectors_builds_the_grothendieck_data(tracing):
+    from taumut import cli
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gvectors", "--preset", "a-path:3"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["calls"]["grothendieck.grothendieck_data"] == 14
