@@ -177,15 +177,14 @@ def smc_of_vertex(quiver: ExchangeQuiver, i: int, check: bool = True) -> TwoTerm
     degree0 = [c.brick_id for c in cols if c.sign > 0]
     degree_minus1 = [c.brick_id for c in cols if c.sign < 0]
     out = TwoTermSMC(pair.registry, degree0, degree_minus1, cols)
-    return _checked(out, f"{_where(pair)}: constructed") if check else out
-
-
-def _checked(x: TwoTermSMC, made: str) -> TwoTermSMC:
-    """x once it passes the axioms; `made` starts the error message."""
-    report = check_smc_axioms(x)
-    if not report.ok:
-        raise TaumutError(f"{made} collection failed its axioms: " + "; ".join(report.violations))
-    return x
+    if check:
+        report = check_smc_axioms(out)
+        if not report.ok:
+            raise TaumutError(
+                f"{_where(pair)}: constructed collection failed its axioms: "
+                + "; ".join(report.violations)
+            )
+    return out
 
 
 @dataclass
@@ -371,7 +370,7 @@ def _mutate_element(reg: IsoRegistry, sid: int, s0: int, degree: int) -> Tuple[i
     return reg.element_mutations[key]
 
 
-def smc_left_mutate(x: TwoTermSMC, s0: int, check: bool = True) -> TwoTermSMC:
+def smc_left_mutate(x: TwoTermSMC, s0: int) -> TwoTermSMC:
     """Left mutation of a collection at one of its degree-0 bricks S0, by
     registry id (Koenig-Yang, "Silting objects, simple-minded collections,
     t-structures and co-t-structures", Doc. Math. 19 (2014)).
@@ -381,7 +380,9 @@ def smc_left_mutate(x: TwoTermSMC, s0: int, check: bool = True) -> TwoTermSMC:
     other element is replaced by a universal extension, a cokernel, or a
     kernel depending on how it interacts with S0 (`_mutate_element`, cached
     on the registry by element, brick and degree).  The new collection's
-    axioms are checked unless check=False, as `check_label_coincidence` passes.
+    axioms are not checked: `check_label_coincidence` compares it with a
+    vertex's collection, whose axioms `verify` checks, so a mutation that
+    breaks them fails as a mismatch.
     """
     reg = x.registry
     if s0 not in x.degree0:
@@ -399,10 +400,7 @@ def smc_left_mutate(x: TwoTermSMC, s0: int, check: bool = True) -> TwoTermSMC:
             if sid != s0:
                 d, i = _mutate_element(reg, sid, s0, degree)
                 new[d].append(i)
-    out = TwoTermSMC(reg, new[0], new[-1])
-    if not check:
-        return out
-    return _checked(out, f"mutating at the brick with dims {list(reg.module(s0).dims)}: mutated")
+    return TwoTermSMC(reg, new[0], new[-1])
 
 
 def check_label_coincidence(quiver: ExchangeQuiver, collections: Sequence[TwoTermSMC]) -> dict:
@@ -419,7 +417,7 @@ def check_label_coincidence(quiver: ExchangeQuiver, collections: Sequence[TwoTer
         if reg.ext1_dim(lab, lab) != 0:
             skipped.append((s, t, dims))
             continue
-        if smc_left_mutate(collections[s], lab, check=False).key != collections[t].key:
+        if smc_left_mutate(collections[s], lab).key != collections[t].key:
             failures.append((s, t, dims))
         checked += 1
     return {

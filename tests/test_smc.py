@@ -321,16 +321,23 @@ def test_an_approximation_that_is_neither_mono_nor_epi_names_its_element(monkeyp
     )
 
 
-def test_a_mutated_collection_that_fails_its_axioms_names_the_brick(monkeypatch):
-    # every element kept in place: S1 still extends S2, now shifted
+def test_a_mutation_that_breaks_the_axioms_fails_as_a_mismatch(monkeypatch):
+    # every element kept in place: S1 still extends S2, now shifted.  The
+    # mutation returns the broken collection unchecked, and the coincidence
+    # check reports every arrow whose mutated collection breaks the axioms.
     reg, x, lab = _a3_arrow(0, 2, (0, 1, 0))
     monkeypatch.setattr(smc, "_mutate_element", lambda reg, sid, s0, degree: (degree, sid))
-    with pytest.raises(TaumutError) as err:
-        smc_left_mutate(x, lab)
-    assert str(err.value) == (
-        "mutating at the brick with dims [0, 1, 0]: mutated collection failed "
-        "its axioms: Ext1 across degrees: (1, 0, 0) -> (0, 1, 0)"
-    )
+    report = check_smc_axioms(smc_left_mutate(x, lab))
+    assert report.violations == ["Ext1 across degrees: (1, 0, 0) -> (0, 1, 0)"]
+    q = explore(IsoRegistry(build_preset("a-path:3")))
+    collections = collections_of(q)
+    broken = {
+        (s, t, q.registry.module(lab).dims)
+        for s, t, lab in q.arrows
+        if not check_smc_axioms(smc_left_mutate(collections[s], lab)).ok
+    }
+    failures = check_label_coincidence(q, collections)["failures"]
+    assert (0, 2, (0, 1, 0)) in broken and broken <= set(failures)
 
 
 @pytest.mark.parametrize("read", [paired_columns, smc_of_vertex], ids=lambda f: f.__name__)
