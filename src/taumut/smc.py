@@ -5,11 +5,12 @@ bijection the collection at a vertex is read off its arrows: the labels
 of the arrows out (top components of its summands) in degree 0, the
 labels of the arrows in shifted.  Each label is paired with the column of
 the summand or missing vertex that its arrow exchanges.  `smc_of_vertex`
-reads that pairing once and keeps it on the collection, and every
-per-vertex check takes the collection: `check_silting_table` checks it
-against the vertex's two-term silting complex entry by entry
-(Koenig-Yang), from cached Hom dimensions alone, and the Grothendieck
-matrices are built from its columns.
+reads that pairing once and keeps it on the collection; it checks only
+the shape of the pairing and certifies nothing.  Each per-vertex check
+takes the collection: `check_smc_axioms` reads brick-to-brick Hom and
+Ext^1, `check_silting_table` checks it against the vertex's two-term
+silting complex entry by entry (Koenig-Yang), from cached Hom dimensions
+alone, and the Grothendieck matrices are built from its columns.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ def paired_columns(quiver: ExchangeQuiver, i: int) -> List[PairedColumn]:
     its label goes to that column in degree 0.  An arrow in, s -> i, brings
     the one summand or missing vertex of i that s lacks, and its label goes
     to that column shifted.  An incomplete quiver may lack arrows in, so
-    the quiver must be complete.  Each column is certified at runtime: a
-    degree-0 brick must receive a map from its summand, a shifted one must
-    map into the summand's translate (Hom(S, tau U) read off the g-vector
-    pairing), and a missing vertex's brick must be nonzero there.
+    the quiver must be complete.  Only the shape of the pairing is checked
+    here: one column per arrow, every column paired, and a missing vertex
+    paired with an arrow in.  That each brick is nonzero against its column
+    is the diagonal of `check_silting_table`, and of G^T C = diag(d') in
+    `check_duality`.
     """
     if not quiver.complete:
         raise IncompleteExplorationError(
@@ -134,7 +136,6 @@ def paired_columns(quiver: ExchangeQuiver, i: int) -> List[PairedColumn]:
             "exchange quiver"
         )
     pair = quiver.pairs[i]
-    reg = pair.registry
     keys = _column_keys(pair)
     paired: dict = {}
     for sign, other, arrows in ((1, 1, quiver.out_arrows(i)), (-1, 0, quiver.in_arrows(i))):
@@ -156,35 +157,21 @@ def paired_columns(quiver: ExchangeQuiver, i: int) -> List[PairedColumn]:
         if column not in paired:
             raise fail(column, "no arrow in or out pairs with this column")
         sign, brick = paired[column]
-        if kind == "support":
-            if sign > 0 or reg.module(brick).dims[key] == 0:
-                raise fail(column, "degree -1 column does not pair with its vertex")
-        elif sign > 0 and reg.hom_dim(key, brick) == 0:
-            raise fail(column, "degree-0 column does not pair with its summand")
-        elif sign < 0 and reg.tau_hom_dim(key, brick) == 0:
-            raise fail(column, "degree -1 column does not pair with its summand")
+        if kind == "support" and sign > 0:
+            raise fail(column, "degree -1 column does not pair with its vertex")
         columns.append(PairedColumn(kind, key if kind == "support" else column, sign, brick))
     return columns
 
 
-def smc_of_vertex(quiver: ExchangeQuiver, i: int, check: bool = True) -> TwoTermSMC:
+def smc_of_vertex(quiver: ExchangeQuiver, i: int) -> TwoTermSMC:
     """The two-term collection at vertex i: the labels of its arrows out in
     degree 0, those of its arrows in shifted, with the `paired_columns` they
-    were read from.  With check=True the axioms are verified before
-    returning."""
-    pair = quiver.pairs[i]
+    were read from.  The collection is read, not certified: callers check
+    it with `check_smc_axioms` and `check_silting_table`."""
     cols = tuple(paired_columns(quiver, i))
     degree0 = [c.brick_id for c in cols if c.sign > 0]
     degree_minus1 = [c.brick_id for c in cols if c.sign < 0]
-    out = TwoTermSMC(pair.registry, degree0, degree_minus1, cols)
-    if check:
-        report = check_smc_axioms(out)
-        if not report.ok:
-            raise TaumutError(
-                f"{_where(pair)}: constructed collection failed its axioms: "
-                + "; ".join(report.violations)
-            )
-    return out
+    return TwoTermSMC(quiver.pairs[i].registry, degree0, degree_minus1, cols)
 
 
 @dataclass
@@ -248,7 +235,8 @@ def check_silting_table(pair: SupportPair, x: TwoTermSMC) -> SmcReport:
     Hom(P_M, B[1]) = D Hom(B, tau M) (`tau_hom_dim`), Hom(P_v[1], B[1]) = B_v
     and Hom(P_v[1], B) = 0; no other shift is nonzero between two-term
     complexes and modules.  A shifted element S[1] reads these at m - 1, so
-    its m = -1 entry is Hom(M_k, S).
+    its m = -1 entry is Hom(M_k, S).  The diagonal certifies that each brick
+    pairs with its column, which `paired_columns` leaves unchecked.
 
     The check is complete when X passes `check_smc_axioms`.  The m != 0
     entries put each X_j in the heart of the t-structure of T.  By

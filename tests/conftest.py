@@ -109,7 +109,7 @@ def summand_dims(pair: SupportPair) -> tuple:
 
 def collections_of(quiver: ExchangeQuiver) -> list:
     """Every vertex's collection, read once each, as `verify` reads them."""
-    return [smc_of_vertex(quiver, i, check=False) for i in range(quiver.n_vertices)]
+    return [smc_of_vertex(quiver, i) for i in range(quiver.n_vertices)]
 
 
 def vertex_by_summands(quiver: ExchangeQuiver, dims) -> int:

@@ -183,22 +183,37 @@ def _after_exploring(monkeypatch, change):
 
 
 def test_verify_reports_the_degree_law(capsys, monkeypatch):
-    # a quiver that claims one more vertex: in + out = n fails everywhere
-    from types import SimpleNamespace
+    # verify prints no degree-law line: reading a vertex's collection pairs
+    # each of its n columns with exactly one arrow in or out, so a quiver
+    # with in + out != n at a vertex stops verify there with the pair and
+    # the column.  Vertex 0 of nakayama:cyclic:2:2 has the arrows 0 -> 1
+    # and 0 -> 2 out and none in.
+    from taumut import cli
+    from taumut.tautilt import ExchangeQuiver
 
-    _after_exploring(
-        monkeypatch,
-        lambda q: setattr(q, "algebra", SimpleNamespace(n_vertices=q.algebra.n_vertices + 1)),
-    )
-    code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
-    assert code == 1
-    assert fails == [f"FAIL: degree law fails at vertex {i}" for i in range(6)]
+    real = cli.explore
+    arrows = None
+
+    def explore(reg, max_depth=None):
+        q = real(reg, max_depth)
+        return ExchangeQuiver(q.algebra, q.registry, q.pairs, arrows(q.arrows), True, None, q.depths)
+
+    monkeypatch.setattr(cli, "explore", explore)
+    at = "the pair with summand dims [[1, 1], [1, 1]] and missing vertices []"
+    for change, message in (
+        (lambda a: a[1:], f"column 0 of {at}: no arrow in or out pairs with this column"),
+        (lambda a: a + a[:1], f"{at}: the arrow 0 -> 1 does not exchange a column of its own"),
+    ):
+        arrows = change
+        code, out, err = run(capsys, ["verify", "--preset", "nakayama:cyclic:2:2"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
     # verify reads each vertex's top components once; `change` perturbs
-    # them.  Each perturbation also breaks the cross-check of the tops
-    # against the labels of the arrows out.
+    # them.  No size line is printed: the tops are checked against the
+    # labels of the arrows out, whose number is the out-degree, at most n.
+    # So every vertex whose semibrick has the wrong size is flagged there.
     change = None
 
     def perturb(quiver):
@@ -218,23 +233,12 @@ def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
     change = doubled(1)
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
-    assert fails == [
-        line
-        for i in (1, 2, 3, 4)
-        for line in (
-            f"FAIL: out-degree != semibrick size at vertex {i}",
-            f"FAIL: smc of vertex {i} is not the labels of its arrows",
-        )
-    ]
-    # the simples counted twice at (A, 0): larger than n as well
+    assert fails == [f"FAIL: smc of vertex {i} is not the labels of its arrows" for i in (1, 2, 3, 4)]
+    # the simples counted twice at (A, 0): size 4, larger than n = 2
     change = doubled(2)
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
-    assert fails == [
-        "FAIL: out-degree != semibrick size at vertex 0",
-        "FAIL: semibrick larger than 2 at vertex 0",
-        "FAIL: smc of vertex 0 is not the labels of its arrows",
-    ]
+    assert fails == ["FAIL: smc of vertex 0 is not the labels of its arrows"]
     # every brick renamed to id 0: semibricks of one size coincide, and
     # only the arrow out of vertex 2, labelled by brick 0, still matches
     change = lambda tops: tuple(t if t is None else 0 for t in tops)

@@ -942,7 +942,7 @@ def test_columns_read_off_the_arrows_are_the_dual_pairing(labelled):
 
 def test_the_koenig_yang_table_holds_at_every_vertex(labelled):
     for i, pair in enumerate(labelled.pairs):
-        assert check_silting_table(pair, smc_of_vertex(labelled, i, check=False)).violations == [], i
+        assert check_silting_table(pair, smc_of_vertex(labelled, i)).violations == [], i
 
 
 @pytest.mark.parametrize(
@@ -958,7 +958,7 @@ def test_gtc_is_a_signed_difference_of_table_entries(preset, field):
     reg = q.registry
     entries = 0
     for i, pair in enumerate(q.pairs):
-        x = smc_of_vertex(q, i, check=False)
+        x = smc_of_vertex(q, i)
         data = grothendieck_data(pair, x)
         n = len(x.columns)
         for k, t in enumerate(x.columns):
@@ -999,7 +999,7 @@ def _swappable_in_label(quiver):
 
 
 def _table_violations(quiver, i):
-    return check_silting_table(quiver.pairs[i], smc_of_vertex(quiver, i, check=False)).violations
+    return check_silting_table(quiver.pairs[i], smc_of_vertex(quiver, i)).violations
 
 
 def _swap_label(quiver, arrow, b):

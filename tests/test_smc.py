@@ -15,11 +15,13 @@ from taumut.errors import (
     SelfExtensionError,
     TaumutError,
 )
+from taumut.grothendieck import check_duality, grothendieck_data
 from taumut.linalg import PrimeField
 from taumut.presets import build_preset
 from taumut.smc import (
     TwoTermSMC,
     check_label_coincidence,
+    check_silting_table,
     check_smc_axioms,
     paired_columns,
     smc_left_mutate,
@@ -61,7 +63,7 @@ def test_smc_matches_frozen_collections(a3_quiver):
 
 def test_axioms_hold_at_every_a2_vertex(a2_quiver):
     for i in range(a2_quiver.n_vertices):
-        report = check_smc_axioms(smc_of_vertex(a2_quiver, i, check=False))
+        report = check_smc_axioms(smc_of_vertex(a2_quiver, i))
         assert report.ok, report.violations
 
 
@@ -127,20 +129,50 @@ def test_paired_columns_structure(a3_quiver):
         assert all(c.sign < 0 for c in support_cols)
 
 
-def test_a_column_that_does_not_pair_names_the_pair_and_the_column(a3_quiver, monkeypatch):
-    # With Hom(S, tau U) forced to zero, the first degree -1 summand column
-    # fails: on a-path:3 that is the immutable simple S_1 at column 2.
+@pytest.mark.parametrize(
+    "fault, i, violation",
+    [
+        # the immutable simple S_1, shifted at column 2 of vertex 2
+        ("tau_hom_dim", 2, "Hom(P(1, 0, 0), (0, 1, 0)[1]) = 0, not 1"),
+        ("hom_dim", 2, "Hom(P(1, 1, 1), (1, 1, 0)) = 0, not 1"),
+        # the brick shifted at vertex 1's missing vertex 0, read as 0 there
+        ("dims", 1, "Hom(P_0[1], (0, 0, 0)[1]) = 0, not 1"),
+    ],
+    ids=["tau_hom_dim", "hom_dim", "dims"],
+)
+def test_a_column_that_does_not_pair_fails_the_table_diagonal(a3_quiver, monkeypatch, fault, i, violation):
+    # paired_columns checks only the shape of the pairing.  That each brick
+    # is nonzero against its column is a diagonal entry of the Koenig-Yang
+    # table, which names the first such entry.  G and C read g-vectors and
+    # dimension vectors, not Hom, so only the dims fault breaks the duality.
     reg = a3_quiver.registry
-    i = next(
-        i for i, p in enumerate(a3_quiver.pairs) if None in reg.pair_top_ids(p.summand_ids)
-    )
-    monkeypatch.setattr(IsoRegistry, "tau_hom_dim", lambda self, i, j: 0)
-    with pytest.raises(TaumutError) as err:
-        paired_columns(a3_quiver, i)
-    assert str(err.value) == (
-        "column 2 of the pair with summand dims [[1, 1, 1], [0, 0, 1], [1, 0, 0]] "
-        "and missing vertices []: degree -1 column does not pair with its summand"
-    )
+    if fault == "dims":
+        from types import SimpleNamespace
+
+        brick = paired_columns(a3_quiver, i)[2].brick_id
+        real = reg.module
+        monkeypatch.setattr(reg, "module", lambda j: SimpleNamespace(dims=(0, 0, 0)) if j == brick else real(j))
+    else:
+        monkeypatch.setattr(IsoRegistry, fault, lambda self, a, b: 0)
+    x = smc_of_vertex(a3_quiver, i)
+    assert check_silting_table(a3_quiver.pairs[i], x).violations[0] == violation
+    assert check_duality(grothendieck_data(a3_quiver.pairs[i], x))["ok"] is (fault != "dims")
+
+
+def test_labels_on_the_wrong_columns_fail_the_table_and_the_duality(a3_quiver):
+    # the labels of the arrows 2 -> 6 and 2 -> 7 swapped: the pairing keeps
+    # its shape, so paired_columns returns, but each degree-0 brick sits at
+    # the other's column
+    q = a3_quiver
+    assert [a[:2] for a in q.out_arrows(2)] == [(2, 6), (2, 7)]
+    (_, _, l6), (_, _, l7) = q.out_arrows(2)
+    swap = {(2, 6): l7, (2, 7): l6}
+    arrows = [(s, t, swap.get((s, t), lab)) for s, t, lab in q.arrows]
+    swapped = ExchangeQuiver(q.algebra, q.registry, q.pairs, arrows, True, None, q.depths)
+    x = smc_of_vertex(swapped, 2)
+    assert x.key == smc_of_vertex(q, 2).key
+    assert not check_silting_table(q.pairs[2], x).ok
+    assert not check_duality(grothendieck_data(q.pairs[2], x))["ok"]
 
 
 def test_mutation_follows_every_label(a3_quiver):
@@ -388,5 +420,5 @@ def test_smc_keys_are_all_distinct(a3_quiver):
 @given(st.integers(0, 23))
 def test_axioms_on_preprojective_vertices(preproj_quiver, vertex):
     i = vertex % preproj_quiver.n_vertices
-    report = check_smc_axioms(smc_of_vertex(preproj_quiver, i, check=False))
+    report = check_smc_axioms(smc_of_vertex(preproj_quiver, i))
     assert report.ok, report.violations
