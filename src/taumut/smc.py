@@ -126,9 +126,9 @@ def paired_columns(quiver: ExchangeQuiver, i: int) -> List[PairedColumn]:
     to that column shifted.  An incomplete quiver may lack arrows in, so
     the quiver must be complete.  Only the shape of the pairing is checked
     here: one column per arrow, every column paired, and a missing vertex
-    paired with an arrow in.  That each brick is nonzero against its column
-    is the diagonal of `check_silting_table`, and of G^T C = diag(d') in
-    `check_duality`.
+    paired with an arrow in.  Only the diagonal of `check_silting_table`
+    certifies each brick nonzero against its column; G^T C = diag(d') in
+    `check_duality` sees a label's column and B_v, never a Hom dimension.
     """
     if not quiver.complete:
         raise IncompleteExplorationError(

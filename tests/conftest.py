@@ -16,7 +16,7 @@ import pytest
 
 from taumut import IsoRegistry
 from taumut.presets import build_preset
-from taumut.smc import smc_of_vertex
+from taumut.smc import check_silting_table, check_smc_axioms, smc_of_vertex
 from taumut.tautilt import ExchangeQuiver, SupportPair, explore
 
 S1, S2, S3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -110,6 +110,17 @@ def summand_dims(pair: SupportPair) -> tuple:
 def collections_of(quiver: ExchangeQuiver) -> list:
     """Every vertex's collection, read once each, as `verify` reads them."""
     return [smc_of_vertex(quiver, i) for i in range(quiver.n_vertices)]
+
+
+def certified(quiver: ExchangeQuiver, i: int):
+    """Vertex i's collection, asserted to pass the two checks that certify
+    what `smc_of_vertex` only reads: its axioms and the Koenig-Yang table
+    against the vertex's two-term silting complex."""
+    x = smc_of_vertex(quiver, i)
+    axioms = check_smc_axioms(x)
+    table = check_silting_table(quiver.pairs[i], x)
+    assert axioms.ok and table.ok, (i, axioms.violations, table.violations)
+    return x
 
 
 def vertex_by_summands(quiver: ExchangeQuiver, dims) -> int:

@@ -28,7 +28,7 @@ from taumut.nakayama import (
 )
 from taumut.presets import build_preset
 from taumut.quotient import central_ideal, verify_ejr
-from taumut.smc import check_label_coincidence, smc_of_vertex
+from taumut.smc import check_label_coincidence
 from taumut.tautilt import bongartz_completion, explore, restrict_quiver
 
 from conftest import (
@@ -37,6 +37,7 @@ from conftest import (
     A3_PAIRS,
     A3_SMC,
     arrow_dims,
+    certified,
     relabeled_arrows,
     summand_dims,
     vertex_by_summands,
@@ -121,7 +122,7 @@ def test_criterion_05_simple_minded_collections_fixture():
         expected.add((tuple(sorted(degree0)), tuple(sorted(shifted))))
     got = set()
     for i in range(quiver.n_vertices):
-        x = smc_of_vertex(quiver, i)
+        x = certified(quiver, i)
         got.add(
             (
                 tuple(sorted(reg.module(i).dims for i in x.degree0)),
@@ -149,7 +150,7 @@ def test_criterion_06_grothendieck_duality():
         quiver = explore(IsoRegistry(build_preset(name)))
         assert quiver.complete, name
         for i, pair in enumerate(quiver.pairs):
-            report = duality_report(pair, smc_of_vertex(quiver, i))
+            report = duality_report(pair, certified(quiver, i))
             assert report["gtc_equals_dprime"], (name, i)
             assert abs(report["det_g"]) == 1, (name, i)
             assert abs(report["det_c"]) == 1, (name, i)

@@ -16,10 +16,9 @@ from taumut.grothendieck import (
 from taumut.linalg import QQ, Mat, PrimeField
 from taumut.modules import hom_dim, simple_module
 from taumut.presets import build_preset
-from taumut.smc import smc_of_vertex
 from taumut.tautilt import explore
 
-from conftest import det, vertex_by_summands
+from conftest import certified, det, vertex_by_summands
 
 
 def _identity(n):
@@ -27,11 +26,11 @@ def _identity(n):
 
 
 def _data(quiver, i):
-    return grothendieck_data(quiver.pairs[i], smc_of_vertex(quiver, i))
+    return grothendieck_data(quiver.pairs[i], certified(quiver, i))
 
 
 def _report(quiver, i):
-    return duality_report(quiver.pairs[i], smc_of_vertex(quiver, i))
+    return duality_report(quiver.pairs[i], certified(quiver, i))
 
 
 def test_initial_pair_gives_identity_matrices(a3_quiver):

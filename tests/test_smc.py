@@ -29,7 +29,7 @@ from taumut.smc import (
 )
 from taumut.tautilt import ExchangeQuiver, explore
 
-from conftest import A3_PAIRS, A3_SMC, DUAL_ROUTE, collections_of, vertex_by_summands
+from conftest import A3_PAIRS, A3_SMC, DUAL_ROUTE, certified, collections_of, vertex_by_summands
 
 
 def _norm(sig):
@@ -42,13 +42,13 @@ def _expected(name):
 
 
 def test_smc_of_initial_and_zero_pairs(a3_quiver):
-    init = smc_of_vertex(a3_quiver, 0)
+    init = certified(a3_quiver, 0)
     assert init.signature() == (
         ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
         (),
     )
     zero_idx = vertex_by_summands(a3_quiver, [])
-    final = smc_of_vertex(a3_quiver, zero_idx)
+    final = certified(a3_quiver, zero_idx)
     assert final.signature() == (
         (),
         ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
@@ -58,7 +58,7 @@ def test_smc_of_initial_and_zero_pairs(a3_quiver):
 def test_smc_matches_frozen_collections(a3_quiver):
     for name, dims in A3_PAIRS.items():
         i = vertex_by_summands(a3_quiver, dims)
-        assert smc_of_vertex(a3_quiver, i).signature() == _expected(name), name
+        assert certified(a3_quiver, i).signature() == _expected(name), name
 
 
 def test_axioms_hold_at_every_a2_vertex(a2_quiver):
