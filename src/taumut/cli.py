@@ -60,17 +60,8 @@ def _field_from_text(text: str) -> Field:
     raise SpecError(f"unknown field {text!r}; use q or fp:<p>")
 
 
-def _resolve_field(explicit: Optional[str]) -> Field:
-    if explicit is not None:
-        return _field_from_text(explicit)
-    env = os.environ.get("TAUMUT_FIELD")
-    if env:
-        return _field_from_text(env)
-    return QQ
-
-
 def _load_algebra(args) -> Algebra:
-    field = _resolve_field(args.field)
+    field = QQ if args.field is None else _field_from_text(args.field)
     if args.preset and args.algebra:
         raise SpecError("give either --preset or --algebra, not both")
     if args.preset:
@@ -82,18 +73,15 @@ def _load_algebra(args) -> Algebra:
             spec = AlgebraSpec.load(args.algebra)
         except (OSError, ValueError, KeyError) as exc:
             raise SpecError(f"cannot read algebra file: {exc}") from None
-        if args.field is not None or os.environ.get("TAUMUT_FIELD"):
+        if args.field is not None:
             spec = spec.with_field(field)
         return build_algebra(spec, label=os.path.basename(args.algebra))
     raise SpecError("an algebra source is required: --preset or --algebra")
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _pair_line(reg: IsoRegistry, pair: SupportPair) -> str:
@@ -386,7 +374,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         p.add_argument("--algebra", help="algebra file (JSON)")
         p.add_argument(
             "--field",
-            help="ground field: q or fp:<p> (overrides TAUMUT_FIELD)",
+            help="ground field: q or fp:<p> (default: an algebra file's own field, else q)",
         )
         p.add_argument("--max-depth", type=depth, default=None)
 

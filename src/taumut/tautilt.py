@@ -10,7 +10,7 @@ component of the summand being removed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Arrow
 from .errors import (
@@ -77,9 +77,8 @@ class SupportPair:
         return f"SupportPair(summands={dims}, missing={self.support_complement})"
 
 
-def initial_pair(source: Union[Algebra, IsoRegistry]) -> SupportPair:
+def initial_pair(registry: IsoRegistry) -> SupportPair:
     """The pair (A, 0): all indecomposable projectives, full support."""
-    registry = source if isinstance(source, IsoRegistry) else IsoRegistry(source)
     return SupportPair(registry, registry.projective_ids, ())
 
 
@@ -120,9 +119,8 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
     needs a support tau-tilting pair (U + X, P) with X not in Fac U, so both
     are checked before anything is built: tau-rigidity by the g-vector
     pairing (Adachi-Iyama-Reiten, "tau-tilting theory", Prop. 2.4), and a
-    nonzero label.  The cokernel of the minimal left add(U)-approximation of
-    X is then zero or the one new indecomposable summand (Thm 2.30), so it
-    is registered with no decomposition.
+    nonzero label.  The new pair is the other completion of the face
+    (U, P), which `_complete_face` builds.
     """
     reg = pair.registry
     ids = pair.summand_ids
@@ -139,17 +137,8 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
         raise MutationError(
             f"summand at position {position} is generated by the others"
         )
-    others = [sid for k, sid in enumerate(ids) if k != position]
-    coker, _ = cokernel(reg.left_approximation(ids[position], others))
-    new_ids = others if coker.is_zero else others + [reg.register(coker)]
-    new_supp = [
-        v for v in range(reg.algebra.n_vertices)
-        if all(reg.module(i).dims[v] == 0 for i in new_ids)
-    ]
-    new_pair = SupportPair(reg, new_ids, new_supp)
-    if not pair_is_tau_rigid(new_pair):
-        raise NotTauRigidError("mutation produced a non-rigid pair")
-    return new_pair, label
+    face = (ids[:position] + ids[position + 1:], pair.support_complement)
+    return _complete_face(reg, face, ids[position], label, ()), label
 
 
 class ExchangeQuiver:
@@ -235,16 +224,27 @@ def _complete_face(
     x: int,
     label: int,
     known: Iterable[int],
-) -> Optional[SupportPair]:
-    """The pair across the face (U, P) from the pair that holds x, when it
-    needs no construction: (U, P + v), or U + M_z for a summand z in
-    `known`.  None means that only the mutation can build it (see
-    `explore` for why the pair found is the right one).
+) -> SupportPair:
+    """The pair across the face (U, P) from the pair that holds x, whose
+    top component is `label`.  A face has exactly two completions
+    (Adachi-Iyama-Reiten, Thm 2.18), and the first branch that applies
+    gives the other one:
+      1. (U, P + v), when U vanishes at a vertex v outside P;
+      2. U + M_z, for the first z in `known`, other than x and not in U,
+         that vanishes on P, pairs negatively with the label's dimension
+         vector, and is tau-rigid with U;
+      3. U + Y, for Y the cokernel of the minimal left add(U)-approximation
+         of x: the one new indecomposable summand (Thm 2.30), registered
+         with no decomposition.  The new pair is tested for rigidity.
+    Branches 1 and 2 build nothing: a tau-rigid pair with n terms is
+    support tau-tilting (Prop. 2.3), and the registry's g-vector pairing
+    decides tau-rigidity (Prop. 2.4).
 
     The label B is the top component of x, so the new summand Y has
     Hom(Y, B) = 0 and Hom(B, tau Y) != 0, hence <g(Y), dim B> =
-    -dim Hom(B, tau Y) < 0 (Adachi-Iyama-Reiten, Prop. 2.4).  That test
-    needs no Hom space and skips most wrong candidates.
+    -dim Hom(B, tau Y) < 0 (Prop. 2.4).  That test needs no Hom space and
+    skips most wrong candidates.  In branch 3, U is nonzero at every vertex
+    outside P, so the other completion keeps P and Y cannot be zero.
     """
     u_ids, supp = face
     dims = [registry.module(u).dims for u in u_ids]
@@ -258,7 +258,17 @@ def _complete_face(
             continue
         if all(registry.tau_hom_dim(u, z) == 0 == registry.tau_hom_dim(z, u) for u in u_ids):
             return SupportPair(registry, u_ids + (z,), supp)
-    return None
+    coker, _ = cokernel(registry.left_approximation(x, u_ids))
+    if coker.is_zero:
+        raise MutationError(
+            f"the almost-complete pair with summand dims {[list(d) for d in dims]} "
+            f"and missing vertices {list(supp)} has a zero exchange, so it has "
+            "one completion, not two (Adachi-Iyama-Reiten, Thm 2.18)"
+        )
+    new_pair = SupportPair(registry, u_ids + (registry.register(coker),), supp)
+    if not pair_is_tau_rigid(new_pair):
+        raise NotTauRigidError("mutation produced a non-rigid pair")
+    return new_pair
 
 
 class _FaceBricks:
@@ -345,17 +355,13 @@ class _FaceBricks:
         return tuple(out)
 
 
-def explore(
-    source: Union[Algebra, IsoRegistry, SupportPair],
-    max_depth: Optional[int] = None,
-) -> ExchangeQuiver:
+def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQuiver:
     """Breadth-first mutation closure starting from (A, 0).
 
     With max_depth set, vertices at that distance are recorded but not
     expanded; the result is flagged incomplete if any of them still had
-    mutable summands.  Without it, an exploration from (A, 0) of an
-    algebra with a `kronecker_witness` raises TauTiltingInfiniteError
-    instead of running forever.
+    mutable summands.  Without it, an algebra with a `kronecker_witness`
+    raises TauTiltingInfiniteError instead of running forever.
 
     Each almost-complete support tau-tilting pair (a face) lies in exactly
     two support tau-tilting pairs (Adachi-Iyama-Reiten, Thm 2.18), and
@@ -365,37 +371,20 @@ def explore(
     each arrow's label and direction are read off bitmasks of the known
     bricks (`_FaceBricks`); top components are built only at a pair where
     some face has no known brick.  An arrow whose face already lies in
-    another found pair goes to that pair.  An arrow into a new pair takes
-    the first of three branches that applies:
-      1. (U, P + v), if U vanishes at a vertex v outside P;
-      2. U + M_z, for the first summand z of a found pair, other than X
-         and not in U, that vanishes on P, pairs negatively with the
-         label's dimension vector, and is tau-rigid with U;
-      3. otherwise the mutation, which checks its hypotheses, builds the
-         exchange and tests the new pair for rigidity.
-    Branches 1 and 2 build nothing: a tau-rigid pair with n terms is
-    support tau-tilting (Prop. 2.3), the registry's g-vector pairing
-    decides tau-rigidity (Prop. 2.4), and Thm 2.18 leaves only one pair
-    that it can be.  A given root is checked for tau-rigidity first, since
-    the faces decide arrows only between support tau-tilting pairs.
+    another found pair goes to that pair; an arrow into a new pair goes to
+    the face's other completion (`_complete_face`), tried first with the
+    summands of the pairs found so far.  Every pair found is tau-rigid by
+    construction, so `left_mutate`'s input checks are not run.
     """
-    if isinstance(source, SupportPair):
-        root = source
-        if not pair_is_tau_rigid(root):
-            raise NotTauRigidError(f"explore needs a tau-rigid root; {root!r} is not")
-    else:
-        algebra = source if isinstance(source, Algebra) else source.algebra
-        witness = kronecker_witness(algebra) if max_depth is None else None
-        if witness is not None:
-            a, b = witness
-            raise TauTiltingInfiniteError(
-                f"arrows {a.name} and {b.name} both go from vertex {a.source} "
-                f"to vertex {a.target}, so the algebra maps onto the Kronecker "
-                "algebra and has infinitely many support tau-tilting pairs; "
-                "bound the exploration with --max-depth"
-            )
-        root = initial_pair(source)
-    registry = root.registry
+    witness = kronecker_witness(registry.algebra) if max_depth is None else None
+    if witness is not None:
+        a, b = witness
+        raise TauTiltingInfiniteError(
+            f"arrows {a.name} and {b.name} both go from vertex {a.source} "
+            f"to vertex {a.target}, so the algebra maps onto the Kronecker "
+            "algebra and has infinitely many support tau-tilting pairs; "
+            "bound the exploration with --max-depth"
+        )
     pairs: List[SupportPair] = []
     depths: List[int] = []
     faces: Dict[tuple, List[int]] = {}
@@ -415,11 +404,10 @@ def explore(
         queue.append(vi)
         return vi
 
-    meet(root, 0)
+    meet(initial_pair(registry), 0)
     while queue:
         vi = queue.popleft()
-        pair = pairs[vi]
-        ids, supp = pair.key
+        ids, supp = pairs[vi].key
         tops = masks.labels(ids, supp)
         positions = [k for k, t in enumerate(tops) if t is not None]
         if max_depth is not None and depths[vi] >= max_depth:
@@ -442,8 +430,6 @@ def explore(
             else:
                 # the keys of wmask are the summands met so far
                 new_pair = _complete_face(registry, face, ids[pos], tops[pos], masks.wmask)
-                if new_pair is None:
-                    new_pair, _ = left_mutate(pair, pos)
                 ti = meet(new_pair, depths[vi] + 1)
             arrows.append((vi, ti, tops[pos]))
     return ExchangeQuiver(registry.algebra, registry, pairs, arrows, complete, max_depth, depths)

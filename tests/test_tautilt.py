@@ -241,12 +241,11 @@ def test_exploration_field_independent_counts():
 
 def test_unbounded_exploration_of_msex_raises_at_once():
     algebra = build_preset("msex")
-    for source in (algebra, IsoRegistry(algebra)):
-        with pytest.raises(TauTiltingInfiniteError) as exc:
-            explore(source)
-        msg = str(exc.value)
-        for word in ("alpha", "beta", "vertex 1", "vertex 2", "--max-depth"):
-            assert word in msg
+    with pytest.raises(TauTiltingInfiniteError) as exc:
+        explore(IsoRegistry(algebra))
+    msg = str(exc.value)
+    for word in ("alpha", "beta", "vertex 1", "vertex 2", "--max-depth"):
+        assert word in msg
     bounded = explore(IsoRegistry(algebra), max_depth=2)
     assert (bounded.n_vertices, bounded.complete) == (9, False)
 
@@ -273,16 +272,13 @@ def test_parallel_loops_are_no_kronecker_witness():
     quiver = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
     algebra = build_algebra(AlgebraSpec(quiver, (), 2, QQ))
     assert kronecker_witness(algebra) is None
-    assert explore(algebra).n_vertices == 2
+    assert explore(IsoRegistry(algebra)).n_vertices == 2
 
 
-def test_initial_pair_from_algebra_or_registry():
-    a = build_preset("a-path:2")
-    p = initial_pair(a)
-    assert len(p.summand_ids) == 2
-    reg = IsoRegistry(a)
-    q = initial_pair(reg)
-    assert q.summand_ids == tuple(reg.projective_ids)
+def test_initial_pair_holds_the_registry_projectives():
+    reg = IsoRegistry(build_preset("a-path:2"))
+    p = initial_pair(reg)
+    assert (p.registry, p.summand_ids, p.support_complement) == (reg, tuple(reg.projective_ids), ())
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -324,17 +320,20 @@ def _counted(monkeypatch, calls, owner, name):
         # before the face index: 96, 224, 112 and 140 mutations;
         # before the face completion: 59, 187, 90 and 69 mutations;
         # before the face bricks: 12, 140, 72, with tops at all 70 vertices;
-        # before the exact index: 47 iso tests, and 12 again
-        ("nakayama:cyclic:4:4", QQ, None, (12, 54, 6), 70, 12, 6),
+        # before the exact index: 47 iso tests, and 12 again;
+        # before the one completion routine: 54 quotients
+        ("nakayama:cyclic:4:4", QQ, None, (12, 52, 6), 70, 12, 6),
         # before the face bricks: 22, 342, 314 and 38 iso tests again;
-        # before the exact index: 174 iso tests, and 48 again
-        ("preproj-a:4", QQ, None, (22, 116, 63), 120, 22, 5),
+        # before the exact index: 174 iso tests, and 48 again;
+        # before the one completion routine: 116 quotients, 63 iso tests
+        ("preproj-a:4", QQ, None, (22, 68, 53), 120, 22, 5),
         # before the exact index: 22 iso tests, and 7 again
         ("nakayama:linear:5:3", QQ, None, (7, 32, 0), 98, 7, 4),
         # before the face bricks: 12, 64, 24;
-        # before the exact index: 21 iso tests, and 12 again
-        ("msex", QQ, 6, (12, 49, 3), 27, 12, 5),
-        ("msex", PrimeField(5), 6, (12, 49, 3), 27, 12, 5),
+        # before the exact index: 21 iso tests, and 12 again;
+        # before the one completion routine: 49 quotients, 3 iso tests
+        ("msex", QQ, 6, (12, 37, 0), 27, 12, 5),
+        ("msex", PrimeField(5), 6, (12, 37, 0), 27, 12, 5),
     ],
     ids=[
         "a-path:5-fp32003", "nakayama:cyclic:4:4-Q", "preproj-a:4-Q",
@@ -346,16 +345,16 @@ def test_each_component_and_exchange_is_built_once(
 ):
     # A top component is a quotient, built once per (summand, summands it
     # sees). An arrow into a found pair is read off the face index, and a
-    # new pair whose new summand is known or zero is completed from the
-    # face, so mutation (an approximation plus a cokernel, a quotient) and
-    # its two rigidity tests, of the pair it is given and of the pair it
-    # makes, run once per summand never seen before. Each
-    # arrow's label and direction are read off the known bricks, so the top
-    # components are looked up once per summand met (its brick), once per
-    # vertex where some face has no known brick (fell_back), and once
-    # inside each mutation. A second exploration over the same registry
-    # builds no top component but rebuilds each exchange once, and finds
-    # its cokernel, an exact copy of a module met before, in the registry's
+    # new pair whose new summand is known or absent is completed from the
+    # face, so the exchange (an approximation plus a cokernel, a quotient)
+    # and the rigidity test of the pair it makes run once per summand never
+    # seen before. Exploring never calls left_mutate, whose checks hold by
+    # construction. Each arrow's label and direction are read off the known
+    # bricks, so the top components are looked up once per summand met
+    # (its brick) and once per vertex where some face has no known brick
+    # (fell_back). A second exploration over the same registry builds no
+    # top component but rebuilds each exchange once, and finds its
+    # cokernel, an exact copy of a module met before, in the registry's
     # index of matrices with no iso test.
     calls = dict.fromkeys(("left_approximation", "quotient_by_rows", "_indec_iso"), 0)
     _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
@@ -370,7 +369,7 @@ def test_each_component_and_exchange_is_built_once(
     summands = {s for p in first.pairs for s in p.summand_ids}
     assert first.n_vertices == vertices
     assert tuple(calls.values()) == built
-    assert tuple(mutating.values()) == (mutations, 2 * mutations, len(summands) + fell_back + mutations)
+    assert tuple(mutating.values()) == (0, mutations, len(summands) + fell_back)
     assert mutations == len(summands) - len(reg.projective_ids)
     calls.update(dict.fromkeys(calls, 0))
     again = explore(reg, max_depth=depth)
@@ -413,36 +412,30 @@ def test_one_vertex_explores_across_the_empty_face(kind, length):
 
 
 def test_a_face_with_a_third_completion_is_refused(monkeypatch):
-    # A mutation that returns the root again puts a second copy of (A, 0)
+    # A completion that returns the root again puts a second copy of (A, 0)
     # into the index; the copy's first face then lies in three vertices.
     # The root's first arrow trades P_0 for vertex 0 in the support
-    # complement, a pair the face completes with no mutation, so the first
-    # mutation is the root's second arrow.
-    real = tautilt.left_mutate
-    calls = []
+    # complement, so the root's second arrow, across the face without P_1,
+    # is the one that returns the copy.
+    real = tautilt._complete_face
+    faces = []
 
-    def third(pair, position):
-        calls.append(position)
-        return (pair, None) if len(calls) == 1 else real(pair, position)
+    def third(registry, face, x, label, known):
+        faces.append(face)
+        if len(faces) == 2:
+            return initial_pair(registry)
+        return real(registry, face, x, label, known)
 
-    monkeypatch.setattr(tautilt, "left_mutate", third)
+    monkeypatch.setattr(tautilt, "_complete_face", third)
+    reg = IsoRegistry(build_preset("a-path:3"))
     with pytest.raises(CompletionError) as err:
-        explore(IsoRegistry(build_preset("a-path:3")))
+        explore(reg)
     assert str(err.value) == (
         "the almost-complete pair with summand dims [[0, 1, 1], [0, 0, 1]] and "
         "missing vertices [] lies in vertices [0, 1, 2], but it has exactly two "
         "completions (Adachi-Iyama-Reiten, Thm 2.18)"
     )
-    assert calls[0] == 1
-
-
-def test_explore_refuses_a_root_that_is_not_tau_rigid():
-    # Over a-path:2, (S_0 + S_1, 0) has Hom(S_1, tau S_0) = Hom(S_1, S_1) != 0.
-    reg = IsoRegistry(build_preset("a-path:2"))
-    root = SupportPair(reg, [reg.register(simple_module(reg.algebra, v)) for v in (0, 1)], [])
-    assert not pair_is_tau_rigid(root)
-    with pytest.raises(NotTauRigidError, match="explore needs a tau-rigid root"):
-        explore(root)
+    assert [reg.module(u).dims for u in faces[1][0]] == [(1, 1, 1), (0, 0, 1)]
 
 
 def _raise_once(monkeypatch, owner, name):
@@ -473,7 +466,7 @@ def test_a_component_that_fails_to_register_is_built_again(monkeypatch):
 def test_an_exchange_that_fails_to_register_is_built_again(monkeypatch):
     # At (A, 0) of a-path:3, a mutation whose cokernel is a new summand;
     # the cokernel is registered by theorem, with no decomposition
-    pair = initial_pair(build_preset("a-path:3"))
+    pair = initial_pair(IsoRegistry(build_preset("a-path:3")))
     reg = pair.registry
     steps = [(pos, reference_left_mutate(pair, pos)) for pos in mutable_positions(pair)]
     pos, (want, label) = next(
@@ -611,29 +604,52 @@ def test_a_face_missing_a_vertex_completes_with_a_shifted_projective():
     assert got == left_mutate(pair, 0)[0]
 
 
-def test_an_unseen_new_summand_is_left_to_mutation():
-    # Mutating P_1 away gives P_0 / P_1 = S_0, which no pair has held yet.
+def test_an_unseen_new_summand_is_built_as_the_exchange(monkeypatch):
+    # Mutating P_1 away gives P_0 / P_1 = S_0, which no pair has held yet,
+    # so the face builds it as the cokernel of an approximation.
     pair, face, x, label = _root_face("a-path:3", 1)
     reg = pair.registry
-    assert tautilt._complete_face(reg, face, x, label, set(pair.summand_ids)) is None
-    new, _ = left_mutate(pair, 1)
+    calls = {"left_approximation": 0}
+    _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
+    new = tautilt._complete_face(reg, face, x, label, set(pair.summand_ids))
+    assert calls == {"left_approximation": 1}
+    assert (new, label) == left_mutate(pair, 1)
     (y,) = set(new.summand_ids) - set(pair.summand_ids)
     assert reg.module(y).dims == (1, 0, 0)
-    # once S_0 is known, the same face completes with it
+    # once S_0 is known, the same face completes with it and builds nothing
     assert tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, y}) == new
+    assert calls == {"left_approximation": 2}
+
+
+def test_a_zero_exchange_is_refused_with_the_face():
+    # Over a-path:3, hand the completion X = P_0 inside U = A: the
+    # approximation of P_0 into add(U) is the identity, so its cokernel is
+    # zero, and U vanishes at no vertex.  No face of a support tau-tilting
+    # pair gets here (Thm 2.18), so the error names the face.
+    pair, _, _, label = _root_face("a-path:3", 0)
+    ids = pair.summand_ids
+    with pytest.raises(MutationError) as err:
+        tautilt._complete_face(pair.registry, (ids, ()), ids[0], label, ())
+    assert str(err.value) == (
+        "the almost-complete pair with summand dims [[1, 1, 1], [0, 1, 1], "
+        "[0, 0, 1]] and missing vertices [] has a zero exchange, so it has "
+        "one completion, not two (Adachi-Iyama-Reiten, Thm 2.18)"
+    )
 
 
 def test_a_candidate_failing_the_pairing_costs_no_hom_space():
     # I_1 = (1, 1, 0) has g = e_0 - e_2, so <g(I_1), dim S_1> = 0: it cannot
-    # be the new summand, and is refused before any Hom space is built.
+    # be the new summand, and is refused before any Hom space with I_1 as
+    # source or target is built; the exchange S_0 is built instead.
     pair, face, x, label = _root_face("a-path:3", 1)
     reg = pair.registry
     assert reg.module(label).dims == (0, 1, 0)
     i1 = reg.register(injective_module(reg.algebra, 1))
     assert (reg.module(i1).dims, reg.g_vector(i1)) == ((1, 1, 0), (1, 0, -1))
-    before = set(reg._hom)
-    assert tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, i1}) is None
-    assert set(reg._hom) == before
+    got = tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, i1})
+    assert got == left_mutate(pair, 1)[0]
+    assert i1 not in got.summand_ids
+    assert not [key for key in reg._hom if i1 in key]
 
 
 @pytest.mark.parametrize("preset", ["a-path:4", "preproj-a:3", "nakayama:cyclic:3:3"])
