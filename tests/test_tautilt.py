@@ -493,6 +493,44 @@ def test_a_non_rigid_pair_is_refused_before_anything_is_built(monkeypatch):
     assert calls == {"left_approximation": 0, "quotient_by_rows": 0}
 
 
+@pytest.mark.parametrize("position", [-1, 3])
+def test_a_position_with_no_summand_is_refused(position):
+    pair = initial_pair(IsoRegistry(build_preset("a-path:3")))
+    with pytest.raises(MutationError) as err:
+        left_mutate(pair, position)
+    assert str(err.value) == f"no summand at position {position}"
+
+
+def test_a_summand_generated_by_the_others_is_refused(a3_quiver, monkeypatch):
+    # A summand in Fac of the others has a zero top component, so it has no
+    # label and no arrow out of its pair; no exchange is built for it.
+    pair, position = next(
+        (p, k)
+        for p in a3_quiver.pairs
+        for k in range(len(p.summand_ids))
+        if k not in mutable_positions(p)
+    )
+    calls = {"left_approximation": 0}
+    _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
+    with pytest.raises(MutationError) as err:
+        left_mutate(pair, position)
+    assert str(err.value) == f"summand at position {position} is generated by the others"
+    assert calls == {"left_approximation": 0}
+
+
+def test_a_face_missing_a_vertex_is_crossed_with_no_exchange(monkeypatch):
+    # Over a-path:3, mutating P_0 away from (A, 0) leaves P_1 + P_2, which
+    # vanishes at vertex 0: the other completion puts vertex 0 into the
+    # support complement, and no approximation or cokernel is built.
+    pair = initial_pair(IsoRegistry(build_preset("a-path:3")))
+    calls = {"left_approximation": 0}
+    _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
+    new, label = left_mutate(pair, 0)
+    assert new.key == (pair.summand_ids[1:], (0,))
+    assert pair.registry.module(label).dims == (1, 0, 0)
+    assert calls == {"left_approximation": 0}
+
+
 # (preset, verb, arguments after the preset): every verb on three small
 # presets, and explore and verify on two larger ones.  No nonzero element
 # of the radical of a-path:4 or nakayama:cyclic:3:3 is central, so
