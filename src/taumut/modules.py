@@ -1143,8 +1143,6 @@ class IsoRegistry:
         self._tau_hom: Dict[Tuple[int, int], int] = {}
         # id -> (top vertices, socle vertices): hom_space's zero certificate
         self._top_socle: Dict[int, Tuple[frozenset, frozenset]] = {}
-        # (i, the ids with a nonzero Hom into M_i) -> M_i in their Fac: in_fac
-        self._fac: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
         # (i, the other summands with a nonzero Hom into M_i) -> id of M_i's
         # top component, None if it vanishes: pair_top_ids
         self.tops: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
@@ -1312,18 +1310,6 @@ class IsoRegistry:
                 self.tops[key] = None if comp.is_zero else self.register_brick(comp)
             out.append(self.tops[key])
         return tuple(out)
-
-    def in_fac(self, i: int, ids: Sequence[int]) -> bool:
-        """Is module i generated by the modules ids?  The images of the
-        cached Hom spaces must span it at every vertex.  The answer reads
-        only the nonzero Hom spaces into M_i, so it is kept per (i, those
-        ids)."""
-        key = (i, tuple(j for j in ids if self.hom(j, i)))
-        if key not in self._fac:
-            X = self._mods[i]
-            rows = _image_rows(X, (h for j in key[1] for h in self.hom(j, i)))
-            self._fac[key] = all(len(row_space(r)[1]) == d for r, d in zip(rows, X.dims))
-        return self._fac[key]
 
     def left_approximation(self, i: int, ids: Sequence[int]) -> ModuleHom:
         """A minimal left add(U)-approximation M_i -> U', U the sum of the

@@ -66,14 +66,16 @@ def make_nakayama(shape: NakayamaShape, field: Field = QQ) -> AlgebraSpec:
     return AlgebraSpec(quiver, relations, l, field)
 
 
-def build_nakayama(shape: NakayamaShape, field: Field = QQ) -> Algebra:
-    algebra = build_algebra(make_nakayama(shape, field), label=str(shape))
+def build_nakayama(shape: NakayamaShape, field: Field = QQ, label: str = "") -> Algebra:
+    """The Nakayama algebra of the shape, which it keeps as `nakayama_shape`;
+    labelled `label`, else by the shape."""
+    algebra = build_algebra(make_nakayama(shape, field), label=label or str(shape))
     algebra.nakayama_shape = shape
     return algebra
 
 
 def _shape_of(algebra: Algebra) -> NakayamaShape:
-    shape = getattr(algebra, "nakayama_shape", None)
+    shape = algebra.nakayama_shape
     if shape is None:
         raise SpecError("algebra was not built by build_nakayama")
     return shape

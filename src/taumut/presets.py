@@ -3,12 +3,12 @@ line without hand-writing a file."""
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Union
 
 from .algebra import Algebra, AlgebraSpec, Arrow, Quiver, build_algebra, normalize_relation
 from .errors import SpecError
 from .linalg import QQ, Field
-from .nakayama import NakayamaShape, make_nakayama
+from .nakayama import NakayamaShape, build_nakayama, make_nakayama
 
 PRESET_HELP: Dict[str, str] = {
     "a-path:<n>": "linearly oriented A_n path algebra",
@@ -64,7 +64,8 @@ def _msex(field: Field) -> AlgebraSpec:
     return AlgebraSpec(quiver, relations, 3, field)
 
 
-def preset_spec(name: str, field: Field = QQ) -> AlgebraSpec:
+def _preset(name: str, field: Field) -> Union[NakayamaShape, AlgebraSpec]:
+    """A `nakayama:` preset's shape, any other preset's spec."""
     parts = name.split(":")
     kind = parts[0]
     try:
@@ -73,9 +74,7 @@ def preset_spec(name: str, field: Field = QQ) -> AlgebraSpec:
         if kind == "a3-figure" and len(parts) == 1:
             return _a_path(3, field)
         if kind == "nakayama" and len(parts) == 4:
-            return make_nakayama(
-                NakayamaShape(parts[1], int(parts[2]), int(parts[3])), field
-            )
+            return NakayamaShape(parts[1], int(parts[2]), int(parts[3]))
         if kind == "preproj-a" and len(parts) == 2:
             return _preprojective_a(int(parts[1]), field)
         if kind == "msex" and len(parts) == 1:
@@ -87,11 +86,14 @@ def preset_spec(name: str, field: Field = QQ) -> AlgebraSpec:
     )
 
 
+def preset_spec(name: str, field: Field = QQ) -> AlgebraSpec:
+    found = _preset(name, field)
+    return make_nakayama(found, field) if isinstance(found, NakayamaShape) else found
+
+
 def build_preset(name: str, field: Field = QQ) -> Algebra:
-    algebra = build_algebra(preset_spec(name, field), label=name)
-    if name.startswith("nakayama:"):
-        parts = name.split(":")
-        algebra.nakayama_shape = NakayamaShape(
-            parts[1], int(parts[2]), int(parts[3])
-        )
-    return algebra
+    """The preset's algebra, labelled with its name."""
+    found = _preset(name, field)
+    if isinstance(found, NakayamaShape):
+        return build_nakayama(found, field, label=name)
+    return build_algebra(found, label=name)

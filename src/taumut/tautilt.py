@@ -10,6 +10,7 @@ component of the summand being removed.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Arrow
@@ -438,30 +439,21 @@ def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQ
 # -- completion and restriction ----------------------------------------------
 
 
+@dataclass
 class Restriction:
-    """The full subquiver of pairs containing a fixed tau-rigid U."""
+    """The full subquiver of pairs containing a fixed tau-rigid U: its
+    vertices (indices into the quiver), arrows, sources and sinks, and the
+    violations of its expected shape."""
 
-    def __init__(
-        self,
-        quiver: ExchangeQuiver,
-        u_ids: Tuple[int, ...],
-        vertex_indices: List[int],
-        arrows: List[Tuple[int, int, int]],
-        source_index: int,
-        sink_index: int,
-        report: dict,
-    ):
-        self.quiver = quiver
-        self.u_ids = u_ids
-        self.vertex_indices = vertex_indices
-        self.arrows = arrows
-        self.source_index = source_index
-        self.sink_index = sink_index
-        self.report = report
+    vertex_indices: List[int]
+    arrows: List[Tuple[int, int, int]]
+    sources: List[int]
+    sinks: List[int]
+    violations: List[str]
 
     @property
     def ok(self) -> bool:
-        return not self.report["violations"]
+        return not self.violations
 
     @property
     def n_vertices(self) -> int:
@@ -471,13 +463,23 @@ class Restriction:
     def n_arrows(self) -> int:
         return len(self.arrows)
 
+    @property
+    def source_index(self) -> int:
+        """The one source, -1 unless there is exactly one."""
+        return self.sources[0] if len(self.sources) == 1 else -1
+
+    @property
+    def sink_index(self) -> int:
+        """The one sink, -1 unless there is exactly one."""
+        return self.sinks[0] if len(self.sinks) == 1 else -1
+
 
 def restrict_quiver(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> Restriction:
     """Restrict a complete exchange quiver to the pairs containing U, the
     sum of the registered indecomposables u_ids (a module from outside
     reaches them through `IsoRegistry.register`, one summand at a time).
 
-    The report checks the expected shape: a unique source and sink, inner
+    Its violations check the expected shape: a unique source and sink, inner
     degree equal to (number of vertices) - |U| at every subquiver vertex,
     and label compatibility with U on every surviving arrow.
     """
@@ -533,19 +535,7 @@ def restrict_quiver(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> Restriction
                 violations.append(
                     f"label on {s}->{t} maps into the translate of U"
                 )
-    report = {
-        "n_vertices": len(verts),
-        "n_arrows": len(sub_arrows),
-        "sources": sources,
-        "sinks": sinks,
-        "inner_degree_expected": expected,
-        "violations": violations,
-    }
-    source_index = sources[0] if len(sources) == 1 else -1
-    sink_index = sinks[0] if len(sinks) == 1 else -1
-    return Restriction(
-        quiver, u_ids, verts, sub_arrows, source_index, sink_index, report
-    )
+    return Restriction(verts, sub_arrows, sources, sinks, violations)
 
 
 def bongartz_completion(quiver: ExchangeQuiver, u_ids: Sequence[int]) -> SupportPair:

@@ -164,8 +164,7 @@ def test_criterion_07_restriction_at_a_summand():
     restriction = restrict_quiver(quiver, [s2])
     assert restriction.n_vertices == 5
     assert restriction.n_arrows == 5
-    report = restriction.report
-    assert report["sources"] == [restriction.source_index]
+    assert restriction.sources == [restriction.source_index]
     source_pair = quiver.pairs[restriction.source_index]
     assert set(summand_dims(source_pair)) == {(0, 1, 1), (1, 1, 1), (0, 1, 0)}
     completion = bongartz_completion(quiver, [s2])
@@ -181,7 +180,7 @@ def test_criterion_07_restriction_at_a_summand():
         if v in (restriction.source_index, restriction.sink_index):
             continue
         assert inner_in[v] + inner_out[v] == 2, v
-    assert not report["violations"]
+    assert not restriction.violations
     assert time.perf_counter() - start < 5.0
 
 

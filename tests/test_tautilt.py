@@ -170,7 +170,7 @@ def test_depth_limited_exploration(a3_quiver):
 def test_restriction_to_s2(a3_quiver):
     s2 = a3_quiver.registry.register(simple_module(a3_quiver.algebra, 1))
     restriction = restrict_quiver(a3_quiver, [s2])
-    assert restriction.ok, restriction.report["violations"]
+    assert restriction.ok, restriction.violations
     assert restriction.n_vertices == 5
     assert restriction.n_arrows == 5
     got = {
