@@ -66,10 +66,10 @@ def make_nakayama(shape: NakayamaShape, field: Field = QQ) -> AlgebraSpec:
     return AlgebraSpec(quiver, relations, l, field)
 
 
-def build_nakayama(shape: NakayamaShape, field: Field = QQ, label: str = "") -> Algebra:
+def build_nakayama(shape: NakayamaShape, field: Field = QQ) -> Algebra:
     """The Nakayama algebra of the shape, which it keeps as `nakayama_shape`;
-    labelled `label`, else by the shape."""
-    algebra = build_algebra(make_nakayama(shape, field), label=label or str(shape))
+    labelled by its preset name, such as `nakayama:cyclic:4:4`."""
+    algebra = build_algebra(make_nakayama(shape, field), label=f"nakayama:{shape}")
     algebra.nakayama_shape = shape
     return algebra
 

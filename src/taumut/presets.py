@@ -92,8 +92,8 @@ def preset_spec(name: str, field: Field = QQ) -> AlgebraSpec:
 
 
 def build_preset(name: str, field: Field = QQ) -> Algebra:
-    """The preset's algebra, labelled with its name."""
+    """The preset's algebra, labelled with its canonical name."""
     found = _preset(name, field)
     if isinstance(found, NakayamaShape):
-        return build_nakayama(found, field, label=name)
+        return build_nakayama(found, field)
     return build_algebra(found, label=name)
