@@ -30,6 +30,10 @@ class Field:
 
     name: str
 
+    def __init__(self):
+        # (nrows, ncols) -> the one zero matrix of that shape: Mat.zeros
+        self._zeros = {}
+
     def coerce(self, value: ScalarInput):
         raise NotImplementedError
 
@@ -255,6 +259,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise FieldMismatchError(f"modulus {p!r} is not a prime")
+        super().__init__()
         self.p = p
         self.name = f"F{p}"
 
@@ -385,7 +390,9 @@ class Mat:
     def _of(cls, field: Field, rows, ncols: int) -> "Mat":
         """The trusted constructor for rows a kernel built: ncols-wide rows
         of canonical entries.  It checks nothing; `Mat(...)` coerces and
-        checks."""
+        checks.  An empty shape is the shared zero matrix."""
+        if not ncols or not rows:
+            return Mat.zeros(field, len(rows), ncols)
         m = object.__new__(cls)
         m.field = field
         m.rows = rows = tuple(map(tuple, rows))
@@ -395,8 +402,14 @@ class Mat:
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Mat":
-        row = (field.zero(),) * ncols
-        return Mat._of(field, (row,) * nrows, ncols)
+        """The zero matrix of a shape.  A Mat is immutable, so each field
+        keeps one per shape and hands it out again."""
+        m = field._zeros.get((nrows, ncols))
+        if m is None:
+            m = field._zeros[nrows, ncols] = object.__new__(Mat)
+            m.field, m.nrows, m.ncols = field, nrows, ncols
+            m.rows = ((field.zero(),) * ncols,) * nrows
+        return m
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
@@ -470,12 +483,14 @@ class Mat:
                 f"{other.nrows}x{other.ncols}"
             )
         cols = other.ncols
+        if not (self.nrows and self.ncols and cols):
+            return Mat.zeros(self.field, self.nrows, cols)
         out = self.field._matmul(self.rows, other.rows, cols)
         return Mat._of(self.field, out, cols)
 
     def transpose(self) -> "Mat":
-        if self.nrows == 0:
-            return Mat._of(self.field, ((),) * self.ncols, 0)
+        if not (self.nrows and self.ncols):
+            return Mat.zeros(self.field, self.ncols, self.nrows)
         return Mat._of(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def is_zero(self) -> bool:
@@ -501,6 +516,9 @@ def hstack(field: Field, mats: Sequence[Mat], nrows: Optional[int] = None) -> Ma
             raise FieldMismatchError("hstack across fields")
         if m.nrows != n:
             raise DimensionMismatchError("hstack row-count mismatch")
+    mats = [m for m in mats if m.ncols]
+    if len(mats) <= 1:
+        return mats[0] if mats else Mat.zeros(field, n, 0)
     rows = [sum((list(m.rows[i]) for m in mats), []) for i in range(n)]
     return Mat._of(field, rows, sum(m.ncols for m in mats))
 
@@ -513,24 +531,32 @@ def vstack(field: Field, mats: Sequence[Mat], ncols: Optional[int] = None) -> Ma
             raise DimensionMismatchError("vstack of nothing needs an explicit ncols")
         return Mat.zeros(field, 0, ncols)
     c = mats[0].ncols
-    rows = []
     for m in mats:
         if m.field != field:
             raise FieldMismatchError("vstack across fields")
         if m.ncols != c:
             raise DimensionMismatchError("vstack column-count mismatch")
-        rows.extend(m.rows)
-    return Mat._of(field, rows, c)
+    mats = [m for m in mats if m.nrows]
+    if len(mats) <= 1:
+        return mats[0] if mats else Mat.zeros(field, 0, c)
+    return Mat._of(field, [row for m in mats for row in m.rows], c)
 
 
 def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
+    """The block-diagonal matrix of the blocks in order; a lone block that
+    is not 0x0 is returned as it is."""
+    if any(m.field != field for m in mats):
+        raise FieldMismatchError("block_diag across fields")
     total_r = sum(m.nrows for m in mats)
     total_c = sum(m.ncols for m in mats)
+    if not (total_r and total_c):
+        return Mat.zeros(field, total_r, total_c)
+    mats = [m for m in mats if m.nrows or m.ncols]
+    if len(mats) == 1:
+        return mats[0]
     out = [[field.zero()] * total_c for _ in range(total_r)]
     r0 = c0 = 0
     for m in mats:
-        if m.field != field:
-            raise FieldMismatchError("block_diag across fields")
         for i, row in enumerate(m.rows):
             out[r0 + i][c0 : c0 + m.ncols] = row
         r0 += m.nrows

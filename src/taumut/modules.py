@@ -1300,14 +1300,18 @@ class IsoRegistry:
         """Top components of a summand tuple; None marks a vanishing one.
         Each is built once per (i, others): the j != i whose Hom(M_j, M_i)
         is nonzero.  The component reads only those Hom spaces and
-        rad End(M_i), so the key is complete."""
+        rad End(M_i), so the key is complete.  A brick that no other
+        summand maps into is its own top, M_i / 0, with no quotient built."""
         out = []
         for i in ids:
             key = (i, tuple(j for j in ids if j != i and self.hom(j, i)))
             if key not in self.tops:
-                maps = [h for j in key[1] for h in self.hom(j, i)] + self.rad_end(i)
-                (comp,) = top_components([self._mods[i]], [maps])
-                self.tops[key] = None if comp.is_zero else self.register_brick(comp)
+                if not key[1] and self.end_dim(i) == 1:
+                    self.tops[key] = i
+                else:
+                    maps = [h for j in key[1] for h in self.hom(j, i)] + self.rad_end(i)
+                    (comp,) = top_components([self._mods[i]], [maps])
+                    self.tops[key] = None if comp.is_zero else self.register_brick(comp)
             out.append(self.tops[key])
         return tuple(out)
 
@@ -1331,11 +1335,15 @@ class IsoRegistry:
                 for h in self.hom(i, w)
                 for r in (self.rad_end(u) if w == u else self.hom(w, u))
             ]
-            # modulo h End(U_u): a basis over End(U_u)/rad, maybe a field of degree 2
+            # modulo h End(U_u): a basis over End(U_u)/rad, maybe a field of
+            # degree 2; with no such h r and End(U_u) = k, the whole basis
             ends = self.hom(u, u)
-            picked += greedy_span_pick(
-                A.field, base, self.hom(i, u), lambda h: [h.compose(e).flatten() for e in ends]
-            )
+            if base or len(ends) != 1:
+                picked += greedy_span_pick(
+                    A.field, base, self.hom(i, u), lambda h: [h.compose(e).flatten() for e in ends]
+                )
+            else:
+                picked += self.hom(i, u)
         M = self._mods[i]
         mats = [hstack(A.field, [h.mats[v] for h in picked], nrows=d) for v, d in enumerate(M.dims)]
         return ModuleHom(M, direct_sum(A, [h.target for h in picked])[0], mats, _validated=True)

@@ -288,8 +288,7 @@ def _universal_extension(pres, chosen: Sequence[ModuleHom], S0: Module) -> Modul
     A = S0.algebra
     field = A.field
     e = len(chosen)
-    s0e, _ = direct_sum(A, [S0] * e)
-    total, _ = direct_sum(A, [pres.p0, s0e])
+    total, _ = direct_sum(A, [pres.p0] + [S0] * e)
     rows = []
     for v in range(A.n_vertices):
         left = pres.omega_incl.mats[v]

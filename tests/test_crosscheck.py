@@ -20,7 +20,8 @@ by one iso test and then in the index, and no class for a sum of
 simples.  Left mutation through the minimal approximation is checked
 against mutation through the full Hom basis with a decomposed cokernel,
 and into a brick whose End is a field of dimension two it picks one map
-over that field, not one per line; the registry's cached top
+over that field, not one per line, and into a lone brick with End = k it
+keeps the whole Hom basis, as the greedy pick does; the registry's cached top
 components, each built once per (summand, summands it sees),
 against that mutation and against the components over every Hom basis of
 the pair.  Every arrow that explore reads off a shared face is checked
@@ -701,6 +702,31 @@ def test_left_approximation_into_a_brick_with_a_two_dimensional_end_keeps_the_or
     assert len(greedy_span_pick(QQ, [], reg.hom(p, k), lambda h: [h.flatten()])) == 2
 
 
+@pytest.mark.parametrize(
+    "preset,field", [("nakayama:cyclic:4:4", QQ), ("a-path:5", PrimeField(32003))], ids=str
+)
+def test_left_approximation_into_a_lone_brick_matches_the_greedy_pick(preset, field):
+    # Into one brick u, no radical map of add(u) lands in u and End(u) = k,
+    # so the greedy pick over the lines of Hom(M_i, u) is the minimal
+    # approximation: it keeps the whole basis.
+    reg = explore(IsoRegistry(build_preset(preset, field))).registry
+    bricks = [u for u in range(reg.count()) if reg.is_brick_id(u)]
+    checked = 0
+    for i in range(reg.count()):
+        for u in bricks:
+            if not reg.hom(i, u):
+                continue
+            picks = greedy_span_pick(field, [], reg.hom(i, u), lambda h: [h.flatten()])
+            assert picks == list(reg.hom(i, u))
+            f = reg.left_approximation(i, [u])
+            assert f.target == direct_sum(f.source.algebra, [reg.module(u)] * len(picks))[0]
+            assert list(f.mats) == [
+                hstack(field, [h.mats[v] for h in picks], nrows=d) for v, d in enumerate(f.source.dims)
+            ]
+            checked += 1
+    assert checked
+
+
 def _p2_s1_and_its_inverse_translate(A):
     return [projective_module(A, 2), simple_module(A, 1), ar_translate_inverse(simple_module(A, 1))]
 
@@ -845,13 +871,15 @@ def test_trusted_constructors_build_what_the_public_ones_accept(
     preset, field, summands, generator, monkeypatch, capsys
 ):
     # Mat._of, Module(_validated=True) and ModuleHom(_validated=True) check
-    # nothing when they run; here every object they build under each verb
-    # must pass the public checks: rows of ncols canonical entries, module
-    # shapes and relations, map shapes and commutation.
+    # nothing when they run, and Mat.zeros hands out one shared matrix per
+    # shape; here every object they build under each verb must pass the
+    # public checks: rows of ncols canonical entries, module shapes and
+    # relations, map shapes and commutation, and a zero matrix must be
+    # the one of its shape.
     from taumut import cli
 
     seen = Counter()
-    of, module_init, hom_init = Mat._of.__func__, Module.__init__, ModuleHom.__init__
+    of, zeros, module_init, hom_init = Mat._of.__func__, Mat.zeros, Module.__init__, ModuleHom.__init__
 
     def checked_of(cls, fld, rows, ncols):
         m = of(cls, fld, rows, ncols)
@@ -859,6 +887,14 @@ def test_trusted_constructors_build_what_the_public_ones_accept(
         assert m.nrows == len(m.rows) and all(len(row) == ncols for row in m.rows)
         assert Mat(fld, m.rows, ncols=ncols).rows == m.rows
         assert all(type(x) is type(fld.coerce(x)) for row in m.rows for x in row)
+        return m
+
+    def checked_zeros(fld, nrows, ncols):
+        m = zeros(fld, nrows, ncols)
+        seen["zeros"] += 1
+        assert m is zeros(fld, nrows, ncols) and m.field == fld
+        assert m == Mat(fld, [[0] * ncols] * nrows, ncols=ncols)
+        assert all(type(x) is type(fld.zero()) for row in m.rows for x in row)
         return m
 
     def checked_module(self, algebra, dims, mats, *, _validated=False):
@@ -875,6 +911,7 @@ def test_trusted_constructors_build_what_the_public_ones_accept(
             ModuleHom(source, target, self.mats)  # raises on a bad shape or unless it commutes
 
     monkeypatch.setattr(Mat, "_of", classmethod(checked_of))
+    monkeypatch.setattr(Mat, "zeros", staticmethod(checked_zeros))
     monkeypatch.setattr(Module, "__init__", checked_module)
     monkeypatch.setattr(ModuleHom, "__init__", checked_hom)
     runs = [("explore", []), ("verify", []), ("smc", []), ("gvectors", []), ("restrict", summands)]
@@ -883,7 +920,7 @@ def test_trusted_constructors_build_what_the_public_ones_accept(
     for verb, extra in runs:
         assert cli.main([verb, "--preset", preset, "--field", field, *extra]) == 0
         capsys.readouterr()
-    assert set(seen) == {"Mat", "Module", "ModuleHom"}
+    assert set(seen) == {"Mat", "zeros", "Module", "ModuleHom"}
 
 
 # -- Asai's labelling: the SMC at a vertex is the labels of its arrows ---------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,55 @@ def test_stacking():
     d = block_diag(QQ, [a, b])
     assert (d.nrows, d.ncols) == (2, 4)
     assert d[0, 2] == 0 and d[1, 0] == 0
+
+
+def _filled(field, nrows, ncols, start=1):
+    """The nrows x ncols matrix with entries start, start + 1, ... by rows."""
+    return Mat(field, [[start + i * ncols + j for j in range(ncols)] for i in range(nrows)], ncols=ncols)
+
+
+def _same(got, ref):
+    assert (got, got.nrows, got.ncols, hash(got)) == (ref, ref.nrows, ref.ncols, hash(ref))
+
+
+SHAPES = list(itertools.product(range(4), repeat=2))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_each_shape_has_one_shared_zero_matrix(field):
+    for r, c in SHAPES:
+        z = Mat.zeros(field, r, c)
+        assert z is Mat.zeros(field, r, c)
+        _same(z, Mat(field, [[0] * c] * r, ncols=c))
+        if 0 in (r, c):
+            assert Mat._of(field, [[field.zero()] * c] * r, c) is z
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_empty_operands_give_the_general_result(field):
+    # Products, transposes, stacks and block sums of every shape up to 3x3,
+    # against the entries written out and passed to the public constructor.
+    for r, k, c in itertools.product(range(4), repeat=3):
+        a, b = _filled(field, r, k), _filled(field, k, c, start=20)
+        if 0 in (r, k, c):
+            _same(a.mul(b), Mat(field, [[0] * c] * r, ncols=c))
+        x, y = _filled(field, r, c), _filled(field, r, k, start=20)
+        wide = hstack(field, [x, Mat.zeros(field, r, 0), y])
+        _same(wide, Mat(field, [p + q for p, q in zip(x.rows, y.rows)], ncols=c + k))
+        x, y = _filled(field, r, c), _filled(field, k, c, start=20)
+        _same(vstack(field, [x, Mat.zeros(field, 0, c), y]), Mat(field, x.rows + y.rows, ncols=c))
+    for r, c in SHAPES:
+        m = _filled(field, r, c)
+        _same(m.transpose(), Mat(field, [[m[i, j] for i in range(r)] for j in range(c)], ncols=r))
+        # a lone operand that is not empty is handed back as it is
+        assert hstack(field, [Mat.zeros(field, r, 0), m]) is (m if c else Mat.zeros(field, r, 0))
+        assert vstack(field, [m, Mat.zeros(field, 0, c)]) is (m if r else Mat.zeros(field, 0, c))
+    for (r1, c1), (r2, c2) in itertools.product(SHAPES, repeat=2):
+        x, y = _filled(field, r1, c1), _filled(field, r2, c2, start=20)
+        ref = [list(row) + [0] * c2 for row in x.rows] + [[0] * c1 + list(row) for row in y.rows]
+        _same(block_diag(field, [x, y]), Mat(field, ref, ncols=c1 + c2))
+        if (r2, c2) == (0, 0) and r1 and c1:
+            assert block_diag(field, [x, y]) is x
 
 
 def test_solve_inconsistent_returns_none():

@@ -245,16 +245,18 @@ def test_presentations_build_p1_only_when_read(argv, presentations, monkeypatch,
     "argv,calls",
     [
         (
+            # before the self-tops: 49 quotients
             ["explore", "--preset", "a-path:5", "--field", "fp:32003"],
-            {"_rref_rows": 242, "hom_basis": 63, "quotient_by_rows": 49, "check_smc_axioms": 0},
+            {"_rref_rows": 242, "hom_basis": 63, "quotient_by_rows": 34, "check_smc_axioms": 0},
         ),
         (
             # once per vertex: the coincidence loop re-checks no mutated
             # collection, and the table stands in for the duality report;
             # no label is tested for Fac of its source, which the tops check
-            # already implies (a top component is a quotient of its summand)
+            # already implies (a top component is a quotient of its summand);
+            # before the self-tops: 188 quotients
             ["verify", "--preset", "nakayama:cyclic:4:4"],
-            {"_rref_rows": 735, "hom_basis": 188, "quotient_by_rows": 188, "check_smc_axioms": 70},
+            {"_rref_rows": 735, "hom_basis": 188, "quotient_by_rows": 172, "check_smc_axioms": 70},
         ),
     ],
     ids=["explore-apath5-fp", "verify-cyclic44-q"],
@@ -394,6 +396,32 @@ def test_register_brick_refuses_a_new_indecomposable_non_brick():
         reg.register_brick(M)
     assert str(err.value) == message
     assert reg.count() == before[0] + 1
+
+
+def test_a_summand_with_a_two_dimensional_division_ring_end_is_not_its_own_top():
+    # K = (I, [[0, -1], [1, 0]]) on msex's Kronecker arrows: rad End(K) = 0
+    # but End(K) = Q[x]/(x^2 + 1) has dimension two.  Alone in its tuple
+    # nothing maps into K, so K is its own top, and the brick check refuses it.
+    A = build_preset("msex", QQ)
+    K = Module(A, (2, 2, 0), [Mat.identity(QQ, 2), Mat(QQ, [[0, -1], [1, 0]]), Mat.zeros(QQ, 2, 0)])
+    reg = IsoRegistry(A)
+    k = reg.register(K)
+    assert (reg.rad_end(k), reg.end_dim(k)) == ([], 2)
+    with pytest.raises(NotABrickError) as err:
+        reg.pair_top_ids((k,))
+    assert str(err.value) == "the module with dims [2, 2, 0] has dim End 2, not a brick"
+    assert reg.tops == {}
+
+
+def test_a_brick_alone_is_its_own_top_with_no_quotient(monkeypatch):
+    # Every indecomposable over a path algebra of type A is a brick.
+    reg = IsoRegistry(build_preset("a-path:5", PrimeField(32003)))
+    summands = sorted({z for p in explore(reg).pairs for z in p.summand_ids})
+    reg.tops.clear()
+    quotients, real = [], modules.quotient_by_rows
+    monkeypatch.setattr(modules, "quotient_by_rows", lambda *args: quotients.append(args) or real(*args))
+    assert [reg.pair_top_ids((z,)) for z in summands] == [(z,) for z in summands]
+    assert (len(summands), quotients) == (15, [])
 
 
 def test_register_brick_refuses_the_zero_module_as_register_does(a3):

@@ -314,26 +314,31 @@ def _counted(monkeypatch, calls, owner, name):
         # before the face index: 129, 258, 119 and 330 mutations;
         # before the face completion: 80, 209, 96 and 131 mutations;
         # before the face bricks: 10, 139, 57, with tops at all 132 vertices;
-        # before the exact index: 29 iso tests, and 10 again
-        ("a-path:5", PrimeField(32003), None, (10, 49, 0), 132, 10, 7),
+        # before the exact index: 29 iso tests, and 10 again;
+        # before the self-tops: 49 quotients
+        ("a-path:5", PrimeField(32003), None, (10, 34, 0), 132, 10, 7),
         # before: 140 approximations, 364 quotients, 248 iso tests;
         # before the face index: 96, 224, 112 and 140 mutations;
         # before the face completion: 59, 187, 90 and 69 mutations;
         # before the face bricks: 12, 140, 72, with tops at all 70 vertices;
         # before the exact index: 47 iso tests, and 12 again;
-        # before the one completion routine: 54 quotients
-        ("nakayama:cyclic:4:4", QQ, None, (12, 52, 6), 70, 12, 6),
+        # before the one completion routine: 54 quotients;
+        # before the self-tops: 52 quotients
+        ("nakayama:cyclic:4:4", QQ, None, (12, 36, 6), 70, 12, 6),
         # before the face bricks: 22, 342, 314 and 38 iso tests again;
         # before the exact index: 174 iso tests, and 48 again;
-        # before the one completion routine: 116 quotients, 63 iso tests
-        ("preproj-a:4", QQ, None, (22, 68, 53), 120, 22, 5),
-        # before the exact index: 22 iso tests, and 7 again
-        ("nakayama:linear:5:3", QQ, None, (7, 32, 0), 98, 7, 4),
+        # before the one completion routine: 116 quotients, 63 iso tests;
+        # before the self-tops: 68 quotients
+        ("preproj-a:4", QQ, None, (22, 48, 53), 120, 22, 5),
+        # before the exact index: 22 iso tests, and 7 again;
+        # before the self-tops: 32 quotients
+        ("nakayama:linear:5:3", QQ, None, (7, 20, 0), 98, 7, 4),
         # before the face bricks: 12, 64, 24;
         # before the exact index: 21 iso tests, and 12 again;
-        # before the one completion routine: 49 quotients, 3 iso tests
-        ("msex", QQ, 6, (12, 37, 0), 27, 12, 5),
-        ("msex", PrimeField(5), 6, (12, 37, 0), 27, 12, 5),
+        # before the one completion routine: 49 quotients, 3 iso tests;
+        # before the self-tops: 37 quotients
+        ("msex", QQ, 6, (12, 22, 0), 27, 12, 5),
+        ("msex", PrimeField(5), 6, (12, 22, 0), 27, 12, 5),
     ],
     ids=[
         "a-path:5-fp32003", "nakayama:cyclic:4:4-Q", "preproj-a:4-Q",
@@ -344,11 +349,12 @@ def test_each_component_and_exchange_is_built_once(
     preset, field, depth, built, vertices, mutations, fell_back, monkeypatch
 ):
     # A top component is a quotient, built once per (summand, summands it
-    # sees). An arrow into a found pair is read off the face index, and a
-    # new pair whose new summand is known or absent is completed from the
-    # face, so the exchange (an approximation plus a cokernel, a quotient)
-    # and the rigidity test of the pair it makes run once per summand never
-    # seen before. Exploring never calls left_mutate, whose checks hold by
+    # sees), unless the summand is a brick that sees none: then it is its
+    # own top, with no quotient built. An arrow into a found pair is read
+    # off the face index, and a new pair whose new summand is known or
+    # absent is completed from the face, so the exchange (an approximation
+    # plus a cokernel, a quotient) and the rigidity test of the pair it
+    # makes run once per summand never seen before. Exploring never calls left_mutate, whose checks hold by
     # construction. Each arrow's label and direction are read off the known
     # bricks, so the top components are looked up once per summand met
     # (its brick) and once per vertex where some face has no known brick
