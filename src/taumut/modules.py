@@ -789,7 +789,8 @@ def end_data(M: Module, space: HomSpace) -> EndData:
         return EndData((), 0, {}, (), [], [])
     if isinstance(field, PrimeField) and field.p <= d:
         raise CharacteristicError(
-            f"endomorphism radical over F_{field.p} needs p > dim End = {d}"
+            f"endomorphism radical of the module with dims {list(M.dims)} over "
+            f"F_{field.p} needs p > dim End = {d}"
         )
     cols = space.free_cols
 

@@ -16,7 +16,7 @@ alone, and the Grothendieck matrices are built from its columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Container, List, Optional, Sequence, Tuple
 
 from .errors import (
     ApproximationDichotomyError,
@@ -390,11 +390,15 @@ def smc_left_mutate(x: TwoTermSMC, s0: int) -> TwoTermSMC:
     return TwoTermSMC(reg, new[0], new[-1])
 
 
-def check_label_coincidence(quiver: ExchangeQuiver, collections: Sequence[TwoTermSMC]) -> dict:
+def check_label_coincidence(
+    quiver: ExchangeQuiver, collections: Sequence[TwoTermSMC], sources: Optional[Container[int]] = None
+) -> dict:
     """Mutating the collection at an arrow's label lands on the target's
     collection; arrows whose label has self-extensions are skipped.
     collections[i] is vertex i's collection, as `smc_of_vertex` reads it;
-    the caller checks its axioms, so a mutation that breaks them mismatches."""
+    the caller checks its axioms, so a mutation that breaks them mismatches.
+    With `sources`, only the arrows out of those vertices are mutated
+    across, and the skipped arrows are still those of the whole quiver."""
     reg = quiver.registry
     checked = 0
     skipped: List[tuple] = []
@@ -403,6 +407,8 @@ def check_label_coincidence(quiver: ExchangeQuiver, collections: Sequence[TwoTer
         dims = tuple(reg.module(lab).dims)
         if reg.ext1_dim(lab, lab) != 0:
             skipped.append((s, t, dims))
+            continue
+        if sources is not None and s not in sources:
             continue
         if smc_left_mutate(collections[s], lab).key != collections[t].key:
             failures.append((s, t, dims))

@@ -199,39 +199,54 @@ def test_verify_stops_at_a_column_no_arrow_pairs_with(capsys, monkeypatch):
     assert (code, out, err) == (1, "", f"error: column 0 of {at}: no arrow in or out pairs with this column\n")
 
 
-def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
-    # verify reads each vertex's top components once; `change` perturbs
-    # them.  No size line is printed: the tops are checked against the
-    # labels of the arrows out, whose number is the out-degree, at most n.
-    # So every vertex whose semibrick has the wrong size is flagged there.
-    change = None
+def _perturbed_tops(monkeypatch):
+    """verify reads the top components once per vertex it checks; the
+    returned setter picks how they are perturbed."""
+    state = {}
 
     def perturb(quiver):
         reg = quiver.registry
         real = reg.pair_top_ids
-        reg.pair_top_ids = lambda ids: change(real(ids))
+        reg.pair_top_ids = lambda ids: state["change"](real(ids))
 
     _after_exploring(monkeypatch, perturb)
+    return lambda change: state.update(change=change)
 
-    def doubled(size):
-        def change(tops):
-            bricks = tuple(t for t in tops if t is not None)
-            return tops + bricks if len(bricks) == size else tops
-        return change
 
-    # one-brick semibricks counted twice: out-degree 1 against size 2
-    change = doubled(1)
+def _doubled(size):
+    def change(tops):
+        bricks = tuple(t for t in tops if t is not None)
+        return tops + bricks if len(bricks) == size else tops
+    return change
+
+
+def _renamed(tops):
+    return tuple(t if t is None else 0 for t in tops)
+
+
+def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
+    # No size line is printed: the tops are checked against the labels of
+    # the arrows out, whose number is the out-degree, at most n.  So every
+    # checked vertex whose semibrick has the wrong size is flagged there.
+    # The swap of the two vertices of nakayama:cyclic:2:2 makes the orbits
+    # {0}, {1, 2}, {3, 4} and {5}, and the tops are read only at 0, 1, 3
+    # and 5; semibrick injectivity reads the labels out at 2 and 4.
+    set_change = _perturbed_tops(monkeypatch)
+    # one-brick semibricks counted twice: out-degree 1 against size 2, at
+    # vertices 1 to 4 (before the orbits: all four were flagged)
+    set_change(_doubled(1))
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
-    assert fails == [f"FAIL: smc of vertex {i} is not the labels of its arrows" for i in (1, 2, 3, 4)]
+    assert fails == [f"FAIL: smc of vertex {i} is not the labels of its arrows" for i in (1, 3)]
     # the simples counted twice at (A, 0): size 4, larger than n = 2
-    change = doubled(2)
+    set_change(_doubled(2))
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == ["FAIL: smc of vertex 0 is not the labels of its arrows"]
     # every brick renamed to id 0: semibricks of one size coincide, and
     # only the arrow out of vertex 2, labelled by brick 0, still matches
-    change = lambda tops: tuple(t if t is None else 0 for t in tops)
+    # (before the orbits, vertex 4 repeated vertex 3 and was flagged too)
+    set_change(_renamed)
     code, fails = _verify_failures(capsys, "nakayama:cyclic:2:2")
     assert code == 1
     assert fails == [
@@ -240,9 +255,33 @@ def test_verify_reports_semibrick_size_and_repeats(capsys, monkeypatch):
         "FAIL: semibrick of vertex 2 repeats vertex 1",
         "FAIL: semibrick of vertex 3 repeats vertex 2",
         "FAIL: smc of vertex 3 is not the labels of its arrows",
-        "FAIL: semibrick of vertex 4 repeats vertex 3",
-        "FAIL: smc of vertex 4 is not the labels of its arrows",
     ]
+
+
+def test_verify_reports_semibrick_faults_at_every_vertex_of_a_rigid_quiver(capsys, monkeypatch):
+    # a-path:3 has no automorphism, so every vertex is its own orbit and
+    # each of its 14 vertices is checked
+    set_change = _perturbed_tops(monkeypatch)
+    smc_line = "FAIL: smc of vertex {} is not the labels of its arrows".format
+    set_change(_doubled(1))
+    code, fails = _verify_failures(capsys, "a-path:3")
+    assert code == 1
+    assert fails == [smc_line(i) for i in (4, 5, 7, 10, 11, 12)]
+    set_change(_doubled(2))
+    code, fails = _verify_failures(capsys, "a-path:3")
+    assert code == 1
+    assert fails == [smc_line(i) for i in (1, 2, 3, 6, 8, 13)]
+    set_change(_renamed)
+    code, fails = _verify_failures(capsys, "a-path:3")
+    repeats = {2: 1, 3: 2, 5: 4, 6: 3, 7: 5, 8: 6, 10: 7, 11: 10, 12: 11, 13: 8}
+    expected = []
+    for i in range(14):
+        if i in repeats:
+            expected.append(f"FAIL: semibrick of vertex {i} repeats vertex {repeats[i]}")
+        if i not in (7, 9):
+            expected.append(smc_line(i))
+    assert code == 1
+    assert fails == expected
 
 
 def test_verify_sees_a_broken_duality_in_the_table(capsys, monkeypatch):
@@ -269,9 +308,9 @@ def test_verify_sees_a_broken_duality_in_the_table(capsys, monkeypatch):
 
     real_coincidence = cli.check_label_coincidence
 
-    def coincidence(quiver, collections):
+    def coincidence(quiver, collections, **kwargs):
         del quiver.registry.end_dim
-        return real_coincidence(quiver, collections)
+        return real_coincidence(quiver, collections, **kwargs)
 
     _after_exploring(monkeypatch, claim)
     monkeypatch.setattr(cli, "check_label_coincidence", coincidence)
@@ -703,6 +742,17 @@ def test_field_flag_names_the_cause(spec, reason, capsys):
     assert err == f"error: bad prime in field spec '{spec}': {reason}\n"
 
 
+def test_a_characteristic_too_small_for_the_radical_names_the_module(capsys):
+    # P_2 of preproj-a:3 has End of dimension 2, and the trace form over F_2
+    # cannot find its radical
+    code, out, err = run(capsys, ["explore", "--preset", "preproj-a:3", "--field", "fp:2"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: endomorphism radical of the module with dims [1, 2, 1] over F_2 "
+        "needs p > dim End = 2\n"
+    )
+
+
 def test_field_flag_accepts_a_mersenne_prime(capsys):
     code, out, _ = run(
         capsys,
@@ -864,11 +914,13 @@ def test_console_script(tmp_path):
 
 
 # A fresh process: sympy is loaded only where a minimal polynomial must be
-# factored, which neither verb below needs, and is then imported on demand.
+# factored, which neither verb below needs, and is then imported on demand;
+# taumut.symmetry only by verify.
 _COLD_START = """
 import contextlib, io, json, sys
 import taumut, taumut.cli
 seen = {"import": "sympy" in sys.modules}
+symmetry = {"import": "taumut.symmetry" in sys.modules}
 from taumut.cli import main
 for name, argv in (
     ("explore", ["explore", "--preset", "a-path:5", "--field", "fp:32003"]),
@@ -877,6 +929,7 @@ for name, argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, name
     seen[name] = "sympy" in sys.modules
+    symmetry[name] = "taumut.symmetry" in sys.modules
 from taumut.linalg import QQ, Mat, PrimeField
 from taumut.modules import Module, decompose
 from taumut.presets import build_preset
@@ -887,7 +940,7 @@ for field in (QQ, PrimeField(7)):
     M = Module(build_preset("msex", field), (4, 4, 0), mats)
     parts[field.name] = sorted(p.dims for p in decompose(M))
 seen["decompose"] = "sympy" in sys.modules
-print(json.dumps({"seen": seen, "parts": parts}))
+print(json.dumps({"seen": seen, "symmetry": symmetry, "parts": parts}))
 """
 
 
@@ -903,6 +956,8 @@ def test_cold_start_does_not_import_sympy():
     assert result["seen"] == {
         "import": False, "explore": False, "verify": False, "decompose": True,
     }
+    # the automorphism search and the orbits are loaded by verify alone
+    assert result["symmetry"] == {"import": False, "explore": False, "verify": True}
     # End = k[x]/((x^2 - 2)^2) is local over Q; over F_7, 2 = 3^2 splits it
     assert result["parts"] == {"Q": [[4, 4, 0]], "F7": [[2, 2, 0], [2, 2, 0]]}
 

@@ -9,8 +9,11 @@ search meets them; no translate is registered, since rigidity is read off
 the g-vector pairing.  `nakayama:cyclic:4:4` is
 here because the relative ids of its summands and labels depend on
 whether translates are registered too.
-Each `.stdout` file under `golden/` is the stdout of one run; `SHA256SUMS`
-holds the digests of the files that `--out` and `--dot` write.
+Each `.stdout` file under `golden/` is the stdout of one run, and each
+`.stderr` file the stderr of a `verify` run; `SHA256SUMS` holds the digests
+of the files that `--out` and `--dot` write.  The `-relabelled.json` files
+are presets with their vertices shuffled and renamed and their arrows
+shuffled, as an algebra file that names no preset.
 """
 
 from __future__ import annotations
@@ -71,6 +74,24 @@ def test_smc_and_gvectors_take_no_dual_route(name, capsys, monkeypatch):
     for attr in DUAL_ROUTE:
         monkeypatch.setattr(modules, attr, refuse)
     test_stdout_matches_the_stored_copy(name, capsys)
+
+
+# verify finds the automorphisms of each algebra, here from files that name
+# no preset, and checks one vertex per orbit; nakayama:cyclic:2:5 notes on
+# stderr the arrows that label coincidence skips, counted over all arrows
+VERIFY_RUNS = {
+    "verify-cyclic44-relabelled": ["--algebra", str(GOLDEN / "cyclic44-relabelled.json")],
+    "verify-preproj-a3-relabelled": ["--algebra", str(GOLDEN / "preproj-a3-relabelled.json")],
+    "verify-cyclic25": ["--preset", "nakayama:cyclic:2:5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_RUNS))
+def test_verify_output_matches_the_stored_copies(name, capsys):
+    assert main(["verify", *VERIFY_RUNS[name]]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert captured.err.encode() == (GOLDEN / f"{name}.stderr").read_bytes()
 
 
 def _digests() -> dict:

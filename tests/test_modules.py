@@ -250,16 +250,25 @@ def test_presentations_build_p1_only_when_read(argv, presentations, monkeypatch,
             {"_rref_rows": 242, "hom_basis": 63, "quotient_by_rows": 34, "check_smc_axioms": 0},
         ),
         (
-            # once per vertex: the coincidence loop re-checks no mutated
-            # collection, and the table stands in for the duality report;
-            # no label is tested for Fac of its source, which the tops check
-            # already implies (a top component is a quotient of its summand);
-            # before the self-tops: 188 quotients
+            # once per orbit of the rotation, 20 of the 70 vertices: the
+            # coincidence loop re-checks no mutated collection, and the table
+            # stands in for the duality report; no label is tested for Fac of
+            # its source, which the tops check already implies (a top
+            # component is a quotient of its summand); the equivariance check
+            # adds the Hom systems of its iso tests; before the self-tops: 188
+            # quotients; before the orbits: 735 eliminations, 188 Hom
+            # systems, 172 quotients and 70 axiom checks, one per vertex
             ["verify", "--preset", "nakayama:cyclic:4:4"],
-            {"_rref_rows": 735, "hom_basis": 188, "quotient_by_rows": 172, "check_smc_axioms": 70},
+            {"_rref_rows": 489, "hom_basis": 152, "quotient_by_rows": 80, "check_smc_axioms": 20},
+        ),
+        (
+            # no automorphism: every vertex is its own orbit, and verify does
+            # the work it did before the orbits
+            ["verify", "--preset", "a-path:5", "--field", "fp:32003"],
+            {"_rref_rows": 624, "hom_basis": 118, "quotient_by_rows": 164, "check_smc_axioms": 132},
         ),
     ],
-    ids=["explore-apath5-fp", "verify-cyclic44-q"],
+    ids=["explore-apath5-fp", "verify-cyclic44-q", "verify-apath5-fp"],
 )
 def test_the_timed_verbs_do_pinned_work(argv, calls, monkeypatch, capsys):
     # Eliminations, Hom systems, quotients and axiom checks per run of each

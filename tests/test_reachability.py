@@ -1,6 +1,7 @@
 """Every registry method and every function of the modules that a verb
 runs through (linalg, modules, tautilt, smc, grothendieck, cli, algebra,
-quotient, presets and nakayama) is on some verb's path.
+quotient, presets, nakayama and symmetry) is on some verb's path; all of
+symmetry is on the path of verify on a preset with an automorphism.
 
 Each verb runs in-process on small presets under a profiler that records
 the code objects it enters.  A registry method that no verb enters is dead
@@ -14,7 +15,7 @@ import inspect
 import json
 import sys
 
-from taumut import algebra, cli, grothendieck, linalg, modules, nakayama, presets, quotient, smc, tautilt
+from taumut import algebra, cli, grothendieck, linalg, modules, nakayama, presets, quotient, smc, symmetry, tautilt
 
 # functions that no verb enters, by module, each kept for its reason; the
 # dunders (__eq__, __hash__, __repr__) are left out of the comparison, as
@@ -134,6 +135,8 @@ UNREACHED = {
         "AlgebraSpec.save",
     },
     quotient: set(),
+    # verify preproj-a:3 enters all of it through the flip
+    symmetry: set(),
     presets: {
         # library API: a preset as a spec, which perfbench/run.py and the
         # tests write out as an algebra file
