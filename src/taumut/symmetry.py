@@ -99,18 +99,32 @@ def _keeps_the_ideal(algebra: Algebra, sigma: Automorphism) -> bool:
     return True
 
 
+def _orbit(k: int, generators: Sequence[Automorphism]) -> set:
+    """The images of vertex k under the group the generators generate."""
+    orbit = {k}
+    while True:
+        grown = orbit | {g.vertices[v] for g in generators for v in orbit}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
 def automorphisms(algebra: Algebra) -> List[Automorphism]:
     """Generators of the bound quiver's automorphism group, not the group.
 
     For each vertex k in turn, among the automorphisms that fix the
     vertices below k: one per image of k that the generators found for k
     so far do not already reach.  So the generators reach every image of
-    every vertex, and they generate the group.  A vertex permutation that
-    keeps the arrow counts maps each arrow to the one arrow between the
-    images of its endpoints; where two arrows join the same pair of vertices
-    that is ambiguous for every permutation, so none is tried.  A
-    permutation is an automorphism when it keeps the ideal
-    (`_keeps_the_ideal`); the identity is left out."""
+    every vertex, and they generate the group.  Then a generator for k is
+    dropped while the others for k still reach every image of k: by
+    orbit-stabilizer they and the stabilizer of k, which the generators
+    for the later vertices generate, still generate the group fixing the
+    vertices below k.  A vertex permutation that keeps the arrow counts
+    maps each arrow to the one arrow between the images of its endpoints;
+    where two arrows join the same pair of vertices that is ambiguous for
+    every permutation, so none is tried.  A permutation is an automorphism
+    when it keeps the ideal (`_keeps_the_ideal`); the identity is left
+    out."""
     quiver = algebra.quiver
     n = algebra.n_vertices
     vidx = quiver.vertex_index
@@ -129,12 +143,11 @@ def automorphisms(algebra: Algebra) -> List[Automorphism]:
                 sigma = Automorphism(vertices, [between[(vertices[u], vertices[w])] for u, w in ends])
                 if _keeps_the_ideal(algebra, sigma):
                     level.append(sigma)
-                    while True:
-                        grown = orbit | {g.vertices[v] for g in level for v in orbit}
-                        if grown == orbit:
-                            break
-                        orbit = grown
+                    orbit = _orbit(k, level)
                     break
+        for sigma in list(level):
+            if _orbit(k, [g for g in level if g is not sigma]) == orbit:
+                level.remove(sigma)
         found += level
     return found
 

@@ -9,9 +9,9 @@ component of the summand being removed.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Arrow
 from .errors import (
@@ -139,7 +139,7 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
             f"summand at position {position} is generated by the others"
         )
     face = (ids[:position] + ids[position + 1:], pair.support_complement)
-    return _complete_face(reg, face, ids[position], label, ()), label
+    return SupportPair(reg, *_complete_face(reg, face, ids[position], label)), label
 
 
 class ExchangeQuiver:
@@ -209,37 +209,32 @@ def kronecker_witness(algebra: Algebra) -> Optional[Tuple[Arrow, Arrow]]:
     return None
 
 
-def _faces(pair: SupportPair):
-    """The almost-complete pairs in `pair`: one summand or one missing
-    vertex left out, keyed like `SupportPair.key`."""
-    ids, supp = pair.key
-    for k in range(len(ids)):
-        yield ids[:k] + ids[k + 1:], supp
-    for k in range(len(supp)):
-        yield ids, supp[:k] + supp[k + 1:]
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _complete_face(
-    registry: IsoRegistry,
-    face: tuple,
-    x: int,
-    label: int,
-    known: Iterable[int],
-) -> SupportPair:
-    """The pair across the face (U, P) from the pair that holds x, whose
-    top component is `label`.  A face has exactly two completions
+    registry: IsoRegistry, face: tuple, x: int, label: int, masks: Optional[_FaceBricks] = None
+) -> tuple:
+    """The key of the pair across the face (U, P) from the pair that holds
+    x, whose top component is `label`.  A face has exactly two completions
     (Adachi-Iyama-Reiten, Thm 2.18), and the first branch that applies
     gives the other one:
       1. (U, P + v), when U vanishes at a vertex v outside P;
-      2. U + M_z, for the first z in `known`, other than x and not in U,
-         that vanishes on P, pairs negatively with the label's dimension
-         vector, and is tau-rigid with U;
+      2. U + M_z, for the lowest z among the summands that `masks` knows,
+         other than x and not in U, that vanishes on P, pairs negatively
+         with the label's dimension vector, and is tau-rigid with U;
       3. U + Y, for Y the cokernel of the minimal left add(U)-approximation
          of x: the one new indecomposable summand (Thm 2.30), registered
          with no decomposition.  The new pair is tested for rigidity.
     Branches 1 and 2 build nothing: a tau-rigid pair with n terms is
     support tau-tilting (Prop. 2.3), and the registry's g-vector pairing
-    decides tau-rigidity (Prop. 2.4).
+    decides tau-rigidity (Prop. 2.4).  Branch 2 finds any completion whose
+    summands `masks` knows, so branch 3 gives a new pair.
 
     The label B is the top component of x, so the new summand Y has
     Hom(Y, B) = 0 and Hom(B, tau Y) != 0, hence <g(Y), dim B> =
@@ -249,16 +244,11 @@ def _complete_face(
     """
     u_ids, supp = face
     dims = [registry.module(u).dims for u in u_ids]
-    for v in range(registry.algebra.n_vertices):
-        if v not in supp and not any(d[v] for d in dims):
-            return SupportPair(registry, u_ids, supp + (v,))
-    for z in sorted(known):
-        if z == x or z in u_ids or any(registry.module(z).dims[v] for v in supp):
-            continue
-        if registry.pairing(z, label) >= 0:
-            continue
-        if all(registry.tau_hom_dim(u, z) == 0 == registry.tau_hom_dim(z, u) for u in u_ids):
-            return SupportPair(registry, u_ids + (z,), supp)
+    for v, col in enumerate(zip(*dims, [0] * registry.algebra.n_vertices)):
+        if not any(col) and v not in supp:
+            return u_ids, tuple(sorted(supp + (v,)))
+    if masks and (z := masks.completion(label, x, u_ids, supp)) is not None:
+        return tuple(sorted(u_ids + (z,))), supp
     coker, _ = cokernel(registry.left_approximation(x, u_ids))
     if coker.is_zero:
         raise MutationError(
@@ -269,29 +259,31 @@ def _complete_face(
     new_pair = SupportPair(registry, u_ids + (registry.register(coker),), supp)
     if not pair_is_tau_rigid(new_pair):
         raise NotTauRigidError("mutation produced a non-rigid pair")
-    return new_pair
+    return new_pair.key
 
 
 class _FaceBricks:
-    """Bitmasks over the bricks that `explore` knows, from which it reads
-    the label of each face (U, P) and the direction of its arrow.
+    """Bitmasks by registry id over the bricks and summands `explore` knows,
+    which give each face (U, P) its label, arrow direction and completion.
 
     The wide subcategory W(U, P) = U^perp cap ^perp(tau U) cap P^perp of a
     face holds exactly one brick, the label of the face's one arrow (Jasso
     reduction, arXiv:1302.2709; Demonet-Iyama-Reading-Reiten-Thomas,
     arXiv:1711.01785).  `wmask[u]` holds the known bricks in W(u, 0) and
-    `vanish[v]` those that vanish at vertex v, so the known bricks in
-    W(U, P) are an AND of masks.  Each summand met brings its brick, M
-    modulo the image of rad End(M), since that map is a bijection from the
-    tau-rigid indecomposables onto the bricks (Demonet-Iyama-Jasso,
-    arXiv:1503.00285).
+    `vanish[v]` the bricks and summands that vanish at vertex v, so the
+    known bricks in W(U, P) are an AND of masks.  Each summand met brings
+    its brick, M modulo the image of rad End(M), since that map is a
+    bijection from the tau-rigid indecomposables onto the bricks
+    (Demonet-Iyama-Jasso, arXiv:1503.00285).
     """
 
     def __init__(self, registry: IsoRegistry):
         self.registry = registry
-        self.bricks: List[int] = []
+        self.bricks = 0
         self.wmask: Dict[int, int] = {}
         self.vanish = [0] * registry.algebra.n_vertices
+        self.neg: Dict[int, int] = {}
+        self.rigid: Dict[int, int] = defaultdict(int)
 
     def _in_w(self, u: int, b: int) -> bool:
         # Hom(M_u, B) and Hom(B, tau M_u) are both >= 0 and differ by the
@@ -299,23 +291,44 @@ class _FaceBricks:
         reg = self.registry
         return reg.pairing(u, b) == 0 and reg.hom_dim(u, b) == 0
 
+    def _mark(self, i: int) -> None:
+        self.vanish = [m | (not d) << i for m, d in zip(self.vanish, self.registry.module(i).dims)]
+
     def add_summand(self, z: int) -> None:
         if z in self.wmask:
             return
-        self.wmask[z] = sum(1 << k for k, b in enumerate(self.bricks) if self._in_w(z, b))
+        self.wmask[z] = sum(1 << b for b in _bits(self.bricks) if self._in_w(z, b))
+        self._mark(z)
+        self.neg = {b: m | (self.registry.pairing(z, b) < 0) << z for b, m in self.neg.items()}
         self.add_brick(self.registry.pair_top_ids((z,))[0])
 
     def add_brick(self, b: int) -> None:
-        if b in self.bricks:
+        if self.bricks >> b & 1:
             return
-        bit = 1 << len(self.bricks)
-        self.bricks.append(b)
-        for u in self.wmask:
-            if self._in_w(u, b):
-                self.wmask[u] |= bit
-        for v, d in enumerate(self.registry.module(b).dims):
-            if not d:
-                self.vanish[v] |= bit
+        self.bricks |= 1 << b
+        self._mark(b)
+        self.wmask = {u: m | self._in_w(u, b) << b for u, m in self.wmask.items()}
+
+    def completion(
+        self, label: int, x: int, u_ids: Tuple[int, ...], supp: Tuple[int, ...]
+    ) -> Optional[int]:
+        """The lowest known summand z, not x nor in U, that vanishes on supp,
+        pairs negatively with the label and is tau-rigid with U, tested
+        against U in order.  `rigid[z]` keeps the u it passed with."""
+        reg = self.registry
+        if label not in self.neg:
+            self.neg[label] = sum(1 << z for z in self.wmask if reg.pairing(z, label) < 0)
+        umask = sum(1 << u for u in u_ids)
+        cand = self.neg[label] & ~umask & ~(1 << x)
+        for v in supp:
+            cand &= self.vanish[v]
+        for z in _bits(cand):
+            for u in _bits(umask & ~self.rigid[z]):
+                if reg.tau_hom_dim(u, z) or reg.tau_hom_dim(z, u):
+                    break
+                self.rigid[z] |= 1 << u
+            else:
+                return z
 
     def labels(self, ids: Tuple[int, ...], supp: Tuple[int, ...]) -> tuple:
         """Like `pair_top_ids(ids)`: the label of the arrow out at each
@@ -324,7 +337,7 @@ class _FaceBricks:
         the pair, that is when Hom(B, tau M_x) = 0.  Where some face has no
         known brick, the top components are built and their bricks added."""
         reg = self.registry
-        base = (1 << len(self.bricks)) - 1
+        base = self.bricks
         for v in supp:
             base &= self.vanish[v]
         cands = []
@@ -335,7 +348,7 @@ class _FaceBricks:
                     cand &= self.wmask[u]
             if cand & (cand - 1):
                 dims = [list(reg.module(u).dims) for u in ids if u != x]
-                bdims = [list(reg.module(b).dims) for k, b in enumerate(self.bricks) if cand >> k & 1]
+                bdims = [list(reg.module(b).dims) for b in _bits(cand)]
                 raise CompletionError(
                     f"the almost-complete pair with summand dims {dims} and "
                     f"missing vertices {list(supp)} has bricks with dims {bdims} "
@@ -349,11 +362,8 @@ class _FaceBricks:
                 if t is not None:
                     self.add_brick(t)
             return tops
-        out = []
-        for x, cand in zip(ids, cands):
-            b = self.bricks[cand.bit_length() - 1]
-            out.append(b if reg.tau_hom_dim(x, b) == 0 else None)
-        return tuple(out)
+        bricks = [cand.bit_length() - 1 for cand in cands]
+        return tuple(b if reg.tau_hom_dim(x, b) == 0 else None for x, b in zip(ids, bricks))
 
 
 def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQuiver:
@@ -371,10 +381,11 @@ def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQ
     subcategory, and leaves the pair exactly when Hom(B, tau X) = 0.  So
     each arrow's label and direction are read off bitmasks of the known
     bricks (`_FaceBricks`); top components are built only at a pair where
-    some face has no known brick.  An arrow whose face already lies in
-    another found pair goes to that pair; an arrow into a new pair goes to
-    the face's other completion (`_complete_face`), tried first with the
-    summands of the pairs found so far.  Every pair found is tau-rigid by
+    some face has no known brick.  Every arrow goes to the key that
+    `_complete_face` gives, tried first with the summands met so far, and a
+    pair is built when its key is new.  A pair has one arrow per face, so
+    an arrow that gives a vertex more arrows than faces, or joins it to
+    itself, raises CompletionError.  Every pair found is tau-rigid by
     construction, so `left_mutate`'s input checks are not run.
     """
     witness = kronecker_witness(registry.algebra) if max_depth is None else None
@@ -386,22 +397,23 @@ def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQ
             "algebra and has infinitely many support tau-tilting pairs; "
             "bound the exploration with --max-depth"
         )
+    n = registry.algebra.n_vertices
     pairs: List[SupportPair] = []
     depths: List[int] = []
-    faces: Dict[tuple, List[int]] = {}
+    degree: List[int] = []
+    index: Dict[tuple, int] = {}
     masks = _FaceBricks(registry)
     arrows: List[Tuple[int, int, int]] = []
     complete = True
     queue = deque()
 
     def meet(pair: SupportPair, depth: int) -> int:
-        vi = len(pairs)
+        vi = index[pair.key] = len(pairs)
         pairs.append(pair)
         depths.append(depth)
+        degree.append(0)
         for z in pair.summand_ids:
             masks.add_summand(z)
-        for face in _faces(pair):
-            faces.setdefault(face, []).append(vi)
         queue.append(vi)
         return vi
 
@@ -417,21 +429,18 @@ def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQ
             continue
         for pos in positions:
             face = (ids[:pos] + ids[pos + 1:], supp)
-            found = [w for w in faces[face] if w != vi]
-            if len(found) > 1:
-                dims = [list(registry.module(i).dims) for i in face[0]]
-                raise CompletionError(
-                    f"the almost-complete pair with summand dims {dims} and "
-                    f"missing vertices {list(supp)} lies in vertices "
-                    f"{faces[face]}, but it has exactly two completions "
-                    "(Adachi-Iyama-Reiten, Thm 2.18)"
-                )
-            if found:
-                ti = found[0]
-            else:
-                # the keys of wmask are the summands met so far
-                new_pair = _complete_face(registry, face, ids[pos], tops[pos], masks.wmask)
-                ti = meet(new_pair, depths[vi] + 1)
+            key = _complete_face(registry, face, ids[pos], tops[pos], masks)
+            ti = index[key] if key in index else meet(SupportPair(registry, *key), depths[vi] + 1)
+            for w in (vi, ti):
+                if ti == vi or degree[w] == n:
+                    dims = [list(registry.module(i).dims) for i in face[0]]
+                    fault = "an arrow to itself" if ti == vi else f"more arrows than its {n} faces"
+                    raise CompletionError(
+                        f"the almost-complete pair with summand dims {dims} and missing "
+                        f"vertices {list(supp)} gives vertex {w} {fault}, but a face has "
+                        "exactly two completions (Adachi-Iyama-Reiten, Thm 2.18)"
+                    )
+                degree[w] += 1
             arrows.append((vi, ti, tops[pos]))
     return ExchangeQuiver(registry.algebra, registry, pairs, arrows, complete, max_depth, depths)
 

@@ -101,9 +101,9 @@ def _digests() -> dict:
 
 # tag -> (explore arguments, exit code); a depth-bounded exploration of the
 # tau-tilting infinite msex is incomplete, which exits 3.  These files pin
-# every arrow's target, most of which the face index supplies, its label,
-# most of which the known bricks supply, and every new pair, most of which
-# a face completes from known summands.
+# every arrow's target, most of which a face completes from known summands
+# and finds in the pair index, and its label, most of which the known bricks
+# supply.  a-path:9 (16,796 vertices, 75,582 arrows) pins the masks at scale.
 EXPORT_RUNS = {
     "preproj-a3": (["--preset", "preproj-a:3"], 0),
     "preproj-a4": (["--preset", "preproj-a:4"], 0),
@@ -111,6 +111,7 @@ EXPORT_RUNS = {
     "apath5-fp": (["--preset", "a-path:5", "--field", "fp:32003"], 0),
     "apath6-fp": (["--preset", "a-path:6", "--field", "fp:32003"], 0),
     "apath7-fp": (["--preset", "a-path:7", "--field", "fp:32003"], 0),
+    "apath9-fp": (["--preset", "a-path:9", "--field", "fp:32003"], 0),
     "msex6": (["--preset", "msex", "--max-depth", "6"], 3),
 }
 GVECTOR_RUNS = ("preproj-a3", "cyclic44")

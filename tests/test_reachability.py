@@ -98,7 +98,8 @@ UNREACHED = {
         # the Bongartz completion, kept for ROADMAP item 13
         "bongartz_completion",
         # the checked library mutation, which the tests compare with
-        # reference_left_mutate; explore crosses faces by _complete_face
+        # reference_left_mutate; explore takes each arrow's target from
+        # _complete_face, as a key it looks up in its pair index
         "left_mutate",
         # library API: brick modules rather than ids, the positions with a
         # label, and the summands as modules

@@ -350,12 +350,12 @@ def test_each_component_and_exchange_is_built_once(
 ):
     # A top component is a quotient, built once per (summand, summands it
     # sees), unless the summand is a brick that sees none: then it is its
-    # own top, with no quotient built. An arrow into a found pair is read
-    # off the face index, and a new pair whose new summand is known or
-    # absent is completed from the face, so the exchange (an approximation
-    # plus a cokernel, a quotient) and the rigidity test of the pair it
-    # makes run once per summand never seen before. Exploring never calls left_mutate, whose checks hold by
-    # construction. Each arrow's label and direction are read off the known
+    # own top, with no quotient built. Every arrow's target, found or new,
+    # is completed from its face, by a missing vertex or a known summand
+    # where it has one, so the exchange (an approximation plus a cokernel,
+    # a quotient) and the rigidity test of the pair it makes run once per
+    # summand never seen before. Exploring never calls left_mutate, whose
+    # checks hold by construction. Each arrow's label and direction are read off the known
     # bricks, so the top components are looked up once per summand met
     # (its brick) and once per vertex where some face has no known brick
     # (fell_back). A second exploration over the same registry builds no
@@ -394,7 +394,7 @@ def test_a_face_with_two_known_bricks_is_refused(monkeypatch):
     real = tautilt._FaceBricks.labels
 
     def perturbed(self, ids, supp):
-        self.wmask[p1] |= 1 << self.bricks.index(p1)
+        self.wmask[p1] |= 1 << p1
         return real(self, ids, supp)
 
     monkeypatch.setattr(tautilt._FaceBricks, "labels", perturbed)
@@ -417,31 +417,40 @@ def test_one_vertex_explores_across_the_empty_face(kind, length):
     assert [q.registry.module(lab).dims for _, _, lab in q.arrows] == [(1,)]
 
 
-def test_a_face_with_a_third_completion_is_refused(monkeypatch):
-    # A completion that returns the root again puts a second copy of (A, 0)
-    # into the index; the copy's first face then lies in three vertices.
-    # The root's first arrow trades P_0 for vertex 0 in the support
-    # complement, so the root's second arrow, across the face without P_1,
-    # is the one that returns the copy.
+@pytest.mark.parametrize(
+    "call,face_dims,missing,fault",
+    [
+        (2, [[1, 1, 1], [0, 0, 1]], [], "an arrow to itself"),
+        (4, [[0, 0, 1]], [0], "more arrows than its 3 faces"),
+    ],
+    ids=["loop", "fourth-arrow"],
+)
+def test_a_face_with_a_third_completion_is_refused(call, face_dims, missing, fault, monkeypatch):
+    # A completion that returns the key of the root (A, 0) sends a face's
+    # arrow to a third pair, found in the index.  The root's second arrow,
+    # across the face without P_1, then joins the root to itself.  The first
+    # arrow out of vertex 1, (P_1 + P_2, {0}), across the face without P_1,
+    # gives the root a fourth arrow, after one across each of its three faces.
     real = tautilt._complete_face
     faces = []
 
-    def third(registry, face, x, label, known):
+    def third(registry, face, x, label, masks=None):
         faces.append(face)
-        if len(faces) == 2:
-            return initial_pair(registry)
-        return real(registry, face, x, label, known)
+        if len(faces) == call:
+            return initial_pair(registry).key
+        return real(registry, face, x, label, masks)
 
     monkeypatch.setattr(tautilt, "_complete_face", third)
     reg = IsoRegistry(build_preset("a-path:3"))
     with pytest.raises(CompletionError) as err:
         explore(reg)
     assert str(err.value) == (
-        "the almost-complete pair with summand dims [[0, 1, 1], [0, 0, 1]] and "
-        "missing vertices [] lies in vertices [0, 1, 2], but it has exactly two "
+        f"the almost-complete pair with summand dims {face_dims} and missing "
+        f"vertices {missing} gives vertex 0 {fault}, but a face has exactly two "
         "completions (Adachi-Iyama-Reiten, Thm 2.18)"
     )
-    assert [reg.module(u).dims for u in faces[1][0]] == [(1, 1, 1), (0, 0, 1)]
+    assert len(faces) == call
+    assert [list(reg.module(u).dims) for u in faces[-1][0]] == face_dims
 
 
 def _raise_once(monkeypatch, owner, name):
@@ -639,13 +648,21 @@ def _root_face(preset, position):
     return pair, (ids[:position] + ids[position + 1:], ()), ids[position], label
 
 
+def _knowing(reg, summands):
+    """The masks that explore keeps, once it has met these summands."""
+    masks = tautilt._FaceBricks(reg)
+    for z in summands:
+        masks.add_summand(z)
+    return masks
+
+
 def test_a_face_missing_a_vertex_completes_with_a_shifted_projective():
     # Over a-path:3, P_1 + P_2 vanishes at vertex 0: mutating P_0 away
     # leaves the cokernel zero and puts vertex 0 into the support complement.
     pair, face, x, label = _root_face("a-path:3", 0)
-    got = tautilt._complete_face(pair.registry, face, x, label, set(pair.summand_ids))
-    assert got.key == ((1, 2), (0,))
-    assert got == left_mutate(pair, 0)[0]
+    got = tautilt._complete_face(pair.registry, face, x, label, _knowing(pair.registry, pair.summand_ids))
+    assert got == ((1, 2), (0,))
+    assert got == left_mutate(pair, 0)[0].key
 
 
 def test_an_unseen_new_summand_is_built_as_the_exchange(monkeypatch):
@@ -653,15 +670,17 @@ def test_an_unseen_new_summand_is_built_as_the_exchange(monkeypatch):
     # so the face builds it as the cokernel of an approximation.
     pair, face, x, label = _root_face("a-path:3", 1)
     reg = pair.registry
+    masks = _knowing(reg, pair.summand_ids)
     calls = {"left_approximation": 0}
     _counted(monkeypatch, calls, IsoRegistry, "left_approximation")
-    new = tautilt._complete_face(reg, face, x, label, set(pair.summand_ids))
+    new = SupportPair(reg, *tautilt._complete_face(reg, face, x, label, masks))
     assert calls == {"left_approximation": 1}
     assert (new, label) == left_mutate(pair, 1)
     (y,) = set(new.summand_ids) - set(pair.summand_ids)
     assert reg.module(y).dims == (1, 0, 0)
     # once S_0 is known, the same face completes with it and builds nothing
-    assert tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, y}) == new
+    masks.add_summand(y)
+    assert tautilt._complete_face(reg, face, x, label, masks) == new.key
     assert calls == {"left_approximation": 2}
 
 
@@ -673,7 +692,7 @@ def test_a_zero_exchange_is_refused_with_the_face():
     pair, _, _, label = _root_face("a-path:3", 0)
     ids = pair.summand_ids
     with pytest.raises(MutationError) as err:
-        tautilt._complete_face(pair.registry, (ids, ()), ids[0], label, ())
+        tautilt._complete_face(pair.registry, (ids, ()), ids[0], label)
     assert str(err.value) == (
         "the almost-complete pair with summand dims [[1, 1, 1], [0, 1, 1], "
         "[0, 0, 1]] and missing vertices [] has a zero exchange, so it has "
@@ -683,32 +702,54 @@ def test_a_zero_exchange_is_refused_with_the_face():
 
 def test_a_candidate_failing_the_pairing_costs_no_hom_space():
     # I_1 = (1, 1, 0) has g = e_0 - e_2, so <g(I_1), dim S_1> = 0: it cannot
-    # be the new summand, and is refused before any Hom space with I_1 as
-    # source or target is built; the exchange S_0 is built instead.
+    # be the new summand, and the completion refuses it before any Hom space
+    # with I_1 as source or target is built; the exchange S_0 is built instead.
     pair, face, x, label = _root_face("a-path:3", 1)
     reg = pair.registry
     assert reg.module(label).dims == (0, 1, 0)
     i1 = reg.register(injective_module(reg.algebra, 1))
     assert (reg.module(i1).dims, reg.g_vector(i1)) == ((1, 1, 0), (1, 0, -1))
-    got = tautilt._complete_face(reg, face, x, label, {*pair.summand_ids, i1})
-    assert got == left_mutate(pair, 1)[0]
-    assert i1 not in got.summand_ids
-    assert not [key for key in reg._hom if i1 in key]
+    masks = _knowing(reg, (*pair.summand_ids, i1))
+    homs = set(reg._hom)
+    got = tautilt._complete_face(reg, face, x, label, masks)
+    assert got == left_mutate(pair, 1)[0].key
+    assert i1 not in got[0]
+    assert not [key for key in set(reg._hom) - homs if i1 in key]
+
+
+def _scanned(reg, known, face, x, label):
+    """The known summand that completes the face, by a scan of every known
+    summand in id order, with no mask."""
+    u_ids, supp = face
+    for z in sorted(known):
+        if z == x or z in u_ids or any(reg.module(z).dims[v] for v in supp):
+            continue
+        if reg.pairing(z, label) >= 0:
+            continue
+        if all(reg.tau_hom_dim(u, z) == 0 == reg.tau_hom_dim(z, u) for u in u_ids):
+            return z
+    return None
 
 
 @pytest.mark.parametrize("preset", ["a-path:4", "preproj-a:3", "nakayama:cyclic:3:3"])
 def test_every_arrow_completes_from_the_summands_of_its_quiver(preset):
     # With every summand known, each arrow's target is recognised from its
-    # face, by a shifted projective or by a known summand, both of which occur.
+    # face, by a shifted projective or by a known summand, both of which
+    # occur.  On every arrow, the masks pick the summand that a scan of all
+    # known summands in id order picks, and some arrow has none to pick.
     q = explore(IsoRegistry(build_preset(preset)))
     reg = q.registry
     known = {s for p in q.pairs for s in p.summand_ids}
-    branches = set()
+    masks = _knowing(reg, known)
+    branches, picks = set(), []
     for s, t, lab in q.arrows:
         ids, supp = q.pairs[s].key
         (pos,) = [k for k, top in enumerate(reg.pair_top_ids(ids)) if top == lab]
         face = (ids[:pos] + ids[pos + 1:], supp)
-        got = tautilt._complete_face(reg, face, ids[pos], lab, known)
-        assert got == q.pairs[t]
-        branches.add(got.support_complement == supp)
+        got = tautilt._complete_face(reg, face, ids[pos], lab, masks)
+        assert got == q.pairs[t].key
+        branches.add(got[1] == supp)
+        picks.append(masks.completion(lab, ids[pos], *face))
+        assert picks[-1] == _scanned(reg, known, face, ids[pos], lab)
     assert branches == {True, False}
+    assert None in picks and len(set(picks)) > 2

@@ -49,9 +49,10 @@ OFF_THE_VERIFY_PATH = {
     # No verb runs the report: gvectors prints the determinants, so it
     # calls check_duality on grothendieck_data itself.
     "grothendieck.duality_report",
-    # explore crosses each face by tautilt._complete_face, since every pair
-    # it finds is tau-rigid by construction; left_mutate is the checked
-    # entry point for a pair from outside, the tests' mutation.
+    # explore takes each arrow's target from tautilt._complete_face, as a
+    # key it looks up in its pair index, since every pair it finds is
+    # tau-rigid by construction; left_mutate is the checked entry point for
+    # a pair from outside, the tests' mutation.
     "tautilt.left_mutate",
 }
 
