@@ -21,14 +21,6 @@ PRESET_HELP: Dict[str, str] = {
 }
 
 
-def _a_path(n: int, field: Field) -> AlgebraSpec:
-    if n < 1:
-        raise SpecError("a-path needs n >= 1")
-    vertices = tuple(str(i) for i in range(1, n + 1))
-    arrows = tuple(Arrow(f"a{i}", str(i), str(i + 1)) for i in range(1, n))
-    return AlgebraSpec(Quiver(vertices, arrows), (), max(2, n), field)
-
-
 def _preprojective_a(n: int, field: Field) -> AlgebraSpec:
     if not 1 <= n <= 4:
         raise SpecError("preproj-a supports 1 <= n <= 4")
@@ -70,9 +62,9 @@ def _preset(name: str, field: Field) -> Union[NakayamaShape, AlgebraSpec]:
     kind = parts[0]
     try:
         if kind == "a-path" and len(parts) == 2:
-            return _a_path(int(parts[1]), field)
+            return NakayamaShape("linear", int(parts[1]), int(parts[1]))
         if kind == "a3-figure" and len(parts) == 1:
-            return _a_path(3, field)
+            return NakayamaShape("linear", 3, 3)
         if kind == "nakayama" and len(parts) == 4:
             return NakayamaShape(parts[1], int(parts[2]), int(parts[3]))
         if kind == "preproj-a" and len(parts) == 2:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
-from .modules import IsoRegistry, Module, _indec_iso
+from .grothendieck import g_columns
+from .modules import Module, _indec_iso
 from .tautilt import ExchangeQuiver
 
 
@@ -158,16 +159,6 @@ def _describe(algebra: Algebra, sigma: Automorphism) -> str:
     return "the quiver automorphism " + ", ".join(moved)
 
 
-def _key(reg: IsoRegistry, quiver: ExchangeQuiver, i: int) -> tuple:
-    """The g-vectors of vertex i's pair: its summands', and -e_v for each
-    missing vertex v."""
-    n = reg.algebra.n_vertices
-    pair = quiver.pairs[i]
-    gs = [reg.g_vector(z) for z in pair.summand_ids]
-    gs += [tuple(-1 if w == v else 0 for w in range(n)) for v in pair.support_complement]
-    return tuple(sorted(gs))
-
-
 def _equivariance_fault(
     quiver: ExchangeQuiver, sigma: Automorphism, vertex_of: Dict[tuple, int], keys: List[tuple]
 ) -> Tuple[Optional[List[int]], str]:
@@ -232,8 +223,9 @@ def orbit_representatives(quiver: ExchangeQuiver) -> Tuple[List[int], List[str]]
     generators = automorphisms(quiver.algebra)
     if not generators:
         return rep, []
-    reg = quiver.registry
-    keys = [_key(reg, quiver, i) for i in range(n)]
+    # a vertex's key is its pair's g-vectors: the summands', and -e_v for
+    # each missing vertex v
+    keys = [tuple(sorted(map(tuple, g_columns(p)))) for p in quiver.pairs]
     vertex_of: Dict[tuple, int] = {}
     for i, key in enumerate(keys):
         if key in vertex_of:

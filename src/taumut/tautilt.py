@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Arrow
@@ -142,32 +143,33 @@ def left_mutate(pair: SupportPair, position: int) -> Tuple[SupportPair, int]:
     return SupportPair(reg, *_complete_face(reg, face, ids[position], label)), label
 
 
+@dataclass(eq=False)
 class ExchangeQuiver:
-    """The mutation graph grown from (A, 0), arrows labeled by brick ids."""
+    """The mutation graph grown from (A, 0), arrows labeled by brick ids, as
+    `explore` found it; `find`'s key index and the adjacency lists are built on first read."""
 
-    def __init__(
-        self,
-        algebra: Algebra,
-        registry: IsoRegistry,
-        pairs: List[SupportPair],
-        arrows: List[Tuple[int, int, int]],
-        complete: bool,
-        max_depth: Optional[int],
-        depths: List[int],
-    ):
-        self.algebra = algebra
-        self.registry = registry
-        self.pairs = pairs
-        self.arrows = arrows
-        self.complete = complete
-        self.max_depth = max_depth
-        self.depths = depths
-        self.index: Dict[tuple, int] = {p.key: i for i, p in enumerate(pairs)}
-        self._out: List[List[Tuple[int, int, int]]] = [[] for _ in pairs]
-        self._in: List[List[Tuple[int, int, int]]] = [[] for _ in pairs]
-        for a in arrows:
-            self._out[a[0]].append(a)
-            self._in[a[1]].append(a)
+    registry: IsoRegistry
+    pairs: List[SupportPair]
+    arrows: List[Tuple[int, int, int]]
+    complete: bool
+    max_depth: Optional[int]
+    depths: List[int]
+
+    @property
+    def algebra(self) -> Algebra:
+        return self.registry.algebra
+
+    @cached_property
+    def index(self) -> Dict[tuple, int]:
+        return {p.key: i for i, p in enumerate(self.pairs)}
+
+    @cached_property
+    def _adjacency(self) -> tuple:
+        out, into = [[] for _ in self.pairs], [[] for _ in self.pairs]
+        for a in self.arrows:
+            out[a[0]].append(a)
+            into[a[1]].append(a)
+        return out, into
 
     @property
     def n_vertices(self) -> int:
@@ -178,20 +180,17 @@ class ExchangeQuiver:
         return len(self.arrows)
 
     def out_arrows(self, i: int) -> List[Tuple[int, int, int]]:
-        return self._out[i]
+        return self._adjacency[0][i]
 
     def in_arrows(self, i: int) -> List[Tuple[int, int, int]]:
-        return self._in[i]
+        return self._adjacency[1][i]
 
     def find(self, pair: SupportPair) -> Optional[int]:
         return self.index.get(pair.key)
 
     def __repr__(self) -> str:
         status = "complete" if self.complete else "partial"
-        return (
-            f"ExchangeQuiver({self.n_vertices} vertices, {self.n_arrows} "
-            f"arrows, {status})"
-        )
+        return f"ExchangeQuiver({self.n_vertices} vertices, {self.n_arrows} arrows, {status})"
 
 
 def kronecker_witness(algebra: Algebra) -> Optional[Tuple[Arrow, Arrow]]:
@@ -207,6 +206,12 @@ def kronecker_witness(algebra: Algebra) -> Optional[Tuple[Arrow, Arrow]]:
         if first is not a:
             return first, a
     return None
+
+
+def _face_words(registry: IsoRegistry, u_ids: Sequence[int], supp: Sequence[int]) -> str:
+    """The face (U, P) as error messages name it."""
+    dims = [list(registry.module(u).dims) for u in u_ids]
+    return f"the almost-complete pair with summand dims {dims} and missing vertices {list(supp)}"
 
 
 def _bits(mask: int):
@@ -252,8 +257,7 @@ def _complete_face(
     coker, _ = cokernel(registry.left_approximation(x, u_ids))
     if coker.is_zero:
         raise MutationError(
-            f"the almost-complete pair with summand dims {[list(d) for d in dims]} "
-            f"and missing vertices {list(supp)} has a zero exchange, so it has "
+            f"{_face_words(registry, u_ids, supp)} has a zero exchange, so it has "
             "one completion, not two (Adachi-Iyama-Reiten, Thm 2.18)"
         )
     new_pair = SupportPair(registry, u_ids + (registry.register(coker),), supp)
@@ -347,13 +351,11 @@ class _FaceBricks:
                 if u != x:
                     cand &= self.wmask[u]
             if cand & (cand - 1):
-                dims = [list(reg.module(u).dims) for u in ids if u != x]
                 bdims = [list(reg.module(b).dims) for b in _bits(cand)]
                 raise CompletionError(
-                    f"the almost-complete pair with summand dims {dims} and "
-                    f"missing vertices {list(supp)} has bricks with dims {bdims} "
-                    "in its wide subcategory, which holds exactly one brick "
-                    "(Jasso reduction)"
+                    f"{_face_words(reg, [u for u in ids if u != x], supp)} has bricks "
+                    f"with dims {bdims} in its wide subcategory, which holds "
+                    "exactly one brick (Jasso reduction)"
                 )
             cands.append(cand)
         if not all(cands):
@@ -433,16 +435,14 @@ def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQ
             ti = index[key] if key in index else meet(SupportPair(registry, *key), depths[vi] + 1)
             for w in (vi, ti):
                 if ti == vi or degree[w] == n:
-                    dims = [list(registry.module(i).dims) for i in face[0]]
                     fault = "an arrow to itself" if ti == vi else f"more arrows than its {n} faces"
                     raise CompletionError(
-                        f"the almost-complete pair with summand dims {dims} and missing "
-                        f"vertices {list(supp)} gives vertex {w} {fault}, but a face has "
-                        "exactly two completions (Adachi-Iyama-Reiten, Thm 2.18)"
+                        f"{_face_words(registry, *face)} gives vertex {w} {fault}, but a "
+                        "face has exactly two completions (Adachi-Iyama-Reiten, Thm 2.18)"
                     )
                 degree[w] += 1
             arrows.append((vi, ti, tops[pos]))
-    return ExchangeQuiver(registry.algebra, registry, pairs, arrows, complete, max_depth, depths)
+    return ExchangeQuiver(registry, pairs, arrows, complete, max_depth, depths)
 
 
 # -- completion and restriction ----------------------------------------------

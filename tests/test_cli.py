@@ -192,7 +192,7 @@ def test_verify_stops_at_a_column_no_arrow_pairs_with(capsys, monkeypatch):
 
     _after_exploring(
         monkeypatch,
-        lambda q: ExchangeQuiver(q.algebra, q.registry, q.pairs, q.arrows[1:], True, None, q.depths),
+        lambda q: ExchangeQuiver(q.registry, q.pairs, q.arrows[1:], True, None, q.depths),
     )
     code, out, err = run(capsys, ["verify", "--preset", "nakayama:cyclic:2:2"])
     at = "the pair with summand dims [[1, 1], [1, 1]] and missing vertices []"

@@ -78,11 +78,16 @@ def test_smc_and_gvectors_take_no_dual_route(name, capsys, monkeypatch):
 
 # verify finds the automorphisms of each algebra, here from files that name
 # no preset, and checks one vertex per orbit; nakayama:cyclic:2:5 notes on
-# stderr the arrows that label coincidence skips, counted over all arrows
+# stderr the arrows that label coincidence skips, counted over all arrows.
+# a-path:n is built as nakayama:linear:n:n, whose vertex count verify also
+# checks against the Catalan recurrence; the a-path:6 and a3-figure runs pin
+# that this leaves the output as it was.
 VERIFY_RUNS = {
     "verify-cyclic44-relabelled": ["--algebra", str(GOLDEN / "cyclic44-relabelled.json")],
     "verify-preproj-a3-relabelled": ["--algebra", str(GOLDEN / "preproj-a3-relabelled.json")],
     "verify-cyclic25": ["--preset", "nakayama:cyclic:2:5"],
+    "verify-apath6-fp": ["--preset", "a-path:6", "--field", "fp:32003"],
+    "verify-a3-figure": ["--preset", "a3-figure"],
 }
 
 

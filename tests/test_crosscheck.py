@@ -98,6 +98,7 @@ from taumut.tautilt import (
     ExchangeQuiver,
     SupportPair,
     explore,
+    export_dot,
     export_records,
     left_mutate,
     mutable_positions,
@@ -203,9 +204,27 @@ def test_zero_hom_certificates_match_a_direct_build(preset, field, monkeypatch):
 
 
 def test_adjacency_lists_match_a_scan_of_the_arrows(quiver):
-    for i in range(quiver.n_vertices):
-        assert quiver.out_arrows(i) == [a for a in quiver.arrows if a[0] == i]
-        assert quiver.in_arrows(i) == [a for a in quiver.arrows if a[1] == i]
+    # explore and the exports build neither the key index nor the adjacency
+    # lists; each is built once, on first read, from the quiver's own pairs
+    # and arrows, so a quiver over doctored arrows reads those
+    fresh = explore(IsoRegistry(quiver.algebra))
+    export_records(fresh)
+    export_dot(fresh)
+    assert not {"index", "_adjacency"} & vars(fresh).keys()
+    assert fresh.algebra is fresh.registry.algebra
+    doctored = ExchangeQuiver(
+        fresh.registry, fresh.pairs, fresh.arrows[:0:-1], True, None, fresh.depths
+    )
+    for q in (quiver, fresh, doctored):
+        for i in range(q.n_vertices):
+            assert q.out_arrows(i) == [a for a in q.arrows if a[0] == i]
+            assert q.in_arrows(i) == [a for a in q.arrows if a[1] == i]
+            assert q.find(q.pairs[i]) == i
+        adjacency, index = vars(q)["_adjacency"], vars(q)["index"]
+        for i in range(q.n_vertices):
+            assert q.out_arrows(i) is adjacency[0][i] and q.in_arrows(i) is adjacency[1][i]
+            assert q.find(q.pairs[i]) == i
+        assert vars(q)["_adjacency"] is adjacency and vars(q)["index"] is index
 
 
 def test_negative_columns_are_the_dual_cosemibrick(quiver):
@@ -1041,7 +1060,7 @@ def _swap_label(quiver, arrow, b):
     """The quiver with the label of one arrow replaced by brick b."""
     q = quiver
     arrows = [(s, t, b) if (s, t, lab) == arrow else (s, t, lab) for s, t, lab in q.arrows]
-    return ExchangeQuiver(q.algebra, q.registry, q.pairs, arrows, q.complete, q.max_depth, q.depths)
+    return ExchangeQuiver(q.registry, q.pairs, arrows, q.complete, q.max_depth, q.depths)
 
 
 def test_the_table_names_the_vertex_of_a_swapped_in_label(labelled):

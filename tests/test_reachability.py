@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import json
 import sys
+from functools import cached_property
 
 from taumut import algebra, cli, grothendieck, linalg, modules, nakayama, presets, quotient, smc, symmetry, tautilt
 
@@ -59,6 +60,7 @@ UNREACHED = {
         "Presentation.p1",
         "Presentation.p1_offsets",
         "Presentation.f",
+        "Presentation._second_cover",
         # resolved by name in perfbench/tracing.py's SPANS, and the dual
         # route above
         "nakayama_functor_map",
@@ -106,6 +108,8 @@ UNREACHED = {
         "semibrick_of",
         "mutable_positions",
         "SupportPair.modules",
+        # error messages only: the face a failed completion is about
+        "_face_words",
     },
     smc: {
         # a stable comparison key for the tests
@@ -160,14 +164,17 @@ UNREACHED = {
 
 
 def _functions(owner, module_name: str) -> dict:
-    """qualname -> code object of each function, method and property
-    defined in owner, a module or a class, and in the classes it defines.
+    """qualname -> code object of each function, method, property and
+    cached property defined in owner, a module or a class, and in the
+    classes it defines.
     A lambda is named by the attribute that holds it."""
     out = {}
     for attr, obj in vars(owner).items():
         if inspect.isclass(obj) and obj.__module__ == module_name:
             out.update(_functions(obj, module_name))
             continue
+        if isinstance(obj, cached_property):
+            obj = obj.func
         fn = obj.fget if isinstance(obj, property) else getattr(obj, "__func__", obj)
         if inspect.isfunction(fn) and fn.__module__ == module_name:
             out[fn.__qualname__.replace("<lambda>", attr)] = fn.__code__

@@ -168,7 +168,7 @@ def test_labels_on_the_wrong_columns_fail_the_table_and_the_duality(a3_quiver):
     (_, _, l6), (_, _, l7) = q.out_arrows(2)
     swap = {(2, 6): l7, (2, 7): l6}
     arrows = [(s, t, swap.get((s, t), lab)) for s, t, lab in q.arrows]
-    swapped = ExchangeQuiver(q.algebra, q.registry, q.pairs, arrows, True, None, q.depths)
+    swapped = ExchangeQuiver(q.registry, q.pairs, arrows, True, None, q.depths)
     x = smc_of_vertex(swapped, 2)
     assert x.key == smc_of_vertex(q, 2).key
     assert not check_silting_table(q.pairs[2], x).ok
@@ -386,7 +386,7 @@ def test_a_column_that_no_arrow_pairs_with_names_the_pair_and_the_column(a3_quiv
     # vertex 0 at vertex 1 without a label.
     q = a3_quiver
     assert q.arrows[0][:2] == (0, 1)
-    dropped = ExchangeQuiver(q.algebra, q.registry, q.pairs, q.arrows[1:], True, None, q.depths)
+    dropped = ExchangeQuiver(q.registry, q.pairs, q.arrows[1:], True, None, q.depths)
     with pytest.raises(TaumutError) as err:
         paired_columns(dropped, 0)
     assert str(err.value) == (
@@ -400,7 +400,7 @@ def test_a_column_that_no_arrow_pairs_with_names_the_pair_and_the_column(a3_quiv
         "and missing vertices [0]: no arrow in or out pairs with this column"
     )
     # the same arrow twice gives one column two labels
-    doubled = ExchangeQuiver(q.algebra, q.registry, q.pairs, q.arrows + q.arrows[:1], True, None, q.depths)
+    doubled = ExchangeQuiver(q.registry, q.pairs, q.arrows + q.arrows[:1], True, None, q.depths)
     with pytest.raises(TaumutError, match="the arrow 0 -> 1 does not exchange a column of its own"):
         paired_columns(doubled, 0)
 

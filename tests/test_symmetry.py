@@ -218,7 +218,7 @@ def test_labels_swapped_within_an_orbit_break_equivariance(capsys, monkeypatch):
         (s, t, a), (s2, t2, b) = q.arrows[:2]
         assert s == s2 == 0 and a != b
         arrows = [(s, t, b), (s2, t2, a)] + q.arrows[2:]
-        return ExchangeQuiver(q.algebra, q.registry, q.pairs, arrows, True, None, q.depths)
+        return ExchangeQuiver(q.registry, q.pairs, arrows, True, None, q.depths)
 
     _after_exploring(monkeypatch, swap)
     code, fails = _fails(capsys, ["verify", "--preset", "nakayama:cyclic:3:3"])
@@ -268,7 +268,7 @@ def test_an_arrow_whose_image_is_missing_is_a_fault():
     # swap sends 0 -> 2; verify itself then stops at vertex 0, whose
     # collection lacks a column (tests/test_cli.py)
     q = explore(IsoRegistry(build_preset("nakayama:cyclic:2:2")))
-    cut = ExchangeQuiver(q.algebra, q.registry, q.pairs, q.arrows[1:], True, None, q.depths)
+    cut = ExchangeQuiver(q.registry, q.pairs, q.arrows[1:], True, None, q.depths)
     rep, faults = orbit_representatives(cut)
     assert rep == list(range(6))
     assert faults == [
