@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Every scalar is tagged by the field it lives in: rationals are
-`fractions.Fraction` values (always in lowest terms with positive
-denominator), prime-field elements are ints in ``[0, p)``.  Matrices carry
-their field and refuse to mix tags.  No floating point appears anywhere in
-this module or its callers.
+Every scalar is tagged by the field it lives in.  A rational is an `int`
+when it is integral and otherwise a `fractions.Fraction` in lowest terms
+with denominator > 1, so the common integral entries cost no `Fraction`;
+prime-field elements are ints in ``[0, p)``.  Matrices carry their field
+and refuse to mix tags.  No floating point appears anywhere in this module
+or its callers.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ class Field:
     Concrete subclasses implement coercion and scalar arithmetic on the
     canonical representatives, plus the private kernels (`_rref`,
     `_matmul`, `_reduce_row`) that the matrix routines call once per
-    matrix instead of once per entry.  Representatives are canonical, so
-    an entry is zero exactly when it is falsy.
+    matrix instead of once per entry.  Representatives are canonical (over
+    Q, an `int` when integral, else a `Fraction` with denominator > 1), so
+    a value has one representation whatever computed it, and an entry is
+    zero exactly when it is falsy.
     """
 
     name: str
@@ -87,8 +90,16 @@ class Field:
         raise NotImplementedError
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _canon(x):
+    """A rational in canonical form: an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _divide(ints: list, den: int) -> list:
+    """A row of integers divided by den, each quotient in canonical form."""
+    if den == 1:
+        return ints
+    return [x // den if not x % den else Fraction(x, den) for x in ints]
 
 
 def _integer_row(row) -> list:
@@ -110,37 +121,37 @@ def _primitive(ints: list) -> list:
 class RationalField(Field):
     name = "Q"
 
-    def coerce(self, value: ScalarInput) -> Fraction:
+    def coerce(self, value: ScalarInput):
         if isinstance(value, bool):
             raise FieldMismatchError("booleans are not rational scalars")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+        if isinstance(value, int):
+            return int(value)
+        if isinstance(value, (Fraction, str)):
+            return _canon(Fraction(value))
         raise FieldMismatchError(f"cannot coerce {value!r} into Q")
 
-    def zero(self) -> Fraction:
-        return _ZERO
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return _ONE
+    def one(self) -> int:
+        return 1
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def add(self, a, b):
+        return _canon(a + b)
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
+    def sub(self, a, b):
+        return _canon(a - b)
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a):
         return -a
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
+    def mul(self, a, b):
+        return _canon(a * b)
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / a
+        return _canon(Fraction(1, a))
 
     def characteristic(self) -> int:
         return 0
@@ -175,31 +186,25 @@ class RationalField(Field):
             r += 1
             if r == nrows:
                 break
-        out = []
-        for row, c in zip(ints, pivots):
-            p = row[c]
-            out.append([Fraction(x, p) if x else _ZERO for x in row])
-        out.extend([_ZERO] * ncols for _ in range(r, nrows))
+        out = [_divide(row, row[c]) for row, c in zip(ints, pivots)]
+        out.extend([0] * ncols for _ in range(r, nrows))
         return r, out, tuple(pivots)
 
     def _matmul(self, arows, brows, ncols: int) -> list:
         # Over the common denominators of each row of a and of all of b the
-        # product is an integer product, divided once per output entry.
+        # product is an integer product, divided once per output row.
         bden = lcm(*[x.denominator for row in brows for x in row])
-        bints = [[x.numerator * (bden // x.denominator) for x in row] for row in brows]
+        if bden != 1:
+            brows = [[x.numerator * (bden // x.denominator) for x in row] for row in brows]
         out = []
         for ra in arows:
             aden = lcm(*[x.denominator for x in ra])
             acc = [0] * ncols
-            for a, rb in zip(ra, bints):
+            for a, rb in zip(ra, brows):
                 if a:
                     a = a.numerator * (aden // a.denominator)
                     acc = [x + a * y for x, y in zip(acc, rb)]
-            den = aden * bden
-            if den == 1:
-                out.append([Fraction(x) if x else _ZERO for x in acc])
-            else:
-                out.append([Fraction(x, den) if x else _ZERO for x in acc])
+            out.append(_divide(acc, aden * bden))
         return out
 
     def _reduce_row(self, row, rref_rows, pivots) -> list:
@@ -207,7 +212,7 @@ class RationalField(Field):
         for ref, c in zip(rref_rows, pivots):
             coef = out[c]
             if coef:
-                out = [x - coef * y if y else x for x, y in zip(out, ref)]
+                out = [_canon(x - coef * y) if y else x for x, y in zip(out, ref)]
         return out
 
     def __repr__(self) -> str:
@@ -445,10 +450,13 @@ class Mat:
             )
 
     def _entrywise(self, rows) -> "Mat":
-        # Sums and multiples of canonical entries; only F_p needs reducing.
+        # Sums and multiples of canonical entries, reduced mod p over F_p;
+        # over Q an integral Fraction becomes an int again.
         p = self.field.characteristic()
         if p:
             rows = [[x % p for x in row] for row in rows]
+        else:
+            rows = [[x if type(x) is int else _canon(x) for x in row] for row in rows]
         return Mat._of(self.field, rows, self.ncols)
 
     def _check_same_shape(self, other: "Mat") -> None:

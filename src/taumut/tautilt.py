@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Arrow
 from .errors import (
+    CharacteristicError,
     CompletionError,
     IncompleteExplorationError,
     MutationError,
@@ -208,10 +209,12 @@ def kronecker_witness(algebra: Algebra) -> Optional[Tuple[Arrow, Arrow]]:
     return None
 
 
-def _face_words(registry: IsoRegistry, u_ids: Sequence[int], supp: Sequence[int]) -> str:
-    """The face (U, P) as error messages name it."""
+def _face_words(
+    registry: IsoRegistry, u_ids: Sequence[int], supp: Sequence[int], kind: str = "almost-complete pair"
+) -> str:
+    """The face (U, P), or the pair of another kind, as error messages name it."""
     dims = [list(registry.module(u).dims) for u in u_ids]
-    return f"the almost-complete pair with summand dims {dims} and missing vertices {list(supp)}"
+    return f"the {kind} with summand dims {dims} and missing vertices {list(supp)}"
 
 
 def _bits(mask: int):
@@ -409,8 +412,12 @@ def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQ
     complete = True
     queue = deque()
 
+    at = None  # the key of the pair being met or expanded, for a CharacteristicError
+
     def meet(pair: SupportPair, depth: int) -> int:
-        vi = index[pair.key] = len(pairs)
+        nonlocal at
+        at = pair.key
+        vi = index[at] = len(pairs)
         pairs.append(pair)
         depths.append(depth)
         degree.append(0)
@@ -419,29 +426,33 @@ def explore(registry: IsoRegistry, max_depth: Optional[int] = None) -> ExchangeQ
         queue.append(vi)
         return vi
 
-    meet(initial_pair(registry), 0)
-    while queue:
-        vi = queue.popleft()
-        ids, supp = pairs[vi].key
-        tops = masks.labels(ids, supp)
-        positions = [k for k, t in enumerate(tops) if t is not None]
-        if max_depth is not None and depths[vi] >= max_depth:
-            if positions:
-                complete = False
-            continue
-        for pos in positions:
-            face = (ids[:pos] + ids[pos + 1:], supp)
-            key = _complete_face(registry, face, ids[pos], tops[pos], masks)
-            ti = index[key] if key in index else meet(SupportPair(registry, *key), depths[vi] + 1)
-            for w in (vi, ti):
-                if ti == vi or degree[w] == n:
-                    fault = "an arrow to itself" if ti == vi else f"more arrows than its {n} faces"
-                    raise CompletionError(
-                        f"{_face_words(registry, *face)} gives vertex {w} {fault}, but a "
-                        "face has exactly two completions (Adachi-Iyama-Reiten, Thm 2.18)"
-                    )
-                degree[w] += 1
-            arrows.append((vi, ti, tops[pos]))
+    try:
+        meet(initial_pair(registry), 0)
+        while queue:
+            vi = queue.popleft()
+            at = ids, supp = pairs[vi].key
+            tops = masks.labels(ids, supp)
+            positions = [k for k, t in enumerate(tops) if t is not None]
+            if max_depth is not None and depths[vi] >= max_depth:
+                if positions:
+                    complete = False
+                continue
+            for pos in positions:
+                face = (ids[:pos] + ids[pos + 1:], supp)
+                at = pairs[vi].key  # meet moved it to the last pair met
+                key = _complete_face(registry, face, ids[pos], tops[pos], masks)
+                ti = index[key] if key in index else meet(SupportPair(registry, *key), depths[vi] + 1)
+                for w in (vi, ti):
+                    if ti == vi or degree[w] == n:
+                        fault = "an arrow to itself" if ti == vi else f"more arrows than its {n} faces"
+                        raise CompletionError(
+                            f"{_face_words(registry, *face)} gives vertex {w} {fault}, but a "
+                            "face has exactly two completions (Adachi-Iyama-Reiten, Thm 2.18)"
+                        )
+                    degree[w] += 1
+                arrows.append((vi, ti, tops[pos]))
+    except CharacteristicError as exc:
+        raise CharacteristicError(f"{exc}, at {_face_words(registry, *at, 'support pair')}") from exc
     return ExchangeQuiver(registry, pairs, arrows, complete, max_depth, depths)
 
 

@@ -11,6 +11,7 @@ here because all six indecomposables have distinct dimension vectors).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -197,6 +198,12 @@ def solved_end_constants(M, E) -> tuple:
     d = len(E)
     struct = {(i, j): coords(E[i].compose(E[j])) for i in range(d) for j in range(d)}
     return struct, coords(identity_hom(M))
+
+
+def is_canonical_rational(x) -> bool:
+    """The canonical form of a rational: an int when integral, else a
+    Fraction with denominator > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def solve(m, rhs):

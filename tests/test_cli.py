@@ -744,12 +744,37 @@ def test_field_flag_names_the_cause(spec, reason, capsys):
 
 def test_a_characteristic_too_small_for_the_radical_names_the_module(capsys):
     # P_2 of preproj-a:3 has End of dimension 2, and the trace form over F_2
-    # cannot find its radical
+    # cannot find its radical; it is met at the first pair, (A, 0)
     code, out, err = run(capsys, ["explore", "--preset", "preproj-a:3", "--field", "fp:2"])
     assert (code, out) == (1, "")
     assert err == (
         "error: endomorphism radical of the module with dims [1, 2, 1] over F_2 "
-        "needs p > dim End = 2\n"
+        "needs p > dim End = 2, at the support pair with summand dims "
+        "[[1, 1, 1], [1, 2, 1], [1, 1, 1]] and missing vertices []\n"
+    )
+
+
+def test_a_characteristic_error_past_the_first_pair_names_that_pair(capsys, tmp_path):
+    # A free bound quiver whose summand [3, 0, 2, 3, 1], first met by a
+    # mutation, has End of dimension 5: the pair named is the one it joins.
+    arrows = [("a0", "3", "1"), ("a1", "4", "3"), ("a2", "3", "4"), ("a3", "1", "3"), ("a4", "5", "3")]
+    spec = {
+        "vertices": ["1", "2", "3", "4", "5"],
+        "arrows": [{"name": n, "source": s, "target": t} for n, s, t in arrows],
+        "relations": [],
+        "nilpotency": 3,
+        "field": {"kind": "Q"},
+    }
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(spec))
+    argv = ["explore", "--algebra", str(path), "--max-depth", "7", "--field", "fp:5"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: endomorphism radical of the module with dims [3, 0, 2, 3, 1] over F_5 "
+        "needs p > dim End = 5, at the support pair with summand dims [[2, 0, 1, 1, 0], "
+        "[0, 1, 0, 0, 0], [1, 0, 1, 2, 0], [1, 0, 1, 1, 1], [3, 0, 2, 3, 1]] and "
+        "missing vertices []\n"
     )
 
 

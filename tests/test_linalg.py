@@ -26,7 +26,7 @@ from taumut.linalg import (
     vstack,
 )
 
-from conftest import det, solve
+from conftest import det, is_canonical_rational, solve
 
 F5 = PrimeField(5)
 
@@ -105,10 +105,87 @@ def test_prime_field_inverse():
         assert f.mul(a, f.inv(a)) == 1
 
 
+def _assert_canonical_rational(x):
+    assert is_canonical_rational(x), repr(x)
+
+
 def test_rational_entries_stay_fractions():
+    # only the non-integral ones: an integral rational is an int
     m = Mat(QQ, [[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
-    assert all(isinstance(x, Fraction) for row in m.rows for x in row)
+    assert [[type(x) for x in row] for row in m.rows] == [[Fraction, int], [int, Fraction]]
+    for row in m.rows:
+        for x in row:
+            _assert_canonical_rational(x)
     assert m[0, 0] + m[1, 1] == Fraction(7, 21) - Fraction(5, 7) + 0
+
+
+def test_rational_inverses_are_exact():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(Fraction(1, 2)) == 2 and type(QQ.inv(Fraction(1, 2))) is int
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert QQ.inv(Fraction(-3, 4)) == Fraction(-4, 3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_integral_rationals_are_ints_whatever_they_were_written_as():
+    assert (QQ.zero(), QQ.one()) == (0, 1)
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    for written, value in [(Fraction(4, 2), 2), ("3/1", 3), ("-6/3", -2), (Fraction(0, 5), 0)]:
+        assert type(QQ.coerce(written)) is int and QQ.coerce(written) == value
+    assert QQ.coerce("2/4") == Fraction(1, 2)
+    a = Mat(QQ, [[Fraction(4, 2), "3/1"], ["1/2", Fraction(-6, 3)]])
+    b = Mat(QQ, [[2, 3], [Fraction(1, 2), -2]])
+    assert a == b and hash(a) == hash(b) and a.rows == b.rows
+    assert [[type(x) for x in row] for row in a.rows] == [[int, int], [Fraction, int]]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    a=st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    b=st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+def test_rational_scalar_ops_give_canonical_values(a, b):
+    x, y = QQ.coerce(a), QQ.coerce(b)
+    results = {
+        "coerce": (x, a),
+        "add": (QQ.add(x, y), a + b),
+        "sub": (QQ.sub(x, y), a - b),
+        "neg": (QQ.neg(x), -a),
+        "mul": (QQ.mul(x, y), a * b),
+    }
+    if a:
+        results["inv"] = (QQ.inv(x), 1 / a)
+    for name, (got, want) in results.items():
+        assert got == want, name
+        _assert_canonical_rational(got)
+
+
+def test_integral_results_of_rational_matrix_ops_are_ints():
+    # every entry of every result below is integral, though the operands
+    # hold halves and thirds
+    m = Mat(QQ, [[Fraction(1, 2), Fraction(-3, 2)], [Fraction(1, 3), Fraction(2, 3)]])
+    n = Mat(QQ, [[Fraction(1, 2), Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 3)]])
+    results = {
+        "add": (m.add(n), [[1, -1], [1, 1]]),
+        "sub": (m.sub(m), [[0, 0], [0, 0]]),
+        "neg": (m.neg().add(m), [[0, 0], [0, 0]]),
+        "scale": (m.scale(6), [[3, -9], [2, 4]]),
+        "mul": (Mat(QQ, [[2, 0], [0, 3]]).mul(m), [[1, -3], [1, 2]]),
+        "reduce_row": (
+            Mat._of(QQ, [reduce_row(QQ, m.rows[0], [[1, Fraction(-1, 2)]], (0,))], 2),
+            [[0, Fraction(-5, 4)]],
+        ),
+        "reduce_row to ints": (
+            Mat._of(QQ, [reduce_row(QQ, [Fraction(1, 2), Fraction(3, 2)], [[1, 1]], (0,))], 2),
+            [[0, 1]],
+        ),
+    }
+    for name, (got, want) in results.items():
+        assert got.rows == tuple(map(tuple, want)), name
+        for row in got.rows:
+            for x in row:
+                _assert_canonical_rational(x)
 
 
 def test_mixed_field_operations_rejected():
@@ -288,7 +365,8 @@ def _field_mats(field, max_dim: int = 4):
 
 
 def _naive_rref(field, rows, ncols):
-    """Textbook Gauss-Jordan on plain Fraction or mod-p arithmetic."""
+    """Textbook Gauss-Jordan on plain Fraction or mod-p arithmetic: exact
+    values, in whatever form Fraction arithmetic gives them."""
     p = field.characteristic()
     rows = [list(r) for r in rows]
     pivots = []
@@ -302,7 +380,8 @@ def _naive_rref(field, rows, ncols):
         if p:
             rows[r] = [x * pow(lead, p - 2, p) % p for x in rows[r]]
         else:
-            rows[r] = [x / lead for x in rows[r]]
+            # Fraction division: x / lead on two ints would be a float
+            rows[r] = [Fraction(x) / lead for x in rows[r]]
         for i in range(len(rows)):
             if i != r:
                 f = rows[i][c]
@@ -329,7 +408,7 @@ def _assert_canonical_entries(m):
     for row in m.rows:
         for x in row:
             if m.field == QQ:
-                assert type(x) is Fraction and x.denominator > 0
+                _assert_canonical_rational(x)
             else:
                 assert type(x) is int and 0 <= x < m.field.p
 

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from taumut import IsoRegistry, modules, tautilt
+from taumut.cli import _verify_quiver
 from taumut.errors import (
     CompletionError,
     IncompleteExplorationError,
@@ -22,7 +25,7 @@ from taumut.errors import (
 from taumut.algebra import AlgebraSpec, Arrow, Quiver, build_algebra
 from taumut.linalg import QQ, PrimeField
 from taumut.modules import injective_module, is_tau_rigid_pair, simple_module
-from taumut.presets import build_preset
+from taumut.presets import build_preset, preset_spec
 from taumut.tautilt import (
     SupportPair,
     bongartz_completion,
@@ -47,6 +50,7 @@ from conftest import (
     A3_S2_SOURCE,
     DUAL_ROUTE,
     arrow_dims,
+    is_canonical_rational,
     reference_left_mutate,
     reference_shifted_labels,
     relabeled_arrows,
@@ -753,3 +757,49 @@ def test_every_arrow_completes_from_the_summands_of_its_quiver(preset):
         assert picks[-1] == _scanned(reg, known, face, ids[pos], lab)
     assert branches == {True, False}
     assert None in picks and len(set(picks)) > 2
+
+
+# -- rational entries in canonical form -----------------------------------------
+
+
+def _entries(mats):
+    return [x for m in mats for row in m.rows for x in row]
+
+
+def _module_entries(reg):
+    return _entries(m for i in range(reg.count()) for m in reg.module(i).mats)
+
+
+def _registry_entries(reg):
+    """Every entry of every registered module and of every cached Hom basis,
+    radical of End and Omega-Hom basis."""
+    homs = [h for space in reg._hom.values() for h in space.basis]
+    homs += [h for rad in reg._rad.values() for h in rad]
+    homs += [h for basis in reg.omega_homs.values() for h in basis]
+    return _module_entries(reg) + _entries(m for h in homs for m in h.mats)
+
+
+@pytest.mark.parametrize("preset", ["nakayama:cyclic:4:4", "preproj-a:4"])
+def test_verify_leaves_every_cached_rational_in_canonical_form(preset):
+    q = explore(IsoRegistry(build_preset(preset)))
+    assert _verify_quiver(q) == []
+    entries = _registry_entries(q.registry)
+    assert entries and q.registry.omega_homs
+    assert [x for x in entries if not is_canonical_rational(x)] == []
+
+
+def test_a_rescaled_arrow_gives_the_same_quiver_through_fractions():
+    # a2 -> a2 / 2 is an isomorphism of bound quiver algebras; it turns the
+    # mesh relations at 2 and 3 into a2*b2/2 - b1*a1 and -b2*a2/2.
+    spec = preset_spec("preproj-a:3")
+    relations = tuple(
+        tuple((c / 2 if "a2" in path else c, path) for c, path in rel) for rel in spec.relations
+    )
+    assert Fraction(-1, 2) in [c for rel in relations for c, _ in rel]
+    rescaled = build_algebra(AlgebraSpec(spec.quiver, relations, spec.nilpotency, QQ))
+    q = explore(IsoRegistry(rescaled))
+    assert export_records(q) == export_records(explore(IsoRegistry(build_preset("preproj-a:3"))))
+    entries = _registry_entries(q.registry)
+    assert [x for x in entries if not is_canonical_rational(x)] == []
+    # not vacuous: a registered module holds a non-integral entry
+    assert any(type(x) is Fraction for x in _module_entries(q.registry))
